@@ -1,17 +1,16 @@
 //! Criterion benchmarks of the full Alg.-1 interference decode — the
 //! per-packet cost an ANC receiver pays — forward and backward, at two
 //! frame sizes, with and without scratch reuse, plus the
-//! detect→lemma→matcher composite measured against a faithful copy of
-//! the pre-optimization (seed) kernels so the speedup stays measurable
-//! in CI (`BENCH_decoder_pipeline.json` tracks it; fixtures and the
-//! seed-reference kernels live in `anc_bench::fixtures`).
+//! detect→lemma→matcher composite, batched versus the scalar oracle
+//! (`BENCH_decoder_pipeline.json` tracks it; fixtures live in
+//! `anc_bench::fixtures`).
 
 use anc_bench::fixtures::{
-    decode_fixture, fixture_decoder, fixture_detector, interfered_stream, seed_interference_mask,
-    FIXTURE_NOISE,
+    decode_fixture, fixture_decoder, fixture_detector, interfered_stream, FIXTURE_NOISE,
 };
 use anc_core::decoder::DecoderScratch;
-use anc_core::matcher::{match_bits_into, match_phase_differences};
+use anc_core::matcher::{match_bits_batch, match_bits_into, MatchBatchScratch};
+use anc_dsp::batch::energies_into;
 use anc_dsp::{Cplx, DspRng};
 use anc_frame::{Frame, FrameConfig, Header};
 use anc_modem::{Modem, MskModem};
@@ -86,26 +85,19 @@ fn bench_clean(c: &mut Criterion) {
 }
 
 /// The §7.1→§6.3 per-packet hot chain (interference detect → Lemma 6.1
-/// → matcher → bits) at paper scale, reference (seed) kernels versus
-/// the fused allocation-free path. Throughput is in samples through
-/// the chain.
+/// → matcher → bits) at paper scale, the scalar oracle versus the
+/// batched struct-of-arrays path. Throughput is in samples through the
+/// chain.
 fn bench_pipeline(c: &mut Criterion) {
     let n = 4096usize;
     let (rx, dtheta) = interfered_stream(n, 40);
     let det = fixture_detector();
     let mut g = c.benchmark_group("pipeline");
     g.throughput(Throughput::Elements(rx.len() as u64));
-    g.bench_function("detect_lemma_match_reference", |b| {
-        b.iter(|| {
-            let mask = seed_interference_mask(&det, black_box(&rx));
-            let m = match_phase_differences(black_box(&rx), black_box(&dtheta), 1.0, 1.0);
-            black_box((mask[n / 2], m.bits().len()))
-        })
-    });
     let mut mask = Vec::new();
     let mut err = Vec::new();
     let mut bits = Vec::new();
-    g.bench_function("detect_lemma_match_fused", |b| {
+    g.bench_function("detect_lemma_match_scalar", |b| {
         b.iter(|| {
             det.interference_mask_into(black_box(&rx), &mut mask);
             bits.clear();
@@ -114,6 +106,25 @@ fn bench_pipeline(c: &mut Criterion) {
                 black_box(&dtheta),
                 1.0,
                 1.0,
+                &mut err,
+                &mut bits,
+            );
+            black_box((mask[n / 2], bits.len()))
+        })
+    });
+    let mut energies = Vec::new();
+    let mut scratch = MatchBatchScratch::default();
+    g.bench_function("detect_lemma_match_batch", |b| {
+        b.iter(|| {
+            energies_into(black_box(&rx), &mut energies);
+            det.interference_mask_from_energies(&energies, &mut mask);
+            bits.clear();
+            match_bits_batch(
+                black_box(&rx),
+                black_box(&dtheta),
+                1.0,
+                1.0,
+                &mut scratch,
                 &mut err,
                 &mut bits,
             );

@@ -6,8 +6,7 @@ use anc_bench::fixtures::{fixture_detector, interfered_stream};
 use anc_core::amplitude::estimate_amplitudes;
 use anc_core::lemma::{solve_phases, LemmaKernel};
 use anc_core::matcher::{
-    match_bits_batch, match_phase_differences, match_phase_differences_into, MatchBatchScratch,
-    MatchOutput,
+    match_bits_batch, match_bits_into, match_phase_differences, MatchBatchScratch,
 };
 use anc_dsp::batch::energies_into;
 use anc_dsp::{Cplx, DspRng};
@@ -55,18 +54,25 @@ fn bench_matcher(c: &mut Criterion) {
             ))
         })
     });
-    let mut out = MatchOutput::default();
+    let mut err = Vec::new();
+    let mut bits = Vec::new();
     g.bench_function("match_4k_symbols_fused", |b| {
         b.iter(|| {
-            match_phase_differences_into(black_box(&rx), black_box(&dtheta), 1.0, 1.0, &mut out);
-            black_box(out.dphi.len())
+            bits.clear();
+            match_bits_into(
+                black_box(&rx),
+                black_box(&dtheta),
+                1.0,
+                1.0,
+                &mut err,
+                &mut bits,
+            );
+            black_box(bits.len())
         })
     });
     // The SoA batch kernel (DESIGN.md §8): solve every interval's
     // candidate vectors up front in lane-parallel passes, then decide.
     let mut scratch = MatchBatchScratch::default();
-    let mut err = Vec::new();
-    let mut bits = Vec::new();
     g.bench_function("match_4k_symbols_batch", |b| {
         b.iter(|| {
             bits.clear();

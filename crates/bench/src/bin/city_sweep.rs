@@ -25,9 +25,8 @@
 //! flash-crowd pass, and a **100k-node rung** run light-load through
 //! [`anc_sim::city::CityRun::execute_profiled`] to show whether window assembly or
 //! decode dominates at city scale. A small-size identity block
-//! re-runs one point deterministic vs work-stealing and sparse vs
-//! dense and asserts fingerprint equality before the report is
-//! emitted.
+//! re-runs one point deterministic vs work-stealing and asserts
+//! fingerprint equality before the report is emitted.
 //!
 //! ```text
 //! cargo run --release -p anc-bench --bin city_sweep -- --quick
@@ -357,9 +356,8 @@ fn main() {
     report.stat("slots_per_sec_100k", big_slots as f64 / wall_100k.max(1e-9));
 
     // ---- Identity block: the physics is execution-order-free. ----
-    // One small point, four ways: deterministic/work-stealing ×
-    // sparse/dense all land on the same fingerprint, or the artifact
-    // is not emitted.
+    // One small point, both executors: deterministic and work-stealing
+    // land on the same fingerprint, or the artifact is not emitted.
     let small = CityConfig {
         cells_x: 8,
         rows: 4,
@@ -368,27 +366,9 @@ fn main() {
         ..base.clone()
     };
     let reference = run_one(&small, Scheme::Anc, SchedulerSpec::deterministic()).fingerprint();
-    for (mode, sparse) in [
-        (SchedulerSpec::work_stealing(4), true),
-        (SchedulerSpec::deterministic(), false),
-        (SchedulerSpec::work_stealing(4), false),
-    ] {
-        let got = run_one(
-            &CityConfig {
-                sparse,
-                ..small.clone()
-            },
-            Scheme::Anc,
-            mode,
-        )
-        .fingerprint();
-        assert_eq!(
-            got, reference,
-            "city run diverged (mode={:?}, sparse={sparse})",
-            mode.mode
-        );
-    }
-    println!("identity: deterministic/work-stealing x sparse/dense all match ({reference:#018x})");
+    let stolen = run_one(&small, Scheme::Anc, SchedulerSpec::work_stealing(4)).fingerprint();
+    assert_eq!(stolen, reference, "work-stealing city run diverged");
+    println!("identity: deterministic/work-stealing match ({reference:#018x})");
     report.stat("execution_order_identical", 1.0);
 
     emit(&report, &args);

@@ -5,9 +5,9 @@
 //! Three measurement blocks, all in one process so ratios are
 //! apples-to-apples under identical compiler flags and machine load:
 //!
-//! 1. **Kernels** — the §7.1→§6.3 detect→lemma→matcher chain, seed
-//!    reference implementations (see `anc_bench::fixtures`) versus the
-//!    fused allocation-free path. The acceptance metric is the fused
+//! 1. **Kernels** — the §7.1→§6.3 detect→lemma→matcher chain, the
+//!    batched struct-of-arrays path versus the scalar oracle it is
+//!    checked against bit for bit. The acceptance metric is the batch
 //!    speedup.
 //! 2. **End-to-end** — full `decode_forward`/`decode_backward` with
 //!    scratch reuse: ns/decode, decodes/s, Msamples/s.
@@ -20,13 +20,11 @@
 //! cargo run --release -p anc-bench --bin perf_baseline -- --json BENCH_decoder_pipeline.json
 //! ```
 
-use anc_bench::fixtures::{
-    decode_fixture, fixture_decoder, fixture_detector, interfered_stream, seed_interference_mask,
-};
+use anc_bench::fixtures::{decode_fixture, fixture_decoder, fixture_detector, interfered_stream};
 use anc_bench::perf::{measure_ns, measure_pair, HistoryEntry, PerfReport};
 use anc_channel::{within_range, SpatialGrid};
 use anc_core::decoder::DecoderScratch;
-use anc_core::matcher::{match_bits_batch, match_bits_into, match_phase_differences};
+use anc_core::matcher::{match_bits_batch, match_bits_into};
 use anc_core::MatchBatchScratch;
 use anc_dsp::batch::energies_into;
 use anc_netcode::Scheme;
@@ -124,76 +122,27 @@ fn main() {
     report.config.insert("kernel_samples".into(), 4096.0);
     report.config.insert("payload_bits".into(), 4096.0);
 
-    // ---- 1. detect→lemma→matcher kernel, reference vs fused. ----
+    // ---- 1. detect→lemma→matcher kernel, batch vs scalar oracle. ----
+    // The batch arm is the production decode path since DESIGN.md §8:
+    // a struct-of-arrays energy pass feeding the detector plus the
+    // lane-structured matcher. The scalar arm (`interference_mask_into`
+    // + `match_bits_into`) is the oracle the proptest suite pins it to;
+    // both run in the same alternating-batch harness.
     let n = 4096usize;
     let (rx, dtheta) = interfered_stream(n, 40);
     let det = fixture_detector();
     let mut mask = Vec::new();
     let mut err = Vec::new();
     let mut bits = Vec::new();
-    let (reference_ns, fused_ns) = measure_pair(
-        || {
-            let mask = seed_interference_mask(&det, black_box(&rx));
-            let m = match_phase_differences(black_box(&rx), black_box(&dtheta), 1.0, 1.0);
-            black_box((mask[n / 2], m.bits().len()));
-        },
-        || {
-            det.interference_mask_into(black_box(&rx), &mut mask);
-            bits.clear();
-            match_bits_into(
-                black_box(&rx),
-                black_box(&dtheta),
-                1.0,
-                1.0,
-                &mut err,
-                &mut bits,
-            );
-            black_box((mask[n / 2], bits.len()));
-        },
-        args.target_ms,
-        args.repeats,
-    );
-    let nf = n as f64;
-    report.kernels.insert(
-        "detect_lemma_match_reference_ns_per_sample".into(),
-        reference_ns / nf,
-    );
-    report.kernels.insert(
-        "detect_lemma_match_fused_ns_per_sample".into(),
-        fused_ns / nf,
-    );
-    report
-        .kernels
-        .insert("detect_lemma_match_speedup".into(), reference_ns / fused_ns);
-    report.kernels.insert(
-        "detect_lemma_match_fused_msamples_per_sec".into(),
-        nf / (fused_ns * 1e-9) / 1e6,
-    );
-    println!(
-        "kernel detect→lemma→matcher: reference {:.1} ns/sample, fused {:.1} ns/sample ({:.2}x, {:.2} Msamples/s)",
-        reference_ns / nf,
-        fused_ns / nf,
-        reference_ns / fused_ns,
-        nf / (fused_ns * 1e-9) / 1e6,
-    );
-
-    // ---- 1b. Batched SoA kernels vs the seed reference. ----
-    // The batch arm is the production decode path since DESIGN.md §8:
-    // a struct-of-arrays energy pass feeding the detector plus the
-    // lane-structured matcher. Timed against the seed reference in the
-    // same alternating-batch harness, so the batch speedup key shares
-    // the fused key's denominator semantics (both are "× over the seed
-    // reference implementation").
     let mut energies = Vec::new();
     let mut batch_scratch = MatchBatchScratch::default();
     let mut mask_b = Vec::new();
     let mut err_b = Vec::new();
     let mut bits_b = Vec::new();
     // Bit-identity sanity inside the measurement binary: the batch arm
-    // must reproduce the fused arm exactly before its timing means
-    // anything (the proptest suite pins this; re-check on live data).
+    // must reproduce the scalar oracle exactly before its timing means
+    // anything (re-checked here on live data).
     det.interference_mask_into(&rx, &mut mask);
-    bits.clear();
     match_bits_into(&rx, &dtheta, 1.0, 1.0, &mut err, &mut bits);
     energies_into(&rx, &mut energies);
     det.interference_mask_from_energies(&energies, &mut mask_b);
@@ -216,52 +165,61 @@ fn main() {
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
         "batch matcher residuals diverged"
     );
-    bits_b.clear();
-    let (reference_arm_ns, batch_ns) = measure_pair(
+    let mut batch = || {
+        energies_into(black_box(&rx), &mut energies);
+        det.interference_mask_from_energies(&energies, &mut mask_b);
+        bits_b.clear();
+        match_bits_batch(
+            black_box(&rx),
+            black_box(&dtheta),
+            1.0,
+            1.0,
+            &mut batch_scratch,
+            &mut err_b,
+            &mut bits_b,
+        );
+        black_box((mask_b[n / 2], bits_b.len()));
+    };
+    let (scalar_ns, batch_ns) = measure_pair(
         || {
-            let mask = seed_interference_mask(&det, black_box(&rx));
-            let m = match_phase_differences(black_box(&rx), black_box(&dtheta), 1.0, 1.0);
-            black_box((mask[n / 2], m.bits().len()));
-        },
-        || {
-            energies_into(black_box(&rx), &mut energies);
-            det.interference_mask_from_energies(&energies, &mut mask_b);
-            bits_b.clear();
-            match_bits_batch(
+            det.interference_mask_into(black_box(&rx), &mut mask);
+            bits.clear();
+            match_bits_into(
                 black_box(&rx),
                 black_box(&dtheta),
                 1.0,
                 1.0,
-                &mut batch_scratch,
-                &mut err_b,
-                &mut bits_b,
+                &mut err,
+                &mut bits,
             );
-            black_box((mask_b[n / 2], bits_b.len()));
+            black_box((mask[n / 2], bits.len()));
         },
+        &mut batch,
         args.target_ms,
         args.repeats,
     );
+    let nf = n as f64;
     report.kernels.insert(
         "batch_detect_lemma_match_ns_per_sample".into(),
         batch_ns / nf,
     );
     report.kernels.insert(
         "batch_detect_lemma_match_speedup".into(),
-        reference_arm_ns / batch_ns,
+        scalar_ns / batch_ns,
     );
     report.kernels.insert(
         "batch_detect_lemma_match_msamples_per_sec".into(),
         nf / (batch_ns * 1e-9) / 1e6,
     );
     println!(
-        "kernel batched SoA: {:.1} ns/sample ({:.2}x over reference, {:.2}x over fused, {:.2} Msamples/s)",
+        "kernel detect→lemma→matcher: scalar {:.1} ns/sample, batched SoA {:.1} ns/sample ({:.2}x, {:.2} Msamples/s)",
+        scalar_ns / nf,
         batch_ns / nf,
-        reference_arm_ns / batch_ns,
-        fused_ns / batch_ns,
+        scalar_ns / batch_ns,
         nf / (batch_ns * 1e-9) / 1e6,
     );
 
-    // ---- 1c. Fault-realization guard on the batch hot path. ----
+    // ---- 1b. Fault-realization guard on the batch hot path. ----
     // The fault layer sits in front of every receive window: a passive
     // `FaultSpec::none()` must cost nothing measurable on the decode
     // path. Time the batch kernel bare against the batch kernel plus
@@ -276,21 +234,7 @@ fn main() {
     let mut bits_g = Vec::new();
     let mut period = 0u64;
     let (bare_ns, guarded_ns) = measure_pair(
-        || {
-            energies_into(black_box(&rx), &mut energies);
-            det.interference_mask_from_energies(&energies, &mut mask_b);
-            bits_b.clear();
-            match_bits_batch(
-                black_box(&rx),
-                black_box(&dtheta),
-                1.0,
-                1.0,
-                &mut batch_scratch,
-                &mut err_b,
-                &mut bits_b,
-            );
-            black_box((mask_b[n / 2], bits_b.len()));
-        },
+        &mut batch,
         || {
             period = period.wrapping_add(1);
             let down = fspec.node_crashed(args.seed, nodes::ROUTER, period);
@@ -422,15 +366,13 @@ fn main() {
         "parallel sweep metrics diverged from the serial baseline"
     );
 
-    // ---- 4. City engine: gating and sparse advance. ----
-    // 4a. Superposition candidate selection at 2k nodes. Both arms end
-    // in the same exact `within_range` test; the dense arm scans every
-    // node per receiver (the O(N²) reference the engine used before
-    // spatial gating), the gated arm builds the slot's `SpatialGrid`
-    // once and queries the 3×3 neighborhood per receiver — the exact
-    // shape of `city::CityPhy::window`. Equality of the selected sets
-    // is asserted before timing: the grid is a pre-filter, never a
-    // different answer.
+    // ---- 4. City engine: gated superposition and sparse advance. ----
+    // 4a. Superposition candidate selection at 4k nodes: build the
+    // slot's `SpatialGrid` once, query the 3×3 neighborhood per
+    // receiver and apply the exact `within_range` gate — the shape of
+    // `city::CityPhy::window`. (That the grid selects exactly what a
+    // scan over every node would is a unit test of
+    // `anc_channel::spatial`.)
     let (cols, rows) = (64usize, 64usize);
     let g_nodes = cols * rows;
     let positions: Vec<(f64, f64)> = (0..g_nodes)
@@ -438,75 +380,41 @@ fn main() {
         .collect();
     let radius = CityConfig::default().gate_radius();
     let everyone: Vec<u32> = (0..g_nodes).map(|i| i as u32).collect();
-    let select_dense = |lists: &mut Vec<Vec<u32>>| {
-        lists.clear();
-        for r in 0..g_nodes {
-            let mut l = Vec::new();
-            for t in 0..g_nodes {
-                if t != r && within_range(positions[t], positions[r], radius) {
-                    l.push(t as u32);
-                }
-            }
-            lists.push(l);
-        }
-    };
-    let select_gated = |lists: &mut Vec<Vec<u32>>, cands: &mut Vec<u32>| {
-        let grid = SpatialGrid::build_subset(&positions, &everyone, radius);
-        lists.clear();
-        for r in 0..g_nodes {
-            let mut l = Vec::new();
-            cands.clear();
-            grid.candidates_into(positions[r], cands);
-            for &t in cands.iter() {
-                if t as usize != r && within_range(positions[t as usize], positions[r], radius) {
-                    l.push(t);
-                }
-            }
-            lists.push(l);
-        }
-    };
-    let mut dense_lists = Vec::new();
-    let mut gated_lists = Vec::new();
-    let mut cand_scratch = Vec::new();
-    select_dense(&mut dense_lists);
-    select_gated(&mut gated_lists, &mut cand_scratch);
-    assert_eq!(
-        dense_lists, gated_lists,
-        "spatial grid selected a different audible set than the dense scan"
-    );
-    let (superpose_dense_ns, superpose_gated_ns) = measure_pair(
+    let mut gated_lists: Vec<Vec<u32>> = Vec::new();
+    let mut cands = Vec::new();
+    let superpose_gated_ns = measure_ns(
         || {
-            select_dense(&mut dense_lists);
-            black_box(dense_lists.len());
-        },
-        || {
-            select_gated(&mut gated_lists, &mut cand_scratch);
+            let grid = SpatialGrid::build_subset(&positions, &everyone, radius);
+            gated_lists.clear();
+            for r in 0..g_nodes {
+                let mut l = Vec::new();
+                cands.clear();
+                grid.candidates_into(positions[r], &mut cands);
+                for &t in cands.iter() {
+                    if t as usize != r && within_range(positions[t as usize], positions[r], radius)
+                    {
+                        l.push(t);
+                    }
+                }
+                gated_lists.push(l);
+            }
             black_box(gated_lists.len());
         },
         args.target_ms,
         args.repeats,
     );
-    let superpose_speedup = superpose_dense_ns / superpose_gated_ns;
-    report
-        .engine
-        .insert("superpose_dense_ns".into(), superpose_dense_ns);
     report
         .engine
         .insert("superpose_gated_ns".into(), superpose_gated_ns);
-    report
-        .engine
-        .insert("superpose_speedup".into(), superpose_speedup);
     println!(
-        "engine superpose ({g_nodes} nodes): dense {:.2} ms, gated {:.3} ms ({superpose_speedup:.1}x)",
-        superpose_dense_ns / 1e6,
+        "engine superpose ({g_nodes} nodes): gated {:.3} ms",
         superpose_gated_ns / 1e6,
     );
 
     // 4b. Slot advance over an idle 2k-node city: with no arrivals the
-    // run is pure bookkeeping, so the pair isolates what the advance
-    // itself costs — poll-every-cell-every-round versus the event
-    // heap. (Under load the PHY dominates both identically; the city
-    // unit tests pin fingerprint equality there.)
+    // run is pure bookkeeping, so the timing isolates what the sparse
+    // advance itself costs. (Its identity with the poll-every-chain
+    // oracle is pinned by the city unit tests.)
     let city = CityConfig {
         cells_x: 32,
         rows: 21, // 672 cells = 2016 nodes
@@ -515,68 +423,22 @@ fn main() {
         offered: 0.0,
         ..CityConfig::default()
     };
-    let dense_cfg = CityConfig {
-        sparse: false,
-        ..city.clone()
-    };
-    let idle_dense = city_run(&dense_cfg, Scheme::Anc);
-    let idle_sparse = city_run(&city, Scheme::Anc);
-    let mut city_identical = idle_dense.fingerprint() == idle_sparse.fingerprint();
-    let (advance_dense_ns, advance_sparse_ns) = measure_pair(
-        || {
-            black_box(city_run(&dense_cfg, Scheme::Anc).polls);
-        },
+    let advance_ops = city_run(&city, Scheme::Anc).advance_ops;
+    let advance_sparse_ns = measure_ns(
         || {
             black_box(city_run(&city, Scheme::Anc).advance_ops);
         },
         args.target_ms,
         args.repeats,
     );
-    let advance_advantage = advance_dense_ns / advance_sparse_ns;
-    // And under real load at a smaller scale: same physics either way.
-    let loaded = CityConfig {
-        cells_x: 8,
-        rows: 4,
-        seed: args.seed,
-        rounds: 24,
-        offered: 0.2,
-        sparse: false,
-        ..CityConfig::default()
-    };
-    let loaded_dense = city_run(&loaded, Scheme::Anc);
-    let loaded_sparse = city_run(
-        &CityConfig {
-            sparse: true,
-            ..loaded
-        },
-        Scheme::Anc,
-    );
-    city_identical &= loaded_dense.fingerprint() == loaded_sparse.fingerprint();
-    report
-        .engine
-        .insert("slot_advance_dense_ns".into(), advance_dense_ns);
     report
         .engine
         .insert("slot_advance_sparse_ns".into(), advance_sparse_ns);
-    report
-        .engine
-        .insert("slot_advance_advantage".into(), advance_advantage);
-    report.engine.insert(
-        "city_identical".into(),
-        if city_identical { 1.0 } else { 0.0 },
-    );
     println!(
-        "engine slot advance ({} cells x {} idle rounds): dense {:.2} ms ({} polls), sparse {:.3} ms ({} ops) — {advance_advantage:.1}x, identical: {city_identical}",
+        "engine slot advance ({} cells x {} idle rounds): sparse {:.3} ms ({advance_ops} ops)",
         city.cells(),
         city.rounds,
-        advance_dense_ns / 1e6,
-        idle_dense.polls,
         advance_sparse_ns / 1e6,
-        idle_sparse.advance_ops,
-    );
-    assert!(
-        city_identical,
-        "sparse/gated city run diverged from the dense reference"
     );
 
     // 4c. Mobility cost: a random-waypoint city whose endpoints walk
@@ -749,10 +611,9 @@ fn main() {
     // ---- History: carry the trajectory forward. ----
     // Regenerating the artifact must not discard previously recorded
     // points: reuse the existing file's history when it parses. The
-    // hardcoded seed entry — end-to-end numbers captured once at the
-    // seed commit (PR 1 tree, same fixture) — seeds the trajectory's
-    // origin when no prior artifact exists. (The kernel "before" needs
-    // no history at all: the reference arm is re-measured live above.)
+    // hardcoded seed entry — end-to-end and kernel numbers captured
+    // once at the seed commit on the same fixture — seeds the
+    // trajectory's origin when no prior artifact exists.
     let prior_history = args
         .json
         .as_ref()

@@ -1,21 +1,14 @@
-//! Shared signal fixtures and *seed-reference* kernels for the perf
-//! harness.
+//! Shared signal fixtures for the perf harness.
 //!
 //! The criterion benches and the `perf_baseline` binary measure the
 //! same decode pipelines on the same receptions; building those
-//! fixtures here keeps the two in lock-step. The module also carries
-//! faithful copies of the pre-optimization (seed) hot-path kernels —
-//! the "before" arm of `BENCH_decoder_pipeline.json` — so the
-//! detect→lemma→matcher speedup is re-measurable on any machine, in
-//! the same process and under the same compiler flags as the fused
-//! path, rather than being a one-off number.
+//! fixtures here keeps the two in lock-step.
 
 use anc_core::decoder::{AncDecoder, DecoderConfig};
 use anc_core::detect::{DetectorConfig, SignalDetector};
 use anc_dsp::{Cplx, DspRng};
 use anc_frame::{Frame, FrameConfig, Header};
 use anc_modem::{Modem, MskModem};
-use std::collections::VecDeque;
 
 /// Receiver noise power used by all perf fixtures.
 pub const FIXTURE_NOISE: f64 = 1e-3;
@@ -103,108 +96,9 @@ pub fn fixture_detector() -> SignalDetector {
     })
 }
 
-/// The seed's `VarianceWindow`: ring buffer with a full recompute per
-/// query — three buffer passes (mean, then mean again plus squared
-/// deviations) and no running sum.
-pub struct SeedVarianceWindow {
-    buf: VecDeque<f64>,
-    cap: usize,
-}
-
-impl SeedVarianceWindow {
-    /// Creates a window holding `cap` energies.
-    pub fn new(cap: usize) -> Self {
-        SeedVarianceWindow {
-            buf: VecDeque::with_capacity(cap),
-            cap,
-        }
-    }
-
-    /// Pushes a complex sample, evicting the oldest if full.
-    pub fn push(&mut self, s: Cplx) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(s.norm_sq());
-    }
-
-    /// `true` once the window has been fully populated.
-    pub fn is_full(&self) -> bool {
-        self.buf.len() == self.cap
-    }
-
-    /// Mean energy (one buffer pass).
-    pub fn mean(&self) -> f64 {
-        if self.buf.is_empty() {
-            0.0
-        } else {
-            self.buf.iter().sum::<f64>() / self.buf.len() as f64
-        }
-    }
-
-    /// Population variance (two buffer passes).
-    pub fn variance(&self) -> f64 {
-        let n = self.buf.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.buf.iter().sum::<f64>() / n as f64;
-        let var = self
-            .buf
-            .iter()
-            .map(|&e| {
-                let d = e - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n as f64;
-        var.max(0.0)
-    }
-}
-
-/// The seed's `SignalDetector::interference_mask`: separate mean and
-/// variance queries per sample (five buffer passes total) and the
-/// O(n·w) trailing-window rewrite the PR's high-water-mark fill
-/// replaced.
-pub fn seed_interference_mask(det: &SignalDetector, region: &[Cplx]) -> Vec<bool> {
-    let w = det.config().window.max(8);
-    let mut vw = SeedVarianceWindow::new(w);
-    let mut mask = vec![false; region.len()];
-    for (i, &s) in region.iter().enumerate() {
-        vw.push(s);
-        if vw.is_full() {
-            let m = vw.mean();
-            let nv = if m > 0.0 {
-                vw.variance() / (m * m)
-            } else {
-                0.0
-            };
-            if nv > det.config().variance_threshold {
-                let lo = i + 1 - w;
-                for flag in mask[lo..=i].iter_mut() {
-                    *flag = true;
-                }
-            }
-        }
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seed_mask_agrees_with_production_mask() {
-        // The "before" arm must stay *behaviorally* the same detector —
-        // only slower — or the speedup comparison is meaningless.
-        let det = fixture_detector();
-        let (rx, _) = interfered_stream(600, 3);
-        assert_eq!(
-            seed_interference_mask(&det, &rx),
-            det.interference_mask(&rx)
-        );
-    }
 
     #[test]
     fn fixtures_are_deterministic() {

@@ -148,40 +148,6 @@ impl Medium {
         self.noise.add_to(out);
     }
 
-    /// [`Self::receive_refs_into`] with a per-transmission audibility
-    /// gate: only transmissions whose sender index (parallel slice
-    /// `senders`) is set in `audible` are superposed. Bit-identical to
-    /// calling [`Self::receive_refs_into`] on the filtered
-    /// subsequence: skipped transmissions touch neither the sum nor
-    /// the noise stream (noise draws one sample per output sample
-    /// regardless of how many transmissions land on it), so a mask
-    /// admitting every sender reproduces the dense path exactly.
-    pub fn receive_gated_into(
-        &mut self,
-        transmissions: &[TransmissionRef<'_>],
-        senders: &[u32],
-        audible: &crate::spatial::NodeMask,
-        duration: usize,
-        out: &mut Vec<Cplx>,
-    ) {
-        debug_assert_eq!(transmissions.len(), senders.len());
-        out.clear();
-        out.resize(duration, Cplx::ZERO);
-        for (tx, &sender) in transmissions.iter().zip(senders) {
-            if !audible.get(sender as usize) {
-                continue;
-            }
-            let propagated = tx.link.apply(tx.samples);
-            for (i, &s) in propagated.iter().enumerate() {
-                let t = tx.start + i;
-                if t < duration {
-                    out[t] += s;
-                }
-            }
-        }
-        self.noise.add_to(out);
-    }
-
     /// Injects wideband jammer energy into an already-mixed receive
     /// window: complex Gaussian noise of `power` drawn from a
     /// caller-owned stream is added sample-wise on top of the
@@ -291,57 +257,6 @@ mod tests {
         let before = rx.clone();
         Medium::inject_jammer(&mut rx, 0.0, DspRng::seed_from(42));
         assert_eq!(rx, before);
-    }
-
-    #[test]
-    fn gated_full_mask_matches_dense_bit_for_bit() {
-        use crate::spatial::NodeMask;
-        let modem = MskModem::default();
-        let waves: Vec<Vec<Cplx>> = (0..4)
-            .map(|k| modem.modulate(&[k % 2 == 0, true, k % 3 == 0, false]))
-            .collect();
-        let refs: Vec<TransmissionRef<'_>> = waves
-            .iter()
-            .enumerate()
-            .map(|(k, w)| TransmissionRef {
-                samples: w,
-                start: 3 * k,
-                link: Link::new(0.9 - 0.1 * k as f64, 0.3 * k as f64, 0.0),
-            })
-            .collect();
-        let senders: Vec<u32> = vec![10, 20, 30, 40];
-        let mut all = NodeMask::new(64);
-        senders.iter().for_each(|&s| all.set(s as usize));
-        let mut dense = Vec::new();
-        Medium::new(1e-3, 77).receive_refs_into(&refs, 64, &mut dense);
-        let mut gated = Vec::new();
-        Medium::new(1e-3, 77).receive_gated_into(&refs, &senders, &all, 64, &mut gated);
-        assert_eq!(dense, gated);
-    }
-
-    #[test]
-    fn gated_partial_mask_matches_filtered_subsequence() {
-        use crate::spatial::NodeMask;
-        let waves: Vec<Vec<Cplx>> = (0..3).map(|k| vec![Cplx::ONE; 8 + k]).collect();
-        let refs: Vec<TransmissionRef<'_>> = waves
-            .iter()
-            .enumerate()
-            .map(|(k, w)| TransmissionRef {
-                samples: w,
-                start: k,
-                link: Link::new(1.0 - 0.2 * k as f64, 0.1, 0.0),
-            })
-            .collect();
-        let senders = [5u32, 6, 7];
-        let mut mask = NodeMask::new(8);
-        mask.set(5);
-        mask.set(7);
-        let mut gated = Vec::new();
-        Medium::new(2e-3, 9).receive_gated_into(&refs, &senders, &mask, 24, &mut gated);
-        let filtered = [refs[0], refs[2]];
-        let mut dense = Vec::new();
-        Medium::new(2e-3, 9).receive_refs_into(&filtered, 24, &mut dense);
-        assert_eq!(dense, gated);
     }
 
     #[test]

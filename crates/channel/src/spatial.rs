@@ -20,9 +20,8 @@
 
 use anc_dsp::cast::round_to_i64;
 
-/// A fixed-capacity bitset over node indices, used by
-/// [`crate::Medium::receive_gated_into`] to select which transmissions
-/// are audible at one receiver.
+/// A fixed-capacity bitset over node indices: the set of senders a
+/// receiver can hear, as filled by a topology's audibility query.
 #[derive(Debug, Clone, Default)]
 pub struct NodeMask {
     words: Vec<u64>,

@@ -16,7 +16,7 @@
 //! difference for that interval.
 
 use crate::lemma::{solve_phases, CandidateBatch, LemmaKernel, PhaseSolutions};
-use anc_dsp::angle::{circular_diff, circular_distance, wrap_pi};
+use anc_dsp::angle::{circular_diff, circular_distance};
 use anc_dsp::{Cplx, CplxBatch};
 
 /// Output of the matcher over a run of samples.
@@ -39,20 +39,9 @@ impl MatchOutput {
         self.dphi.iter().map(|&d| d >= 0.0).collect()
     }
 
-    /// Clears the three streams, keeping their capacity.
-    pub fn clear(&mut self) {
-        self.dphi.clear();
-        self.dtheta.clear();
-        self.err.clear();
-    }
-
     /// Mean matching residual (diagnostic).
     pub fn mean_err(&self) -> f64 {
-        if self.err.is_empty() {
-            0.0
-        } else {
-            self.err.iter().sum::<f64>() / self.err.len() as f64
-        }
+        mean_residual(&self.err)
     }
 }
 
@@ -116,173 +105,20 @@ pub fn match_phase_differences(y: &[Cplx], known_dtheta: &[f64], a: f64, b: f64)
     out
 }
 
-/// The fused §6.3 batch kernel: Lemma 6.1 + candidate matching over a
-/// whole slice, writing into a caller-owned [`MatchOutput`] (cleared
-/// first, capacity kept).
-///
-/// Same contract as [`match_phase_differences`] and the decoder's
-/// production path; the scalar function remains the reference
-/// implementation the proptest suite checks this kernel against.
-///
-/// Why it is faster, at identical decisions:
-///
-/// * The A/B-dependent constants are hoisted into a [`LemmaKernel`]
-///   built once per call, and no `PhaseSolutions`/`PhasePair` structs
-///   are materialized per sample.
-/// * Lemma 6.1's solutions are kept as *unnormalized vectors*
-///   `u ∥ e^{iθ}`, `v ∥ e^{iφ}` (see
-///   [`LemmaKernel::candidate_vectors`]), so a candidate phase
-///   difference is a complex product `u'·conj(u)` instead of two
-///   `atan2` calls.
-/// * Eq. 8's argmin of circular distance is evaluated as an argmax of
-///   `cos(Δθ_xy − Δθ_s) · |u'||u|`: the cosine is monotone in
-///   circular distance on `[0, π]` and the `|u'||u|` scale factor is
-///   identical for all four candidates (the two branch vectors of one
-///   sample are mirror images, hence equal in magnitude), so the
-///   winner is the same — for one fused multiply-add per candidate.
-/// * Only the winning candidate's `Δθ`/`Δφ` are converted to angles:
-///   two `atan2` per interval instead of four per sample.
-///
-/// The emitted `dphi`/`dtheta`/`err` agree with the reference to
-/// floating-point rounding (`arg(u'·conj(u))` versus
-/// `wrap(arg(u') − arg(u))`); the decided *bits* agree exactly except
-/// on intervals whose decision margin is below ~1 ulp — configurations
-/// that are genuinely ambiguous (`|Δφ| ≈ 0`, degenerate `D = ±1`
-/// ties), where no decision rule is meaningful. The equivalence suite
-/// in `tests/proptest_core.rs` pins this down.
-pub fn match_phase_differences_into(
-    y: &[Cplx],
-    known_dtheta: &[f64],
-    a: f64,
-    b: f64,
-    out: &mut MatchOutput,
-) {
-    let kernel = LemmaKernel::new(a, b);
-    out.clear();
-    let intervals = known_dtheta.len().min(y.len().saturating_sub(1));
-    if intervals == 0 {
-        return;
-    }
-    out.dphi.reserve(intervals);
-    out.dtheta.reserve(intervals);
-    out.err.reserve(intervals);
-    let (mut pu, mut pv, _) = kernel.candidate_vectors(y[0]);
-    let mut sel = CandidateSelector::new(kernel);
-    for (&yn, &known) in y[1..=intervals].iter().zip(known_dtheta) {
-        let step = sel.step(yn, known, &pu);
-        // Only the winner is converted to angles: `m·conj(pu)` points
-        // along Δθ_xy − Δθ_s, so its argument *is* the signed residual.
-        let residual = step.residual_vector(&pu).arg();
-        let dphi = step.dphi_vector(&pv).arg();
-        out.dphi.push(dphi);
-        out.dtheta.push(wrap_pi(residual + known));
-        out.err.push(residual.abs());
-        pu = step.nu;
-        pv = step.nv;
-    }
-}
-
-/// The fused kernels' shared per-interval decision: Lemma-6.1
-/// candidate vectors for the next sample, pre-rotated by `e^{-iΔθ_s}`,
-/// scored against the previous sample's candidates. One copy of the
-/// selection logic keeps [`match_phase_differences_into`] and
-/// [`match_bits_into`] decision-identical by construction.
-struct CandidateSelector {
-    kernel: LemmaKernel,
-    // Memoized `e^{-i·Δθ_s}`: MSK streams draw Δθ_s from {±π/2}, so
-    // consecutive intervals often repeat a value and skip the sin_cos.
-    memo_dtheta: f64,
-    back_rot: Cplx,
-}
-
-/// One selected interval: the next sample's candidate vectors, their
-/// pre-rotated forms, and the winning `(next, prev)` branch pair.
-struct SelectedInterval {
-    nu: [Cplx; 2],
-    nv: [Cplx; 2],
-    m: [Cplx; 2],
-    best: (usize, usize),
-}
-
-impl SelectedInterval {
-    /// `∝ e^{i(Δθ_chosen − Δθ_s)}` — its argument is the signed
-    /// matching residual.
-    #[inline]
-    fn residual_vector(&self, pu: &[Cplx; 2]) -> Cplx {
-        self.m[self.best.0] * pu[self.best.1].conj()
-    }
-
-    /// `∝ e^{iΔφ_chosen}` — its argument is the unknown sender's phase
-    /// difference, its sign the §6.4 bit.
-    #[inline]
-    fn dphi_vector(&self, pv: &[Cplx; 2]) -> Cplx {
-        self.nv[self.best.0] * pv[self.best.1].conj()
-    }
-}
-
-impl CandidateSelector {
-    fn new(kernel: LemmaKernel) -> Self {
-        CandidateSelector {
-            kernel,
-            memo_dtheta: f64::NAN,
-            back_rot: Cplx::ONE,
-        }
-    }
-
-    /// Solves the next sample and picks Eq. 8's winning candidate
-    /// against the previous sample's `pu` vectors.
-    #[inline]
-    fn step(&mut self, yn: Cplx, known: f64, pu: &[Cplx; 2]) -> SelectedInterval {
-        let (nu, nv, _) = self.kernel.candidate_vectors(yn);
-        if known != self.memo_dtheta {
-            let (sk, ck) = known.sin_cos();
-            self.back_rot = Cplx::new(ck, -sk);
-            self.memo_dtheta = known;
-        }
-        // Pre-rotate the next-sample candidates by −Δθ_s once, so each
-        // of the four scores is a single fused multiply-accumulate:
-        // Re(m_x·conj(pu_p)) ∝ cos(Δθ_xy − Δθ_s), and the cosine is
-        // monotone in the reference's circular distance on [0, π].
-        let m = [nu[0] * self.back_rot, nu[1] * self.back_rot];
-        // Candidate order mirrors the reference exactly — next branch
-        // outer, prev branch inner, strict improvement — so ties keep
-        // the same (earliest) candidate.
-        let mut best_score = f64::NEG_INFINITY;
-        let mut best = (0usize, 0usize);
-        for (x, &mx) in m.iter().enumerate() {
-            for (p, &pup) in pu.iter().enumerate() {
-                let score = mx.re.mul_add(pup.re, mx.im * pup.im);
-                if score > best_score {
-                    best_score = score;
-                    best = (x, p);
-                }
-            }
-        }
-        SelectedInterval { nu, nv, m, best }
-    }
-}
-
-/// `true` exactly when `arg(q) >= 0.0` would be, without the `atan2` —
-/// now shared workspace-wide as [`Cplx::arg_is_non_negative`] (the MSK
-/// hard demodulator makes the same decision); kept as a thin alias so
-/// the §6.4 call sites below read as the decision they implement.
-#[inline]
-fn arg_is_non_negative(q: Cplx) -> bool {
-    q.arg_is_non_negative()
-}
-
-/// The decode hot path's §6.3 kernel: fused Lemma 6.1 + matching that
-/// emits only what Alg. 1 consumes — the §6.4 hard bit decisions
+/// The scalar fused §6.3 kernel: Lemma 6.1 + matching that emits
+/// only what Alg. 1 consumes — the §6.4 hard bit decisions
 /// (appended to `bits`) and the per-interval matching residual
 /// `|Δθ_chosen − Δθ_s|` (into `err`, cleared first).
 ///
-/// Identical candidate selection to [`match_phase_differences_into`],
-/// but the unknown sender's bit is read off the *sign* of the winning
-/// `Δφ` vector product — exactly reproducing `Δφ ≥ 0`, signed zeros
-/// included — so the per-interval `atan2` for `Δφ`'s magnitude (and
-/// the `Δθ` bookkeeping stream) disappears entirely. Bits are
-/// bit-identical to `match_phase_differences(..).bits()`; residuals
-/// agree to floating-point rounding.
+/// Candidates are scored through a [`LemmaKernel`]'s unnormalized
+/// vectors (the identities are set out in DESIGN.md §8), and the
+/// unknown sender's bit is read off the *sign* of the winning `Δφ`
+/// vector product — exactly reproducing `Δφ ≥ 0`, signed zeros
+/// included. Bits are bit-identical to the scalar reference
+/// `match_phase_differences(..).bits()` except on intervals whose
+/// decision margin is below ~1 ulp (genuinely ambiguous `|Δφ| ≈ 0` or
+/// `D = ±1` ties); residuals agree to floating-point rounding. The
+/// equivalence suite in `tests/proptest_core.rs` pins this down.
 pub fn match_bits_into(
     y: &[Cplx],
     known_dtheta: &[f64],
@@ -300,13 +136,42 @@ pub fn match_bits_into(
     err.reserve(intervals);
     bits.reserve(intervals);
     let (mut pu, mut pv, _) = kernel.candidate_vectors(y[0]);
-    let mut sel = CandidateSelector::new(kernel);
+    // Memoized `e^{-i·Δθ_s}`: MSK streams draw Δθ_s from {±π/2}, so
+    // consecutive intervals often repeat a value and skip the sin_cos.
+    let (mut memo_dtheta, mut back_rot) = (f64::NAN, Cplx::ONE);
     for (&yn, &known) in y[1..=intervals].iter().zip(known_dtheta) {
-        let step = sel.step(yn, known, &pu);
-        err.push(step.residual_vector(&pu).arg().abs());
-        bits.push(arg_is_non_negative(step.dphi_vector(&pv)));
-        pu = step.nu;
-        pv = step.nv;
+        let (nu, nv, _) = kernel.candidate_vectors(yn);
+        if known != memo_dtheta {
+            let (sk, ck) = known.sin_cos();
+            back_rot = Cplx::new(ck, -sk);
+            memo_dtheta = known;
+        }
+        // Pre-rotate the next-sample candidates by −Δθ_s once, so each
+        // of the four scores is a single fused multiply-accumulate:
+        // Re(m_x·conj(pu_p)) ∝ cos(Δθ_xy − Δθ_s), and the cosine is
+        // monotone in the reference's circular distance on [0, π].
+        let m = [nu[0] * back_rot, nu[1] * back_rot];
+        // Candidate order mirrors the reference exactly — next branch
+        // outer, prev branch inner, strict improvement — so ties keep
+        // the same (earliest) candidate.
+        let mut best_score = f64::NEG_INFINITY;
+        let (mut x, mut p) = (0usize, 0usize);
+        for (xi, &mx) in m.iter().enumerate() {
+            for (pi, &pup) in pu.iter().enumerate() {
+                let score = mx.re.mul_add(pup.re, mx.im * pup.im);
+                if score > best_score {
+                    best_score = score;
+                    (x, p) = (xi, pi);
+                }
+            }
+        }
+        // `m·conj(pu)` ∝ e^{i(Δθ_chosen − Δθ_s)}: its argument is the
+        // signed residual. `nv·conj(pv)` ∝ e^{iΔφ_chosen}: its sign is
+        // the §6.4 bit.
+        err.push((m[x] * pu[p].conj()).arg().abs());
+        bits.push((nv[x] * pv[p].conj()).arg_is_non_negative());
+        pu = nu;
+        pv = nv;
     }
 }
 
@@ -453,12 +318,11 @@ pub fn match_bits_batch(
             (p1, Cplx::new(v1re[k], v1im[k]))
         };
         err.push((m * pu.conj()).arg().abs());
-        bits.push(arg_is_non_negative(nv * pv.conj()));
+        bits.push((nv * pv.conj()).arg_is_non_negative());
     }
 }
 
-/// Mean of a residual stream; 0 for an empty one (the
-/// [`MatchOutput::mean_err`] convention).
+/// Mean of a residual stream; 0 for an empty one.
 pub fn mean_residual(err: &[f64]) -> f64 {
     if err.is_empty() {
         0.0
@@ -610,39 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_kernel_agrees_with_reference() {
-        // Same decisions, same streams to rounding, across noisy and
-        // noiseless operating points (the broad randomized sweep lives
-        // in tests/proptest_core.rs).
-        for (seed, a, b, noise) in [
-            (21u64, 1.0, 1.0, 0.0),
-            (22, 1.0, 0.6, 0.0),
-            (23, 1.0, 0.8, 0.0164),
-            (24, 0.7, 1.3, 0.005),
-        ] {
-            let (rx, _, _, dtheta) = scenario(a, b, 800, seed, noise);
-            let reference = match_phase_differences(&rx, &dtheta, a, b);
-            let mut fused = MatchOutput::default();
-            fused.dphi.push(9.9); // must be cleared
-            match_phase_differences_into(&rx, &dtheta, a, b, &mut fused);
-            assert_eq!(fused.bits(), reference.bits(), "seed {seed}");
-            for n in 0..reference.dphi.len() {
-                assert!(
-                    circular_distance(fused.dphi[n], reference.dphi[n]) < 1e-9,
-                    "dphi[{n}]: {} vs {}",
-                    fused.dphi[n],
-                    reference.dphi[n]
-                );
-                assert!(
-                    circular_distance(fused.dtheta[n], reference.dtheta[n]) < 1e-9,
-                    "dtheta[{n}]"
-                );
-                assert!((fused.err[n] - reference.err[n]).abs() < 1e-9, "err[{n}]");
-            }
-        }
-    }
-
-    #[test]
     fn bits_kernel_agrees_with_reference() {
         for (seed, a, b, noise) in [
             (31u64, 1.0, 1.0, 0.0),
@@ -710,7 +541,7 @@ mod tests {
     #[test]
     fn nan_inputs_decide_identically_on_every_path() {
         // A NaN sample or NaN Δθ_s poisons all four candidates of the
-        // affected intervals; all three kernels must then make the
+        // affected intervals; every kernel must then make the
         // *same* fallback decision (candidate (0, 0), NaN dphi → bit
         // false) rather than silently diverging.
         let (mut rx, _, _, mut dtheta) = scenario(1.0, 0.8, 64, 51, 0.0);
@@ -718,8 +549,6 @@ mod tests {
         rx[20] = Cplx::new(0.1, f64::NAN);
         dtheta[40] = f64::NAN;
         let reference = match_phase_differences(&rx, &dtheta, 1.0, 0.8);
-        let mut fused = MatchOutput::default();
-        match_phase_differences_into(&rx, &dtheta, 1.0, 0.8, &mut fused);
         let (mut err_f, mut bits_f) = (Vec::new(), Vec::new());
         match_bits_into(&rx, &dtheta, 1.0, 0.8, &mut err_f, &mut bits_f);
         let mut scratch = MatchBatchScratch::default();
@@ -733,7 +562,6 @@ mod tests {
             &mut err_b,
             &mut bits_b,
         );
-        assert_eq!(reference.bits(), fused.bits());
         assert_eq!(reference.bits(), bits_f);
         assert_eq!(reference.bits(), bits_b);
         // Poisoned intervals: samples 10 and 20 hit intervals {9, 10}
@@ -742,7 +570,6 @@ mod tests {
         // the bit false.
         for k in [9usize, 10, 19, 20, 40] {
             assert!(reference.err[k].is_nan(), "reference err[{k}]");
-            assert!(fused.err[k].is_nan(), "fused err[{k}]");
             assert!(err_f[k].is_nan(), "bits-kernel err[{k}]");
             assert!(err_b[k].is_nan(), "batch err[{k}]");
         }
@@ -762,28 +589,27 @@ mod tests {
             for &im in &[-1.0, -0.0, 0.0, 2.5] {
                 let q = Cplx::new(re, im);
                 assert_eq!(
-                    arg_is_non_negative(q),
+                    q.arg_is_non_negative(),
                     q.arg() >= 0.0,
                     "q = {re:?}+{im:?}i (arg {})",
                     q.arg()
                 );
             }
         }
-        assert!(!arg_is_non_negative(Cplx::new(f64::NAN, 1.0)));
-        assert!(!arg_is_non_negative(Cplx::new(1.0, f64::NAN)));
+        assert!(!Cplx::new(f64::NAN, 1.0).arg_is_non_negative());
+        assert!(!Cplx::new(1.0, f64::NAN).arg_is_non_negative());
     }
 
     #[test]
     fn fused_kernel_handles_empty_and_short_inputs() {
-        let mut out = MatchOutput::default();
-        match_phase_differences_into(&[], &[FRAC_PI_2], 1.0, 1.0, &mut out);
-        assert!(out.dphi.is_empty());
-        match_phase_differences_into(&[Cplx::ONE], &[FRAC_PI_2], 1.0, 1.0, &mut out);
-        assert!(out.dphi.is_empty());
-        match_phase_differences_into(&[Cplx::ONE, Cplx::I], &[], 1.0, 1.0, &mut out);
-        assert!(out.dphi.is_empty());
-        let (mut err, mut bits) = (vec![1.0], Vec::new());
-        match_bits_into(&[Cplx::ONE], &[FRAC_PI_2], 1.0, 1.0, &mut err, &mut bits);
-        assert!(err.is_empty() && bits.is_empty());
+        for (y, known) in [
+            (&[][..], &[FRAC_PI_2][..]),
+            (&[Cplx::ONE][..], &[FRAC_PI_2][..]),
+            (&[Cplx::ONE, Cplx::I][..], &[][..]),
+        ] {
+            let (mut err, mut bits) = (vec![1.0], Vec::new());
+            match_bits_into(y, known, 1.0, 1.0, &mut err, &mut bits);
+            assert!(err.is_empty() && bits.is_empty());
+        }
     }
 }

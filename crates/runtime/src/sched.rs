@@ -23,7 +23,7 @@
 
 use crate::block::{Block, BlockStatus};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, TryLockError};
 
 /// The controller's handle for driving block progress while it waits
 /// on a ring.
@@ -32,7 +32,8 @@ pub trait Pump {
     /// progress. A deterministic pump returning `false` means the
     /// graph cannot advance — if the controller is still waiting for
     /// data, the graph is wired wrong (deadlock). Concurrent pumps
-    /// conservatively return `true` (workers may be mid-poll).
+    /// conservatively return `true` (workers may be mid-poll) unless a
+    /// block panicked, which stalls the graph for good.
     fn pump(&mut self) -> bool;
 }
 
@@ -111,18 +112,32 @@ impl WorkStealingScheduler {
     }
 }
 
+/// What one [`sweep`] over the block list saw.
+#[derive(Default)]
+struct Sweep {
+    /// Some polled block progressed.
+    progressed: bool,
+    /// Some block's lock is poisoned: its poll panicked, so it will
+    /// never run again.
+    poisoned: bool,
+}
+
 /// One scan over the block list, polling every block whose lock is
-/// won. Returns whether any polled block progressed.
-fn sweep<'env>(cells: &[Mutex<Box<dyn Block + 'env>>]) -> bool {
-    let mut progressed = false;
+/// won.
+fn sweep<'env>(cells: &[Mutex<Box<dyn Block + 'env>>]) -> Sweep {
+    let mut seen = Sweep::default();
     for cell in cells {
-        if let Ok(mut block) = cell.try_lock() {
-            if block.poll() == BlockStatus::Progress {
-                progressed = true;
+        match cell.try_lock() {
+            Ok(mut block) => {
+                if block.poll() == BlockStatus::Progress {
+                    seen.progressed = true;
+                }
             }
+            Err(TryLockError::Poisoned(_)) => seen.poisoned = true,
+            Err(TryLockError::WouldBlock) => {}
         }
     }
-    progressed
+    seen
 }
 
 struct StealPump<'a, 'env> {
@@ -131,11 +146,20 @@ struct StealPump<'a, 'env> {
 
 impl Pump for StealPump<'_, '_> {
     fn pump(&mut self) -> bool {
-        sweep(self.cells);
         // Workers may be mid-poll on the block this controller needs;
-        // "no progress observed here" proves nothing, so never report
-        // a stall from a concurrent pump.
-        true
+        // "no progress observed here" proves nothing, so a concurrent
+        // pump reports a stall only once a block has panicked.
+        !sweep(self.cells).poisoned
+    }
+}
+
+/// Raises the workers' stop flag when dropped, so they exit even when
+/// the controller unwinds.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
     }
 }
 
@@ -151,7 +175,7 @@ impl Scheduler for WorkStealingScheduler {
             for _ in 1..self.workers {
                 scope.spawn(|| {
                     while !done.load(Ordering::Acquire) {
-                        if !sweep(&cells) {
+                        if !sweep(&cells).progressed {
                             // Nothing runnable: back off briefly instead
                             // of burning the core the controller needs.
                             std::thread::sleep(std::time::Duration::from_micros(20));
@@ -159,9 +183,10 @@ impl Scheduler for WorkStealingScheduler {
                     }
                 });
             }
-            let result = controller(&mut StealPump { cells: &cells });
-            done.store(true, Ordering::Release);
-            result
+            // A panicking worker leaves its block poisoned, which stalls
+            // the controller's pump; the scope then re-raises the panic.
+            let _stop = StopOnDrop(&done);
+            controller(&mut StealPump { cells: &cells })
         })
     }
 }
@@ -302,5 +327,39 @@ mod tests {
         let stalled =
             DeterministicScheduler.run(blocks, Box::new(|pump: &mut dyn Pump| !pump.pump()));
         assert!(stalled, "an unfed graph must report a stall");
+    }
+
+    /// A block whose every poll panics.
+    struct Exploding;
+
+    impl Block for Exploding {
+        fn poll(&mut self) -> BlockStatus {
+            panic!("block poll failed");
+        }
+    }
+
+    #[test]
+    fn block_panic_ends_a_work_stealing_run() {
+        // Whichever thread polls the failing block — a worker or the
+        // controller — the panic must surface out of `run` instead of
+        // leaving the controller spinning or the workers unjoined.
+        for workers in [1usize, 2, 4] {
+            let (done, finished) = std::sync::mpsc::channel();
+            // The run gets its own thread so a hang fails the test on a
+            // timeout instead of wedging the suite.
+            let runner = std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(|| {
+                    let blocks: Vec<Box<dyn Block>> = vec![Box::new(Exploding)];
+                    WorkStealingScheduler::new(workers)
+                        .run(blocks, Box::new(|pump: &mut dyn Pump| while pump.pump() {}))
+                });
+                let _ = done.send(outcome.is_err());
+            });
+            let panicked = finished
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{workers} workers: run hung after a block panic"));
+            runner.join().expect("the runner catches the run's panic");
+            assert!(panicked, "{workers} workers: the block panic was swallowed");
+        }
     }
 }

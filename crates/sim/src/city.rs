@@ -27,8 +27,8 @@
 //!    exact [`within_range`] test plus membership in the slot's
 //!    transmitter set then admit precisely the decodable
 //!    transmitters, in ascending node order — the same set and order
-//!    a dense scan would produce, so gated reception is bit-identical
-//!    to it.
+//!    an ungated scan would produce, so gated reception is
+//!    bit-identical to it.
 //!
 //! 3. **True mobility.** Under [`CityLayout::RandomWaypoint`] with a
 //!    positive `velocity`, endpoints move between rounds on
@@ -59,8 +59,8 @@
 //! 2 slots (superposed uplink, amplified broadcast downlink); the
 //! traditional scheme takes 4 clean hops. Everything stochastic is
 //! keyed by coordinates (`seed`, stream kind, cell/node, round/slot),
-//! never by draw order, so serial and parallel execution — and dense
-//! and sparse advance — are bit-identical by construction.
+//! never by draw order, so serial and parallel execution are
+//! bit-identical by construction.
 //!
 //! Entry point: [`CityConfig::builder`] →
 //! [`CityRunBuilder::build`] → [`CityRun::execute`] (or
@@ -235,8 +235,9 @@ pub struct FlashCrowd {
 /// every field missing from (or `null` in) a JSON object falls back
 /// to its [`CityConfig::default`] value, and unknown keys (such as
 /// the retired `threads` field — parallelism is now a property of the
-/// scheduler, not the config) are ignored. Pre-mobility configs load
-/// unchanged.
+/// scheduler, not the config — and the retired `sparse` field, sparse
+/// advance being the only advance) are ignored. Pre-mobility configs
+/// load unchanged.
 #[derive(Debug, Clone)]
 pub struct CityConfig {
     /// Cells per street (3 nodes each).
@@ -282,9 +283,6 @@ pub struct CityConfig {
     /// Carrier-sense radius as a fraction of the decode gate radius
     /// (only consulted when `contention` is set).
     pub csma: CsmaConfig,
-    /// Sparse (event-driven) slot advance instead of the dense
-    /// poll-every-chain reference. Identical outcomes, less work.
-    pub sparse: bool,
 }
 
 impl Default for CityConfig {
@@ -305,7 +303,6 @@ impl Default for CityConfig {
             flow_span: 1,
             contention: false,
             csma: CsmaConfig::default(),
-            sparse: true,
         }
     }
 }
@@ -332,7 +329,6 @@ impl Serialize for CityConfig {
         m.insert("flow_span".to_string(), self.flow_span.to_value());
         m.insert("contention".to_string(), self.contention.to_value());
         m.insert("csma".to_string(), self.csma.to_value());
-        m.insert("sparse".to_string(), self.sparse.to_value());
         serde::Value::Object(m)
     }
 }
@@ -369,7 +365,6 @@ impl Deserialize for CityConfig {
             flow_span: field(m, "flow_span", d.flow_span)?,
             contention: field(m, "contention", d.contention)?,
             csma: field(m, "csma", d.csma)?,
-            sparse: field(m, "sparse", d.sparse)?,
         })
     }
 }
@@ -436,9 +431,11 @@ pub struct CityOutcome {
     pub ber: StatDigest,
     /// Rounds in which at least one chain was served.
     pub rounds_serviced: u64,
-    /// Dense-advance work: one per chain per round polled.
+    /// Work of the test-only dense advance oracle: one per chain per
+    /// round polled. Production runs use the sparse advance, so this
+    /// reads 0 on every [`CityRun::execute`] outcome.
     pub polls: u64,
-    /// Sparse-advance work: heap operations + active-chain touches.
+    /// Slot-advance work: heap operations + active-chain touches.
     pub advance_ops: u64,
     /// FNV-1a over the (round, chain) service sequence.
     pub service_hash: u64,
@@ -454,9 +451,9 @@ impl CityOutcome {
     }
 
     /// Fingerprint over everything that must be invariant across
-    /// serial/parallel execution and dense/sparse advance. Work
+    /// serial/parallel execution and the dense advance oracle. Work
     /// counters are deliberately excluded — they are *supposed* to
-    /// differ between advance modes.
+    /// differ between advance strategies.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |w: u64| {
@@ -1433,7 +1430,7 @@ fn filler(cfg: &CityConfig, cell: u32, e: u64, dir: u64) -> Vec<bool> {
 }
 
 /// The sequential brain of a city run: the controller closure's
-/// state. It owns the round loop (dense or sparse advance), resolves
+/// state. It owns the round loop (the sparse advance), resolves
 /// all stateful decisions — faults, contention, mobility, queue
 /// cursors — in deterministic order, and feeds pure stage jobs into
 /// the region blocks through their rings.
@@ -1458,7 +1455,9 @@ struct CityDriver<'a> {
 }
 
 impl CityDriver<'_> {
-    /// Reference advance: every round touches every chain.
+    /// Reference advance and test oracle: every round touches every
+    /// chain. [`Self::advance_sparse`] must reproduce it bit for bit.
+    #[cfg(test)]
     fn advance_dense(&mut self) -> Result<(), CityError> {
         let n = self.chains.len();
         let mut active: Vec<u32> = Vec::new();
@@ -1485,9 +1484,10 @@ impl CityDriver<'_> {
     /// Sparse advance: a min-heap of next arrivals plus the
     /// backlogged set. Idle rounds are skipped in O(1); each busy
     /// round costs O(arrivals landing + backlogged chains). Produces
-    /// the identical service sequence to [`Self::advance_dense`]
-    /// because both consume the same calendar and a round is served
-    /// iff some chain is backlogged at it.
+    /// the identical service sequence to the poll-every-chain
+    /// reference (the `advance_dense` test oracle) because both
+    /// consume the same calendar and a round is served iff some chain
+    /// is backlogged at it.
     fn advance_sparse(&mut self) -> Result<(), CityError> {
         let n = self.chains.len();
         let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
@@ -2064,6 +2064,12 @@ impl CityRunBuilder {
                 "empty payloads carry nothing".into(),
             ));
         }
+        if !cfg.noise_power.is_finite() || cfg.noise_power <= 0.0 {
+            return Err(CityError::InvalidConfig(format!(
+                "noise_power must be finite and positive, got {}",
+                cfg.noise_power
+            )));
+        }
         if cfg.flow_span == 0 {
             return Err(CityError::InvalidConfig(
                 "flow_span must be at least 1".into(),
@@ -2145,16 +2151,21 @@ impl CityRun {
 
     /// Runs the city and returns its outcome.
     pub fn execute(&self) -> Result<CityOutcome, CityError> {
-        self.run().map(|(out, _)| out)
+        self.execute_profiled().map(|(out, _)| out)
     }
 
     /// Runs the city and additionally returns the stage-level time
     /// split (window assembly vs decode vs mobility).
     pub fn execute_profiled(&self) -> Result<(CityOutcome, CityProfile), CityError> {
-        self.run()
+        self.run_with(|drv| drv.advance_sparse())
     }
 
-    fn run(&self) -> Result<(CityOutcome, CityProfile), CityError> {
+    /// Runs the city with `advance` driving the round loop (the sparse
+    /// advance in production, the dense oracle in the unit tests).
+    fn run_with(
+        &self,
+        advance: impl FnOnce(&mut CityDriver<'_>) -> Result<(), CityError>,
+    ) -> Result<(CityOutcome, CityProfile), CityError> {
         let cfg = &self.cfg;
         let span = cfg.flow_span.max(1);
         let slots_per_round = self.spr * span as u64;
@@ -2199,11 +2210,7 @@ impl CityRun {
                     st: &mut st,
                     profile: &mut profile,
                 };
-                if cfg.sparse {
-                    drv.advance_sparse()
-                } else {
-                    drv.advance_dense()
-                }
+                advance(&mut drv)
             }),
         );
         result?;
@@ -2226,32 +2233,6 @@ impl CityRun {
             profile,
         ))
     }
-}
-
-/// Runs a city simulation, panicking where the builder would return
-/// an error.
-#[deprecated(
-    since = "0.1.0",
-    note = "use CityConfig::builder(scheme).config(cfg).build()?.execute() — the builder \
-            also selects the executor"
-)]
-pub fn run_city(cfg: &CityConfig, scheme: Scheme) -> CityOutcome {
-    #[allow(deprecated)]
-    try_run_city(cfg, scheme).unwrap_or_else(|e| panic!("city run failed: {e}"))
-}
-
-/// Fallible entry to the city simulation on the deterministic
-/// executor.
-#[deprecated(
-    since = "0.1.0",
-    note = "use CityConfig::builder(scheme).config(cfg).build()?.execute() — the builder \
-            also selects the executor"
-)]
-pub fn try_run_city(cfg: &CityConfig, scheme: Scheme) -> Result<CityOutcome, CityError> {
-    CityConfig::builder(scheme)
-        .config(cfg.clone())
-        .build()?
-        .execute()
 }
 
 #[cfg(test)]
@@ -2279,6 +2260,15 @@ mod tests {
             .expect("city run")
     }
 
+    /// The same run on the dense advance oracle.
+    fn run_dense(cfg: &CityConfig, scheme: Scheme) -> CityOutcome {
+        let run = CityConfig::builder(scheme)
+            .config(cfg.clone())
+            .build()
+            .expect("valid config");
+        run.run_with(|drv| drv.advance_dense()).expect("city run").0
+    }
+
     #[test]
     fn urban_anc_delivers_with_low_ber() {
         let out = run(&small(3), Scheme::Anc);
@@ -2302,19 +2292,32 @@ mod tests {
 
     #[test]
     fn sparse_advance_matches_dense_with_less_work() {
-        for scheme in [Scheme::Anc, Scheme::Traditional] {
-            let mut cfg = small(7);
-            cfg.rounds = 40;
-            cfg.offered = 0.05;
-            cfg.sparse = false;
-            let dense = run(&cfg, scheme);
-            cfg.sparse = true;
+        let mut mobile = small(7);
+        mobile.layout = CityLayout::RandomWaypoint;
+        mobile.velocity = 1.5;
+        mobile.pause = 1.0;
+        for (base, scheme) in [
+            (small(7), Scheme::Anc),
+            (small(7), Scheme::Traditional),
+            // Mobility on: waypoint motion and incremental grid
+            // relocation must not depend on which rounds are skipped.
+            (mobile, Scheme::Anc),
+        ] {
+            let cfg = CityConfig {
+                rounds: 40,
+                offered: 0.05,
+                ..base
+            };
+            let dense = run_dense(&cfg, scheme);
             let sparse = run(&cfg, scheme);
+            assert!(dense.offered > 0, "{scheme:?}: the calendar drew arrivals");
             assert_eq!(
                 dense.fingerprint(),
                 sparse.fingerprint(),
-                "{scheme:?}: advance mode changed the physics"
+                "{scheme:?}/{:?}: advance strategy changed the physics",
+                cfg.layout
             );
+            assert_eq!(sparse.polls, 0, "production runs never poll densely");
             assert!(
                 sparse.advance_ops < dense.polls,
                 "{scheme:?}: sparse should do less bookkeeping ({} vs {})",
@@ -2395,9 +2398,7 @@ mod tests {
         // And fault windows are pure coordinates: both advance modes
         // still agree under partial outages.
         cfg.faults = Some(FaultSpec::none().with_crashes(0.3, 2));
-        cfg.sparse = false;
-        let d = run(&cfg, Scheme::Anc);
-        cfg.sparse = true;
+        let d = run_dense(&cfg, Scheme::Anc);
         let s = run(&cfg, Scheme::Anc);
         assert_eq!(d.fingerprint(), s.fingerprint());
     }
@@ -2407,9 +2408,7 @@ mod tests {
         let mut cfg = small(1);
         cfg.offered = 0.0;
         cfg.rounds = 1000;
-        cfg.sparse = false;
-        let dense = run(&cfg, Scheme::Anc);
-        cfg.sparse = true;
+        let dense = run_dense(&cfg, Scheme::Anc);
         let sparse = run(&cfg, Scheme::Anc);
         assert_eq!(dense.offered, 0);
         assert_eq!(dense.fingerprint(), sparse.fingerprint());
@@ -2445,6 +2444,15 @@ mod tests {
         cfg.payload_bits = 0;
         let err = build(&cfg, Scheme::Anc).unwrap_err();
         assert!(err.to_string().contains("payload"));
+        for noise in [0.0, -1e-3, f64::NAN, f64::INFINITY] {
+            let mut cfg = small(1);
+            cfg.noise_power = noise;
+            let err = build(&cfg, Scheme::Anc).unwrap_err();
+            assert!(
+                matches!(&err, CityError::InvalidConfig(s) if s.contains("noise_power")),
+                "noise {noise}: {err}"
+            );
+        }
         let mut cfg = small(1);
         cfg.flow_span = 0;
         assert!(build(&cfg, Scheme::Anc)
@@ -2476,20 +2484,6 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("carrier-sense"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_builder() {
-        assert_eq!(
-            try_run_city(&small(1), Scheme::Cope).unwrap_err(),
-            CityError::UnsupportedScheme(Scheme::Cope)
-        );
-        let a = try_run_city(&small(5), Scheme::Anc).unwrap();
-        let b = run_city(&small(5), Scheme::Anc);
-        let c = run(&small(5), Scheme::Anc);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint(), c.fingerprint());
     }
 
     #[test]
@@ -2532,9 +2526,7 @@ mod tests {
         assert_eq!(street.slots_per_round, 8);
         assert!(street.delivered > 0, "street-long chains should decode");
         // And the sparse/dense agreement holds for chains too.
-        cfg.sparse = false;
-        let dense = run(&cfg, Scheme::Anc);
-        cfg.sparse = true;
+        let dense = run_dense(&cfg, Scheme::Anc);
         let sparse = run(&cfg, Scheme::Anc);
         assert_eq!(dense.fingerprint(), sparse.fingerprint());
     }
@@ -2559,10 +2551,8 @@ mod tests {
         // Deferral is not loss: everything served still decodes as
         // reliably as the un-gated city.
         assert!(gated.ber.mean() < 0.05);
-        // The rotation is deterministic: both advance modes agree.
-        cfg.sparse = false;
-        let dense = run(&cfg, Scheme::Anc);
-        cfg.sparse = true;
+        // The rotation is deterministic: both advance strategies agree.
+        let dense = run_dense(&cfg, Scheme::Anc);
         let sparse = run(&cfg, Scheme::Anc);
         assert_eq!(dense.fingerprint(), sparse.fingerprint());
     }
@@ -2634,8 +2624,13 @@ mod tests {
         cfg.faults = Some(FaultSpec::none().with_crashes(0.3, 2));
         let back = CityConfig::from_value(&cfg.to_value()).expect("roundtrip");
         assert_eq!(back.to_value(), cfg.to_value());
+        let serde::Value::Object(keys) = cfg.to_value() else {
+            panic!("CityConfig serializes to an object");
+        };
+        assert!(!keys.contains_key("sparse"), "the retired knob stays gone");
         // A pre-mobility config file: no velocity/pause/flow_span/
-        // contention/csma keys, plus the retired `threads` knob.
+        // contention/csma keys, plus the retired `threads` and `sparse`
+        // knobs.
         let mut m = BTreeMap::new();
         m.insert("cells_x".to_string(), 4usize.to_value());
         m.insert("rows".to_string(), 2usize.to_value());
@@ -2649,18 +2644,27 @@ mod tests {
         m.insert("payload_bits".to_string(), 128usize.to_value());
         m.insert("noise_power".to_string(), 1e-3f64.to_value());
         m.insert("threads".to_string(), 4usize.to_value());
-        m.insert("sparse".to_string(), true.to_value());
-        let old = CityConfig::from_value(&serde::Value::Object(m)).expect("pre-mobility load");
-        assert_eq!(old.cells_x, 4);
-        assert_eq!(old.layout, CityLayout::RandomWaypoint);
-        assert_eq!(old.velocity, 0.0, "absent mobility defaults off");
-        assert_eq!(old.flow_span, 1, "absent chains default single-cell");
-        assert!(!old.contention, "absent MAC defaults off");
-        // The loaded config runs and matches the natively-built one.
         let native = run(&small(3), Scheme::Anc);
-        let mut loaded_cfg = old;
-        loaded_cfg.layout = CityLayout::UrbanGrid;
-        let loaded = run(&loaded_cfg, Scheme::Anc);
-        assert_eq!(native.fingerprint(), loaded.fingerprint());
+        // Files written with either setting of the retired `sparse`
+        // knob load and run the one production advance.
+        for sparse in [true, false] {
+            let mut m = m.clone();
+            m.insert("sparse".to_string(), sparse.to_value());
+            let old = CityConfig::from_value(&serde::Value::Object(m)).expect("pre-mobility load");
+            assert_eq!(old.cells_x, 4);
+            assert_eq!(old.layout, CityLayout::RandomWaypoint);
+            assert_eq!(old.velocity, 0.0, "absent mobility defaults off");
+            assert_eq!(old.flow_span, 1, "absent chains default single-cell");
+            assert!(!old.contention, "absent MAC defaults off");
+            // The loaded config runs and matches the natively-built one.
+            let mut loaded_cfg = old;
+            loaded_cfg.layout = CityLayout::UrbanGrid;
+            let loaded = run(&loaded_cfg, Scheme::Anc);
+            assert_eq!(
+                native.fingerprint(),
+                loaded.fingerprint(),
+                "sparse={sparse}"
+            );
+        }
     }
 }

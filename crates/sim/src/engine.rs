@@ -65,7 +65,7 @@ use std::sync::Arc;
 /// A structural invariant the engine found violated at runtime —
 /// surfaced as a recoverable error instead of a panic so fault-induced
 /// edge states (crashed nodes, purged queues, missing captures) can be
-/// reported by [`Engine::try_run`] rather than aborting a sweep.
+/// reported by [`Engine::try_run_ctx`] rather than aborting a sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// Closed-loop state was required but the engine is open-loop.
@@ -461,20 +461,6 @@ struct OpenOutage {
     delivered_snapshot: usize,
 }
 
-/// Warmed per-node decoder scratch shared **across engines**: the
-/// batched decode pipeline's working memory, owned outside any single
-/// run so Monte Carlo trials feed one pipeline per worker instead of
-/// constructing (and regrowing) a decoder's buffers per trial.
-///
-/// Use with [`Engine::run_with_pipeline`]; an empty pipeline is valid
-/// and grows to the program's node count on first use.
-#[deprecated(since = "0.1.0", note = "use RunCtx with Engine::try_run_ctx")]
-#[derive(Debug, Default)]
-pub struct DecodePipeline {
-    /// One scratch per node, in `node_ids` order.
-    scratches: Vec<DecoderScratch>,
-}
-
 impl<'p> Engine<'p> {
     /// Builds the world for one run: realizes the channel, creates the
     /// nodes, and assigns every RNG stream. The construction order —
@@ -587,74 +573,6 @@ impl<'p> Engine<'p> {
     /// Typed shared accessor for the closed-loop state.
     fn cl_ref(&self) -> Result<&ClosedLoop, EngineError> {
         self.cl.as_ref().ok_or(EngineError::ClosedLoopMissing)
-    }
-
-    /// Runs a compiled program to completion and returns its metrics.
-    ///
-    /// # Panics
-    /// Panics on an [`EngineError`] (a violated structural invariant);
-    /// use [`Engine::try_run_ctx`] to receive it as a value instead.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ScenarioSpec::builder (crate::RunBuilder) or Engine::try_run_ctx"
-    )]
-    pub fn run(program: &Program, cfg: &RunConfig) -> RunMetrics {
-        Engine::try_run_ctx(
-            program,
-            cfg,
-            &SchedulerSpec::default(),
-            &mut RunCtx::default(),
-        )
-        .unwrap_or_else(|e| panic!("engine invariant violated: {e}"))
-    }
-
-    /// Deprecated pre-builder entry: runs under the default
-    /// deterministic scheduler with throwaway scratch.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ScenarioSpec::builder (crate::RunBuilder) or Engine::try_run_ctx"
-    )]
-    pub fn try_run(program: &Program, cfg: &RunConfig) -> Result<RunMetrics, EngineError> {
-        Engine::try_run_ctx(
-            program,
-            cfg,
-            &SchedulerSpec::default(),
-            &mut RunCtx::default(),
-        )
-    }
-
-    /// Deprecated pre-[`RunCtx`] entry; the caller-owned scratch
-    /// handle is now [`RunCtx`], threaded through
-    /// [`Engine::try_run_ctx`].
-    ///
-    /// # Panics
-    /// Panics on an [`EngineError`].
-    #[deprecated(since = "0.1.0", note = "use Engine::try_run_ctx with a RunCtx")]
-    #[allow(deprecated)]
-    pub fn run_with_pipeline(
-        program: &Program,
-        cfg: &RunConfig,
-        pipeline: &mut DecodePipeline,
-    ) -> RunMetrics {
-        Engine::try_run_with_pipeline(program, cfg, pipeline)
-            .unwrap_or_else(|e| panic!("engine invariant violated: {e}"))
-    }
-
-    /// Deprecated pre-[`RunCtx`] entry returning failures as values;
-    /// the scratch buffers are moved through a [`RunCtx`] and handed
-    /// back on both paths.
-    #[deprecated(since = "0.1.0", note = "use Engine::try_run_ctx with a RunCtx")]
-    #[allow(deprecated)]
-    pub fn try_run_with_pipeline(
-        program: &Program,
-        cfg: &RunConfig,
-        pipeline: &mut DecodePipeline,
-    ) -> Result<RunMetrics, EngineError> {
-        let mut ctx = RunCtx::default();
-        std::mem::swap(&mut ctx.scratches, &mut pipeline.scratches);
-        let outcome = Engine::try_run_ctx(program, cfg, &SchedulerSpec::default(), &mut ctx);
-        std::mem::swap(&mut ctx.scratches, &mut pipeline.scratches);
-        outcome
     }
 
     /// The canonical run entry: executes `program` under the given
@@ -1605,12 +1523,6 @@ impl<'p> Engine<'p> {
         }
         let pad = self.cfg.pad_samples;
         let duration = pad + span + pad;
-        // Spatial gating (positioned topologies only): one O(local
-        // density) grid query yields the set of senders this receiver
-        // can hear at all; every link walk below then skips gated-out
-        // senders. Unpositioned topologies take the dense reference
-        // path — `gated` stays false and `hears` admits everyone, so
-        // the golden runs are untouched.
         // Spatial gating (positioned topologies only): one O(local
         // density) grid query yields the set of senders this receiver
         // can hear at all; every link walk below then skips gated-out

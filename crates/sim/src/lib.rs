@@ -68,14 +68,10 @@ pub mod runs;
 pub mod scenario;
 pub mod topology;
 
-#[allow(deprecated)]
-pub use city::{run_city, try_run_city};
 pub use city::{
     CityConfig, CityError, CityLayout, CityOutcome, CityProfile, CityRun, CityRunBuilder,
     FlashCrowd,
 };
-#[allow(deprecated)]
-pub use engine::DecodePipeline;
 pub use engine::{Engine, EngineError, Program};
 pub use experiments::{
     alice_bob, chain, chaos_sweep, saturated_throughput, sir_sweep, throughput_vs_load, x_topology,

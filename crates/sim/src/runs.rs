@@ -108,13 +108,10 @@ pub struct Scenario {
     pub scheme: Scheme,
 }
 
-/// Builder-style run entry: one fluent surface replacing the old
-/// four-way `Engine::run` / `try_run` / `run_with_pipeline` /
-/// `try_run_with_pipeline` split and the `ScenarioSpec::with_*`
-/// modifiers. Configure, [`RunBuilder::build`] once (compiling the
-/// scenario), then execute the compiled [`Run`] as many times as
-/// needed — optionally with a warmed [`RunCtx`] and a non-default
-/// [`SchedulerSpec`].
+/// Builder-style run entry. Configure, [`RunBuilder::build`] once
+/// (compiling the scenario), then execute the compiled [`Run`] as many
+/// times as needed — optionally with a warmed [`RunCtx`] and a
+/// non-default [`SchedulerSpec`].
 ///
 /// ```
 /// use anc_netcode::Scheme;
@@ -191,8 +188,15 @@ impl RunBuilder {
         self
     }
 
-    /// Compiles the scenario into an executable [`Run`].
+    /// Validates the run config and compiles the scenario into an
+    /// executable [`Run`].
     pub fn build(self) -> Result<Run, ScenarioError> {
+        let noise = self.cfg.noise_power;
+        if !noise.is_finite() || noise <= 0.0 {
+            return Err(ScenarioError::Invalid(format!(
+                "noise_power must be finite and positive, got {noise}"
+            )));
+        }
         let program = self.spec.compile(self.scheme)?;
         Ok(Run {
             program,
@@ -416,5 +420,23 @@ mod tests {
     fn run_spec_surfaces_compile_errors() {
         let r = run_spec(&ScenarioSpec::chain(), Scheme::Cope, &RunConfig::quick(12));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn builder_rejects_non_positive_or_non_finite_noise() {
+        for noise in [0.0, -1e-3, f64::NAN, f64::INFINITY] {
+            let err = ScenarioSpec::alice_bob()
+                .builder(Scheme::Anc)
+                .config(RunConfig {
+                    noise_power: noise,
+                    ..RunConfig::quick(13)
+                })
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(&err, ScenarioError::Invalid(s) if s.contains("noise_power")),
+                "noise {noise}: {err}"
+            );
+        }
     }
 }

@@ -139,29 +139,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Enables the closed-loop MAC/ARQ layer (see [`ArqConfig`]);
-    /// builder-style for the load sweeps.
-    #[deprecated(since = "0.1.0", note = "use ScenarioSpec::builder(..).arq(..)")]
-    pub fn with_arq(mut self, arq: ArqConfig) -> ScenarioSpec {
-        self.arq = Some(arq);
-        self
-    }
-
-    /// Attaches a fault timeline (see [`FaultSpec`]); builder-style
-    /// for the chaos sweeps.
-    #[deprecated(since = "0.1.0", note = "use ScenarioSpec::builder(..).faults(..)")]
-    pub fn with_faults(mut self, faults: FaultSpec) -> ScenarioSpec {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Switches compiled programs to O(1) streaming metrics
-    /// (digest-only ledgers); builder-style for city-scale drivers.
-    pub fn with_streaming_metrics(mut self) -> ScenarioSpec {
-        self.streaming_metrics = true;
-        self
-    }
-
     /// The Fig.-1 Alice-Bob scenario (§11.4).
     pub fn alice_bob() -> ScenarioSpec {
         ScenarioSpec::new("alice_bob", TopologyGraph::alice_bob(), alice_bob_flows())

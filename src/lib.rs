@@ -74,9 +74,7 @@ pub mod prelude {
     pub use anc_core::decoder::{AncDecoder, DecodeOutcome, DecoderConfig, DecoderScratch};
     pub use anc_core::detect::{DetectorConfig, SignalDetector};
     pub use anc_core::lemma::{solve_phases, LemmaKernel, PhaseSolutions};
-    pub use anc_core::matcher::{
-        match_bits_into, match_phase_differences, match_phase_differences_into, MatchOutput,
-    };
+    pub use anc_core::matcher::{match_bits_into, match_phase_differences, MatchOutput};
     pub use anc_core::router::{RouterAction, RouterPolicy};
     pub use anc_dsp::{wrap_pi, Cdf, Cplx, DspRng, Lfsr};
     pub use anc_frame::{Frame, FrameConfig, Header, PacketKey, SentPacketBuffer};
