@@ -423,7 +423,6 @@ fn main() {
         offered: 0.0,
         ..CityConfig::default()
     };
-    let advance_ops = city_run(&city, Scheme::Anc).advance_ops;
     let advance_sparse_ns = measure_ns(
         || {
             black_box(city_run(&city, Scheme::Anc).advance_ops);
@@ -435,7 +434,7 @@ fn main() {
         .engine
         .insert("slot_advance_sparse_ns".into(), advance_sparse_ns);
     println!(
-        "engine slot advance ({} cells x {} idle rounds): sparse {:.3} ms ({advance_ops} ops)",
+        "engine slot advance ({} cells x {} idle rounds): sparse {:.3} ms",
         city.cells(),
         city.rounds,
         advance_sparse_ns / 1e6,
