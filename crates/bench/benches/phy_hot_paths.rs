@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the PHY hot paths: modulation,
-//! demodulation, detection, and the per-sample Lemma-6.1 machinery the
-//! ANC decoder runs for every interfered symbol.
+//! demodulation, superposition, detection, and the per-sample
+//! Lemma-6.1 machinery the ANC decoder runs for every interfered symbol.
 
-use anc_bench::fixtures::{fixture_detector, interfered_stream};
+use anc_bench::fixtures::{fixture_detector, interfered_stream, FIXTURE_NOISE};
+use anc_channel::{Link, Medium, TransmissionRef};
 use anc_core::amplitude::estimate_amplitudes;
 use anc_core::lemma::{solve_phases, LemmaKernel};
 use anc_core::matcher::{
@@ -110,6 +111,10 @@ fn bench_detector(c: &mut Criterion) {
     g.bench_function("detect_and_classify_4k", |b| {
         b.iter(|| black_box(det.detect(black_box(&rx))))
     });
+    // Bounds only: the two energy scans, without the variance pass.
+    g.bench_function("locate_4k", |b| {
+        b.iter(|| black_box(det.locate(black_box(&rx))))
+    });
     let mut mask = Vec::new();
     g.bench_function("interference_mask_4k", |b| {
         b.iter(|| {
@@ -130,9 +135,34 @@ fn bench_detector(c: &mut Criterion) {
     g.finish();
 }
 
+/// One city-sized receive window: a 562-sample frame plus 64 samples
+/// of noise padding on each side, through one zero-delay link
+/// (superposed in place) and AWGN.
+fn bench_medium(c: &mut Criterion) {
+    let mut rng = DspRng::seed_from(6);
+    let wave = MskModem::default().modulate(&rng.bits(561));
+    let refs = [TransmissionRef {
+        samples: &wave,
+        start: 64,
+        link: Link::new(0.6, rng.phase(), 0.0),
+    }];
+    let len = wave.len() + 128;
+    let mut out = Vec::new();
+    let mut g = c.benchmark_group("medium");
+    g.throughput(Throughput::Elements(len as u64));
+    g.bench_function("receive_refs_690", |b| {
+        b.iter(|| {
+            Medium::new(FIXTURE_NOISE, 7).receive_refs_into(black_box(&refs), len, &mut out);
+            black_box(out.len())
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_modulation,
+    bench_medium,
     bench_lemma,
     bench_matcher,
     bench_amplitude,

@@ -54,8 +54,11 @@ impl Awgn {
         if self.power == 0.0 {
             return;
         }
+        // `DspRng::complex_gaussian` with its per-quadrature scale
+        // hoisted out of the loop: the same draws, the same products.
+        let scale = (self.power / 2.0).sqrt();
         for s in signal {
-            *s += self.rng.complex_gaussian(self.power);
+            *s += Cplx::new(self.rng.gaussian() * scale, self.rng.gaussian() * scale);
         }
     }
 
@@ -107,6 +110,18 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(a.sample(), b.sample());
         }
+    }
+
+    #[test]
+    fn add_to_matches_per_sample_draws() {
+        let mut sig: Vec<Cplx> = (0..257).map(|n| Cplx::cis(n as f64 * 0.37)).collect();
+        let mut reference = sig.clone();
+        let mut per_sample = Awgn::new(0.3, 11);
+        for s in reference.iter_mut() {
+            *s += per_sample.sample();
+        }
+        Awgn::new(0.3, 11).add_to(&mut sig);
+        assert_eq!(sig, reference);
     }
 
     #[test]

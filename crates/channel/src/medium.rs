@@ -127,7 +127,10 @@ impl Medium {
     /// [`Self::receive_into`] over borrowed transmissions — the
     /// zero-copy entry point for callers (the engine) that fan one
     /// waveform out to many receivers. Bit-identical to the owned
-    /// variants: same summation order, same float expressions.
+    /// variants: same summation order, same float expressions. A
+    /// zero-delay link (every link the engines build) is rotated and
+    /// accumulated straight into `out`; only a delayed link still
+    /// materialises its [`Link::apply`] copy.
     pub fn receive_refs_into(
         &mut self,
         transmissions: &[TransmissionRef<'_>],
@@ -137,11 +140,19 @@ impl Medium {
         out.clear();
         out.resize(duration, Cplx::ZERO);
         for tx in transmissions {
-            let propagated = tx.link.apply(tx.samples);
-            for (i, &s) in propagated.iter().enumerate() {
-                let t = tx.start + i;
-                if t < duration {
-                    out[t] += s;
+            let Some(dst) = out.get_mut(tx.start..) else {
+                continue; // starts after the window closes
+            };
+            if tx.link.delay == 0.0 {
+                // `Link::apply` without its copy: the same `s * coeff`
+                // product, accumulated in place.
+                let coeff = tx.link.coefficient();
+                for (o, &s) in dst.iter_mut().zip(tx.samples) {
+                    *o += s * coeff;
+                }
+            } else {
+                for (o, s) in dst.iter_mut().zip(tx.link.apply(tx.samples)) {
+                    *o += s;
                 }
             }
         }

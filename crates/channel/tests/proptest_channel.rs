@@ -7,7 +7,7 @@
 //! lean on this — splitting a slot's transmissions across windows can
 //! never change what a receiver hears.
 
-use anc_channel::{ImpairmentSpec, Link, Medium, SpatialGrid, Transmission, TransmissionRef};
+use anc_channel::{Awgn, ImpairmentSpec, Link, Medium, SpatialGrid, Transmission, TransmissionRef};
 use anc_dsp::{Cplx, DspRng};
 use proptest::prelude::*;
 
@@ -20,7 +20,69 @@ fn tx(seed: u64, len: usize, start: usize, gain: f64, phase: f64, delay: f64) ->
     Transmission::new(samples, start, Link::new(gain, phase, delay))
 }
 
+/// Reference superposition: every wave copied through [`Link::apply`],
+/// the copies summed in slice order over `[0, duration)`, then one
+/// `Awgn::sample` draw added per sample.
+fn apply_and_sum(txs: &[Transmission], duration: usize, noise: &mut Awgn) -> Vec<Cplx> {
+    let mut out = vec![Cplx::ZERO; duration];
+    for t in txs {
+        for (i, s) in t.link.apply(&t.samples).into_iter().enumerate() {
+            if t.start + i < duration {
+                out[t.start + i] += s;
+            }
+        }
+    }
+    for s in out.iter_mut() {
+        *s += noise.sample();
+    }
+    out
+}
+
+fn bits(z: Cplx) -> (u64, u64) {
+    (z.re.to_bits(), z.im.to_bits())
+}
+
 proptest! {
+    /// In-place `receive_refs_into` is bit-identical to applying every
+    /// link and summing the copies, for zero, integer and fractional
+    /// delays, waves that start at or after the window's end, waves
+    /// that overrun it, and a dirty output buffer.
+    #[test]
+    fn receive_refs_into_matches_apply_and_sum(
+        seeds in proptest::collection::vec(0u64..10_000, 0..4),
+        lens in proptest::collection::vec(0usize..96, 4..5),
+        starts in proptest::collection::vec(0usize..128, 4..5),
+        delay_kinds in proptest::collection::vec(0u8..3, 4..5),
+        frac in 0.0f64..4.0,
+        duration in 0usize..160,
+        noisy in any::<bool>(),
+        noise_seed in 0u64..1_000,
+    ) {
+        let txs: Vec<Transmission> = seeds
+            .iter()
+            .enumerate()
+            .map(|(k, &seed)| {
+                let delay = match delay_kinds[k] {
+                    0 => 0.0,
+                    1 => frac.ceil(),
+                    _ => frac,
+                };
+                let phase = -3.0 + 1.7 * k as f64;
+                tx(seed, lens[k], starts[k], 0.3 + 0.4 * k as f64, phase, delay)
+            })
+            .collect();
+        let power = if noisy { 1e-3 } else { 0.0 };
+        let want = apply_and_sum(&txs, duration, &mut Awgn::from_rng(power, DspRng::seed_from(noise_seed)));
+        let refs: Vec<TransmissionRef<'_>> = txs.iter().map(|t| t.as_ref()).collect();
+        let mut got = vec![Cplx::new(f64::NAN, 7.0); 200];
+        Medium::from_rng(power, DspRng::seed_from(noise_seed))
+            .receive_refs_into(&refs, duration, &mut got);
+        prop_assert_eq!(got.len(), duration);
+        for t in 0..duration {
+            prop_assert_eq!(bits(got[t]), bits(want[t]), "sample {} differs", t);
+        }
+    }
+
     /// receive(A ∪ B) == receive(A) + receive(B) with noise off.
     #[test]
     fn superposition_is_linear(

@@ -188,6 +188,12 @@ impl AncDecoder {
         self.detector.detect(rx)
     }
 
+    /// Bounds `(start, end)` of the reception's signal region, without
+    /// the interference classification ([`SignalDetector::locate`]).
+    pub fn locate(&self, rx: &[Cplx]) -> Option<(usize, usize)> {
+        self.detector.locate(rx)
+    }
+
     /// Decodes the unknown frame from an interfered reception in which
     /// the known frame started **first**.
     ///
@@ -400,13 +406,13 @@ impl AncDecoder {
         })
     }
 
-    /// Standard (non-interfered) reception: detect, demodulate, return
-    /// the raw bit stream of the region.
+    /// Standard (non-interfered) reception: locate the signal region,
+    /// demodulate it, return the raw bit stream of the region.
     pub fn decode_clean(&self, rx: &[Cplx]) -> Result<Vec<bool>, DecodeError> {
-        let region = self.detector.detect(rx).ok_or(DecodeError::NoSignal)?;
+        let (start, end) = self.detector.locate(rx).ok_or(DecodeError::NoSignal)?;
         let mut bits = Vec::new();
         self.modem
-            .demodulate_into(&rx[region.start..region.end.min(rx.len())], &mut bits);
+            .demodulate_into(&rx[start..end.min(rx.len())], &mut bits);
         Ok(bits)
     }
 }

@@ -101,10 +101,14 @@ impl SignalDetector {
         self.cfg.noise_floor * db_to_linear(self.cfg.energy_threshold_db)
     }
 
-    /// Scans a reception and returns the first detected signal region,
-    /// classified. Returns `None` when no window crosses the energy
-    /// gate.
-    pub fn detect(&self, samples: &[Cplx]) -> Option<ClassifiedSignal> {
+    /// Bounds `(start, end)` of the first detected signal region: the
+    /// two energy scans of [`Self::detect`] without its interior
+    /// classification. Callers that read only the bounds (a clean
+    /// decode, a relay cutting out the region it amplifies) skip the
+    /// interior mean and the O(w)-per-sample variance pass. Returns
+    /// `None` when no window crosses the energy gate; otherwise equal to
+    /// `detect(samples).map(|r| (r.start, r.end))`.
+    pub fn locate(&self, samples: &[Cplx]) -> Option<(usize, usize)> {
         let w = self.cfg.window;
         if samples.len() < w {
             return None;
@@ -128,7 +132,7 @@ impl SignalDetector {
         // edge overshoots into noise by up to one window, which is
         // harmless; ending at the left edge would clip the signal's
         // tail bits (and with them the mirrored tail pilot, §7.4).
-        let mut ew = EnergyWindow::new(w);
+        ew.clear();
         let mut end = samples.len();
         for (i, &s) in samples.iter().enumerate().skip(start) {
             ew.push(s);
@@ -137,6 +141,15 @@ impl SignalDetector {
                 break;
             }
         }
+        Some((start, end))
+    }
+
+    /// Scans a reception and returns the first detected signal region,
+    /// classified. Returns `None` when no window crosses the energy
+    /// gate.
+    pub fn detect(&self, samples: &[Cplx]) -> Option<ClassifiedSignal> {
+        let (start, end) = self.locate(samples)?;
+        let w = self.cfg.window;
         // Classify on the region *interior*: the rise and fall edges of
         // any packet produce a large energy variance (noise level →
         // signal level) that has nothing to do with interference, and

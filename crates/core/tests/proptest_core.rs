@@ -251,6 +251,61 @@ proptest! {
         }
     }
 
+    /// `locate` is `detect` without the classification: the same
+    /// bounds (or the same `None`) on noise alone, a clean packet, an
+    /// interfered pair, an input shorter than the window, and a packet
+    /// carrying NaN samples.
+    #[test]
+    fn locate_matches_detect_bounds(
+        kind in 0u8..5, seed in any::<u64>(),
+        lead in 0usize..200, n in 8usize..300, stagger in 1usize..150,
+        window in 4usize..48,
+    ) {
+        const NOISE: f64 = 1e-4;
+        let mut rng = DspRng::seed_from(seed);
+        let modem = MskModem::default();
+        let det = SignalDetector::new(DetectorConfig {
+            window,
+            noise_floor: NOISE,
+            ..DetectorConfig::default()
+        });
+        let mut rx: Vec<Cplx> = (0..lead).map(|_| rng.complex_gaussian(NOISE)).collect();
+        match kind {
+            0 => rx.extend((0..n).map(|_| rng.complex_gaussian(NOISE))),
+            2 => {
+                let a = modem.modulate(&rng.bits(n));
+                let b = modem.modulate(&rng.bits(n));
+                let rb = rng.phase();
+                for i in 0..stagger + b.len() {
+                    let mut y = rng.complex_gaussian(NOISE);
+                    if i < a.len() {
+                        y += a[i];
+                    }
+                    if i >= stagger {
+                        y += b[i - stagger].rotate(rb);
+                    }
+                    rx.push(y);
+                }
+            }
+            _ => {
+                let sig = modem.modulate(&rng.bits(n));
+                rx.extend(sig.iter().map(|&x| x + rng.complex_gaussian(NOISE)));
+            }
+        }
+        rx.extend((0..lead).map(|_| rng.complex_gaussian(NOISE)));
+        if kind == 3 {
+            rx.truncate(window - 1);
+        }
+        if kind == 4 {
+            for k in 0..3 {
+                let i = (seed as usize).wrapping_add(k * 97) % rx.len();
+                rx[i] = Cplx::new(f64::NAN, if k == 1 { f64::INFINITY } else { 0.5 });
+            }
+        }
+        let want = det.detect(&rx).map(|r| (r.start, r.end));
+        prop_assert_eq!(det.locate(&rx), want);
+    }
+
     /// End-to-end invariant: for a noiseless, phase-swept mixture with
     /// exact amplitudes the matcher's residual is small on nearly all
     /// intervals.

@@ -93,19 +93,30 @@ impl MskModem {
     /// walks for the given bits, starting at 0 — one value per output
     /// sample. This regenerates Fig. 3 of the paper.
     pub fn phase_trajectory(&self, bits: &[bool]) -> Vec<f64> {
+        let mut phases = Vec::with_capacity(bits.len() * self.cfg.samples_per_symbol + 1);
+        self.walk_phases(bits, |_, phi| phases.push(phi));
+        phases
+    }
+
+    /// Walks the phase trajectory, calling `visit(k, φ)` once per output
+    /// sample, where `k` is the net number of `±π/(2S)` steps taken so
+    /// far and `φ` the accumulated phase. [`Self::phase_trajectory`]
+    /// and [`Modem::modulate`] share this walk, so both see the same
+    /// `φ` bits.
+    fn walk_phases(&self, bits: &[bool], mut visit: impl FnMut(i64, f64)) {
         let s = self.cfg.samples_per_symbol;
         let step = FRAC_PI_2 / s as f64;
-        let mut phases = Vec::with_capacity(bits.len() * s + 1);
         let mut phi = 0.0;
-        phases.push(phi);
+        let mut k = 0i64;
+        visit(k, phi);
         for &bit in bits {
-            let d = if bit { step } else { -step };
+            let (d, dk) = if bit { (step, 1) } else { (-step, -1) };
             for _ in 0..s {
                 phi += d;
-                phases.push(phi);
+                k += dk;
+                visit(k, phi);
             }
         }
-        phases
     }
 
     /// The per-symbol phase increments (`+π/2` / `−π/2`) for a bit
@@ -188,12 +199,60 @@ impl MskModem {
     }
 }
 
+/// A fixed-size phasor cache for one [`Modem::modulate`] call, held on
+/// the stack. Slot `k mod 256` holds the phasors of net step count `k`;
+/// a phase sum reached along different paths can differ in its last
+/// bits, so each slot keeps two ways keyed on φ's exact bits, the most
+/// recently stored first. A hit returns the stored `from_polar` result, a miss
+/// computes and stores it, so the output never depends on the cache.
+struct PhasorMemo {
+    keys: [[u64; 2]; PhasorMemo::SLOTS],
+    phasors: [[Cplx; 2]; PhasorMemo::SLOTS],
+}
+
+impl PhasorMemo {
+    const SLOTS: usize = u8::MAX as usize + 1;
+    /// A NaN bit pattern: the walked phase is a finite sum, so an empty
+    /// way never matches.
+    const EMPTY: u64 = u64::MAX;
+
+    fn new() -> Self {
+        PhasorMemo {
+            keys: [[Self::EMPTY; 2]; Self::SLOTS],
+            phasors: [[Cplx::ZERO; 2]; Self::SLOTS],
+        }
+    }
+
+    #[inline]
+    fn phasor(&mut self, k: i64, phi: f64, amplitude: f64) -> Cplx {
+        // The low byte of a two's-complement `k` is `k mod 256`.
+        let slot = usize::from(k as u8);
+        let key = phi.to_bits();
+        let (keys, phasors) = (&mut self.keys[slot], &mut self.phasors[slot]);
+        if keys[0] == key {
+            return phasors[0];
+        }
+        if keys[1] == key {
+            return phasors[1];
+        }
+        let z = Cplx::from_polar(amplitude, phi);
+        *keys = [key, keys[0]];
+        *phasors = [z, phasors[0]];
+        z
+    }
+}
+
 impl Modem for MskModem {
+    /// `Cplx::from_polar(A_s, φ)` for every trajectory phase. The walk
+    /// revisits a few dozen phases per frame, so each phasor is
+    /// memoised on φ's exact bits and computed once: bit-identical to
+    /// mapping `from_polar` over [`MskModem::phase_trajectory`].
     fn modulate(&self, bits: &[bool]) -> Vec<Cplx> {
-        self.phase_trajectory(bits)
-            .into_iter()
-            .map(|phi| Cplx::from_polar(self.cfg.amplitude, phi))
-            .collect()
+        let amplitude = self.cfg.amplitude;
+        let mut memo = PhasorMemo::new();
+        let mut out = Vec::with_capacity(bits.len() * self.cfg.samples_per_symbol + 1);
+        self.walk_phases(bits, |k, phi| out.push(memo.phasor(k, phi, amplitude)));
+        out
     }
 
     fn demodulate(&self, samples: &[Cplx]) -> Vec<bool> {
@@ -270,6 +329,41 @@ mod tests {
         assert_eq!(traj.len(), expected.len());
         for (got, want) in traj.iter().zip(expected) {
             assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn memoised_modulate_matches_from_polar_over_trajectory() {
+        // The phasor memo must be invisible: every sample carries the
+        // exact bits of `from_polar(A_s, φ)` over the walked phases,
+        // including walks long and one-sided enough that the net step
+        // count wraps the 256-slot table many times over.
+        let mut rng = DspRng::seed_from(5);
+        for s in 1..=8 {
+            for amplitude in [1.0, 0.37, 2.5] {
+                let modem = MskModem::new(MskConfig {
+                    samples_per_symbol: s,
+                    amplitude,
+                });
+                for len in [0, 1, 2, 17, 560, 8400] {
+                    for data in [vec![true; len], vec![false; len], rng.bits(len)] {
+                        let want: Vec<(u64, u64)> = modem
+                            .phase_trajectory(&data)
+                            .into_iter()
+                            .map(|phi| {
+                                let z = Cplx::from_polar(amplitude, phi);
+                                (z.re.to_bits(), z.im.to_bits())
+                            })
+                            .collect();
+                        let got: Vec<(u64, u64)> = modem
+                            .modulate(&data)
+                            .into_iter()
+                            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                            .collect();
+                        assert!(got == want, "S = {s}, A = {amplitude}, {len} bits");
+                    }
+                }
+            }
         }
     }
 

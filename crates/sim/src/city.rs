@@ -899,6 +899,16 @@ struct Board {
     hop_to: u8,
 }
 
+/// Buffers [`CityPhy::window`] builds a window in. One set serves every
+/// window of a stage job and is dropped with the job, so no region
+/// block keeps a window buffer resident between jobs.
+#[derive(Default)]
+struct WindowBufs<'b> {
+    cands: Vec<u32>,
+    refs: Vec<TransmissionRef<'b>>,
+    out: Vec<Cplx>,
+}
+
 /// The PHY shared by every round: frame layout, modulator, decoder,
 /// and the pure per-stage computations the region blocks execute.
 struct CityPhy<'a> {
@@ -970,21 +980,19 @@ impl<'a> CityPhy<'a> {
     /// transmitters, in ascending node order — the same set and order
     /// a dense scan over the transmitter subset would produce, so the
     /// superposition sum is bit-identical to the historical per-slot
-    /// subset grid.
-    fn window(
+    /// subset grid. The window is built in `bufs` and borrowed from it.
+    fn window<'s, 'b>(
         &self,
-        positions: &[(f64, f64)],
-        grid: &SpatialGrid,
-        txs: &[SlotTx],
+        board: &'b Board,
         recv: u32,
-        slot: u64,
-    ) -> Vec<Cplx> {
+        bufs: &'s mut WindowBufs<'b>,
+    ) -> &'s [Cplx] {
+        let (positions, txs, slot) = (&board.positions, &board.txs, board.slot);
         let rpos = positions[recv as usize];
-        let mut cands: Vec<u32> = Vec::new();
-        grid.candidates_into(rpos, &mut cands);
-        let mut refs: Vec<TransmissionRef<'_>> = Vec::new();
+        board.grid.candidates_into(rpos, &mut bufs.cands);
+        bufs.refs.clear();
         let mut end = PAD;
-        for id in cands {
+        for &id in &bufs.cands {
             if id == recv || !within_range(positions[id as usize], rpos, self.gate) {
                 continue;
             }
@@ -1009,14 +1017,13 @@ impl<'a> CityPhy<'a> {
             )
             .phase();
             let start = PAD + txs[k].offset;
-            refs.push(TransmissionRef {
+            bufs.refs.push(TransmissionRef {
                 samples: &txs[k].wave,
                 start,
                 link: Link::new(gain_at(d), phase, 0.0),
             });
             end = end.max(start + txs[k].wave.len());
         }
-        let mut out = Vec::new();
         Medium::from_rng(
             self.cfg.noise_power,
             DspRng::from_path(
@@ -1024,8 +1031,8 @@ impl<'a> CityPhy<'a> {
                 &[CITY_STREAM_DOMAIN, KIND_NOISE, u64::from(recv), slot],
             ),
         )
-        .receive_refs_into(&refs, end + PAD, &mut out);
-        out
+        .receive_refs_into(&bufs.refs, end + PAD, &mut bufs.out);
+        &bufs.out
     }
 
     /// ANC uplink stage for one region's exchanges: frames, stagger,
@@ -1066,18 +1073,19 @@ impl<'a> CityPhy<'a> {
     }
 
     /// ANC relay stage: each relay receives the uplink superposition
-    /// and amplifies the detected region (§7.5) for the downlink.
+    /// and amplifies the detected region (§7.5) for the downlink. Only
+    /// the region's bounds are read, so the relay locates it without
+    /// classifying it.
     fn anc_relay(&self, board: &Board, range: Range<usize>) -> Vec<SlotTx> {
+        let mut bufs = WindowBufs::default();
         range
             .map(|i| {
                 let c = board.exch[i].cell as usize;
                 let r = u32::try_from(node_r(c)).expect("node fits u32");
-                let win = self.window(&board.positions, &board.grid, &board.txs, r, board.slot);
-                let wave = match self.decoder.classify(&win) {
-                    Some(reg) => {
-                        AmplifyForward::new(1.0)
-                            .amplify_window(&win, reg.start, reg.end)
-                            .0
+                let win = self.window(board, r, &mut bufs);
+                let wave = match self.decoder.locate(win) {
+                    Some((start, end)) => {
+                        AmplifyForward::new(1.0).amplify_window(win, start, end).0
                     }
                     None => Vec::new(),
                 };
@@ -1092,20 +1100,21 @@ impl<'a> CityPhy<'a> {
 
     /// One endpoint's §3.2 decode: superpose the downlink window,
     /// cancel the known own signal, parse the remaining frame.
-    fn decode_side(
+    fn decode_side<'b>(
         &self,
-        board: &Board,
+        board: &'b Board,
         recv: usize,
         own: &[bool],
         own_first: bool,
         scratch: &mut DecoderScratch,
+        bufs: &mut WindowBufs<'b>,
     ) -> Option<Vec<bool>> {
         let recv = u32::try_from(recv).expect("node fits u32");
-        let win = self.window(&board.positions, &board.grid, &board.txs, recv, board.slot);
+        let win = self.window(board, recv, bufs);
         let decoded = if own_first {
-            self.decoder.decode_forward_with(&win, own, scratch)
+            self.decoder.decode_forward_with(win, own, scratch)
         } else {
-            self.decoder.decode_backward_with(&win, own, scratch)
+            self.decoder.decode_backward_with(win, own, scratch)
         };
         let out = decoded.ok()?;
         Frame::parse_lenient(&out.bits, &self.frame_cfg)
@@ -1122,17 +1131,32 @@ impl<'a> CityPhy<'a> {
         scratch: &mut DecoderScratch,
     ) -> Vec<[Option<Vec<bool>>; 2]> {
         let mut out = Vec::with_capacity(range.len());
+        let mut bufs = WindowBufs::default();
         for i in range {
             let x = &board.exch[i];
             let ctx = &board.dctx[i];
             let c = x.cell as usize;
             let ra = if x.want_a {
-                self.decode_side(board, node_a(c), &ctx.bits_a, ctx.a_first, scratch)
+                self.decode_side(
+                    board,
+                    node_a(c),
+                    &ctx.bits_a,
+                    ctx.a_first,
+                    scratch,
+                    &mut bufs,
+                )
             } else {
                 None
             };
             let rb = if x.want_b {
-                self.decode_side(board, node_b(c), &ctx.bits_b, !ctx.a_first, scratch)
+                self.decode_side(
+                    board,
+                    node_b(c),
+                    &ctx.bits_b,
+                    !ctx.a_first,
+                    scratch,
+                    &mut bufs,
+                )
             } else {
                 None
             };
@@ -1173,12 +1197,13 @@ impl<'a> CityPhy<'a> {
     /// Traditional hop RX stage: clean detect + parse at the hop's
     /// receiver (relay re-encoding — a failed parse forwards nothing).
     fn trad_decode(&self, board: &Board, range: Range<usize>) -> Vec<Option<Frame>> {
+        let mut bufs = WindowBufs::default();
         range
             .map(|i| {
                 let c = board.exch[i].cell as usize;
                 let recv = u32::try_from(Self::local_node(c, board.hop_to)).expect("node fits u32");
-                let win = self.window(&board.positions, &board.grid, &board.txs, recv, board.slot);
-                let bits = self.decoder.decode_clean(&win).ok()?;
+                let win = self.window(board, recv, &mut bufs);
+                let bits = self.decoder.decode_clean(win).ok()?;
                 Frame::parse_lenient(&bits, &self.frame_cfg)
                     .ok()
                     .map(|(frame, _, _)| frame)
@@ -2111,9 +2136,7 @@ impl CityRunBuilder {
         let spr = u64::try_from(plan.slots()).expect("plan slots fit u64");
         Ok(CityRun {
             cfg: self.cfg,
-            scheme: self.scheme,
             sched: self.sched,
-            plan,
             compiled,
             spr,
         })
@@ -2125,30 +2148,12 @@ impl CityRunBuilder {
 #[derive(Debug)]
 pub struct CityRun {
     cfg: CityConfig,
-    scheme: Scheme,
     sched: SchedulerSpec,
-    plan: SlotPlan,
     compiled: CompiledExchange,
     spr: u64,
 }
 
 impl CityRun {
-    /// The validated config.
-    pub fn config(&self) -> &CityConfig {
-        &self.cfg
-    }
-
-    /// The scheme this run executes.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    /// The per-cell slot plan [`derive_plan`] compiled for the two
-    /// crossing flows (2 slots under ANC, 4 under traditional).
-    pub fn plan(&self) -> &SlotPlan {
-        &self.plan
-    }
-
     /// Runs the city and returns its outcome.
     pub fn execute(&self) -> Result<CityOutcome, CityError> {
         self.execute_profiled().map(|(out, _)| out)

@@ -611,11 +611,6 @@ impl<'p> Engine<'p> {
         Ok(engine.metrics)
     }
 
-    /// The realized topology of this run (diagnostics).
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// Builds the block graph over the parked nodes and runs the slot
     /// loop as the scheduler's controller. The park is taken out of
     /// the engine for the duration so the blocks can borrow it while
