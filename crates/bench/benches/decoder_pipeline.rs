@@ -9,6 +9,7 @@ use anc_bench::fixtures::{
     decode_fixture, fixture_decoder, fixture_detector, interfered_stream, FIXTURE_NOISE,
 };
 use anc_core::decoder::DecoderScratch;
+use anc_core::detect::mask_span;
 use anc_core::matcher::{match_bits_batch, match_bits_into, MatchBatchScratch};
 use anc_dsp::batch::energies_into;
 use anc_dsp::{Cplx, DspRng};
@@ -92,6 +93,8 @@ fn bench_pipeline(c: &mut Criterion) {
     let n = 4096usize;
     let (rx, dtheta) = interfered_stream(n, 40);
     let det = fixture_detector();
+    // The decoder's span range for a known frame that starts the stream.
+    let (from, to) = (det.config().window, n - 1);
     let mut g = c.benchmark_group("pipeline");
     g.throughput(Throughput::Elements(rx.len() as u64));
     let mut mask = Vec::new();
@@ -100,6 +103,7 @@ fn bench_pipeline(c: &mut Criterion) {
     g.bench_function("detect_lemma_match_scalar", |b| {
         b.iter(|| {
             det.interference_mask_into(black_box(&rx), &mut mask);
+            let span = mask_span(&mask, from, to);
             bits.clear();
             match_bits_into(
                 black_box(&rx),
@@ -109,7 +113,7 @@ fn bench_pipeline(c: &mut Criterion) {
                 &mut err,
                 &mut bits,
             );
-            black_box((mask[n / 2], bits.len()))
+            black_box((span, bits.len()))
         })
     });
     let mut energies = Vec::new();
@@ -117,7 +121,7 @@ fn bench_pipeline(c: &mut Criterion) {
     g.bench_function("detect_lemma_match_batch", |b| {
         b.iter(|| {
             energies_into(black_box(&rx), &mut energies);
-            det.interference_mask_from_energies(&energies, &mut mask);
+            let span = det.interference_span(&energies, from, to);
             bits.clear();
             match_bits_batch(
                 black_box(&rx),
@@ -128,7 +132,7 @@ fn bench_pipeline(c: &mut Criterion) {
                 &mut err,
                 &mut bits,
             );
-            black_box((mask[n / 2], bits.len()))
+            black_box((span, bits.len()))
         })
     });
     g.finish();

@@ -111,10 +111,11 @@ fn bench_detector(c: &mut Criterion) {
     g.bench_function("detect_and_classify_4k", |b| {
         b.iter(|| black_box(det.detect(black_box(&rx))))
     });
-    // Bounds only: the two energy scans, without the variance pass.
+    // Bounds only: the two energy scans, without the variance test.
     g.bench_function("locate_4k", |b| {
         b.iter(|| black_box(det.locate(black_box(&rx))))
     });
+    // The full per-sample pass, kept as the span search's oracle.
     let mut mask = Vec::new();
     g.bench_function("interference_mask_4k", |b| {
         b.iter(|| {
@@ -122,15 +123,50 @@ fn bench_detector(c: &mut Criterion) {
             black_box(mask.len())
         })
     });
-    // The batch front-end splits energy extraction (lane-parallel)
-    // from the bit-pinned variance walk over precomputed energies.
+    // The decoder's search: the lane-parallel energy map, then only the
+    // windows that decide the span's two ends.
     let mut energies = Vec::new();
-    g.bench_function("interference_mask_4k_batch", |b| {
+    g.bench_function("interference_span_4k", |b| {
         b.iter(|| {
             energies_into(black_box(&rx), &mut energies);
-            det.interference_mask_from_energies(&energies, &mut mask);
-            black_box(mask.len())
+            let from = det.config().window;
+            black_box(det.interference_span(&energies, from, rx.len() - 256))
         })
+    });
+    // Paper-size receptions (an 8192-bit frame): the clean one runs the
+    // variance test over its whole interior, the interfered one (a
+    // second frame 1000 samples in) stops at the first firing window.
+    let modem = MskModem::default();
+    let a = modem.modulate(&rng.bits(8192));
+    let b2 = modem.modulate(&rng.bits(8192));
+    let noise = |rng: &mut DspRng, n: usize| -> Vec<Cplx> {
+        (0..n)
+            .map(|_| rng.complex_gaussian(FIXTURE_NOISE))
+            .collect()
+    };
+    let mut clean = noise(&mut rng, 256);
+    clean.extend(a.iter().map(|&s| s + rng.complex_gaussian(FIXTURE_NOISE)));
+    clean.extend(noise(&mut rng, 256));
+    let stagger = 1000;
+    let mut interfered = noise(&mut rng, 256);
+    interfered.extend((0..stagger + b2.len()).map(|i| {
+        let mut s = rng.complex_gaussian(FIXTURE_NOISE);
+        if i < a.len() {
+            s += a[i];
+        }
+        if i >= stagger {
+            s += b2[i - stagger].rotate(0.7);
+        }
+        s
+    }));
+    interfered.extend(noise(&mut rng, 256));
+    g.throughput(Throughput::Elements(clean.len() as u64));
+    g.bench_function("detect_clean_8k", |b| {
+        b.iter(|| black_box(det.detect(black_box(&clean))))
+    });
+    g.throughput(Throughput::Elements(interfered.len() as u64));
+    g.bench_function("detect_interfered_8k", |b| {
+        b.iter(|| black_box(det.detect(black_box(&interfered))))
     });
     g.finish();
 }

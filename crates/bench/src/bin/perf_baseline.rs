@@ -24,6 +24,7 @@ use anc_bench::fixtures::{decode_fixture, fixture_decoder, fixture_detector, int
 use anc_bench::perf::{measure_ns, measure_pair, HistoryEntry, PerfReport};
 use anc_channel::{within_range, SpatialGrid};
 use anc_core::decoder::DecoderScratch;
+use anc_core::detect::mask_span;
 use anc_core::matcher::{match_bits_batch, match_bits_into};
 use anc_core::MatchBatchScratch;
 use anc_dsp::batch::energies_into;
@@ -124,28 +125,31 @@ fn main() {
 
     // ---- 1. detect→lemma→matcher kernel, batch vs scalar oracle. ----
     // The batch arm is the production decode path since DESIGN.md §8:
-    // a struct-of-arrays energy pass feeding the detector plus the
-    // lane-structured matcher. The scalar arm (`interference_mask_into`
-    // + `match_bits_into`) is the oracle the proptest suite pins it to;
-    // both run in the same alternating-batch harness.
+    // a struct-of-arrays energy pass feeding the interference-span
+    // search plus the lane-structured matcher. The scalar arm (the
+    // full `interference_mask_into` pass read by `mask_span`, plus
+    // `match_bits_into`) is the oracle the proptest suite pins it to;
+    // both run in the same alternating-batch harness. The span covers
+    // the decoder's range for a known frame that starts the stream.
     let n = 4096usize;
     let (rx, dtheta) = interfered_stream(n, 40);
     let det = fixture_detector();
+    let (from, to) = (det.config().window, n - 1);
     let mut mask = Vec::new();
     let mut err = Vec::new();
     let mut bits = Vec::new();
     let mut energies = Vec::new();
     let mut batch_scratch = MatchBatchScratch::default();
-    let mut mask_b = Vec::new();
     let mut err_b = Vec::new();
     let mut bits_b = Vec::new();
     // Bit-identity sanity inside the measurement binary: the batch arm
     // must reproduce the scalar oracle exactly before its timing means
     // anything (re-checked here on live data).
     det.interference_mask_into(&rx, &mut mask);
+    let span = mask_span(&mask, from, to);
     match_bits_into(&rx, &dtheta, 1.0, 1.0, &mut err, &mut bits);
     energies_into(&rx, &mut energies);
-    det.interference_mask_from_energies(&energies, &mut mask_b);
+    let span_b = det.interference_span(&energies, from, to);
     match_bits_batch(
         &rx,
         &dtheta,
@@ -155,7 +159,8 @@ fn main() {
         &mut err_b,
         &mut bits_b,
     );
-    assert_eq!(mask, mask_b, "batch interference mask diverged");
+    assert!(span.is_some(), "fixture stream is not interfered");
+    assert_eq!(span, span_b, "searched interference span diverged");
     assert_eq!(bits, bits_b, "batch matcher bits diverged");
     assert!(
         err.len() == err_b.len()
@@ -167,7 +172,7 @@ fn main() {
     );
     let mut batch = || {
         energies_into(black_box(&rx), &mut energies);
-        det.interference_mask_from_energies(&energies, &mut mask_b);
+        let span = det.interference_span(&energies, from, to);
         bits_b.clear();
         match_bits_batch(
             black_box(&rx),
@@ -178,11 +183,12 @@ fn main() {
             &mut err_b,
             &mut bits_b,
         );
-        black_box((mask_b[n / 2], bits_b.len()));
+        black_box((span, bits_b.len()));
     };
     let (scalar_ns, batch_ns) = measure_pair(
         || {
             det.interference_mask_into(black_box(&rx), &mut mask);
+            let span = mask_span(&mask, from, to);
             bits.clear();
             match_bits_into(
                 black_box(&rx),
@@ -192,7 +198,7 @@ fn main() {
                 &mut err,
                 &mut bits,
             );
-            black_box((mask[n / 2], bits.len()));
+            black_box((span, bits.len()));
         },
         &mut batch,
         args.target_ms,
@@ -229,7 +235,6 @@ fn main() {
     let fspec = FaultSpec::none();
     let mut energies_g = Vec::new();
     let mut batch_scratch_g = MatchBatchScratch::default();
-    let mut mask_g = Vec::new();
     let mut err_g = Vec::new();
     let mut bits_g = Vec::new();
     let mut period = 0u64;
@@ -242,7 +247,7 @@ fn main() {
             let jam = fspec.jammer_power_at(args.seed, period);
             black_box((down, gain, jam));
             energies_into(black_box(&rx), &mut energies_g);
-            det.interference_mask_from_energies(&energies_g, &mut mask_g);
+            let span = det.interference_span(&energies_g, from, to);
             bits_g.clear();
             match_bits_batch(
                 black_box(&rx),
@@ -253,7 +258,7 @@ fn main() {
                 &mut err_g,
                 &mut bits_g,
             );
-            black_box((mask_g[n / 2], bits_g.len()));
+            black_box((span, bits_g.len()));
         },
         args.target_ms,
         args.repeats,

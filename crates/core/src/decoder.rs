@@ -12,7 +12,7 @@
 //! 2. Demodulate the clean head with standard MSK and slide-match the
 //!    known frame's pilot to align the known signal with the reception
 //!    (§7.2, Fig. 5).
-//! 3. Locate the interference onset with the energy-variance mask
+//! 3. Locate the interference onset with the energy-variance test
 //!    (§7.1) and estimate amplitudes: the known signal's `A` from the
 //!    clean prefix, both from Eqs. 5–6 inside the overlap, reconciled.
 //! 4. Run the Lemma-6.1 + matcher machinery (§6.3) over the overlap,
@@ -129,7 +129,7 @@ pub struct DecodeOutcome {
 /// Reusable working memory for the Alg.-1 decode hot path.
 ///
 /// One decode touches several intermediate streams — demodulated head
-/// bits, the interference mask, the known sender's `Δθ_s`, the matcher
+/// bits, the per-sample energies, the known sender's `Δθ_s`, the matcher
 /// output, and (backward decodes) the conjugate-reversed reception.
 /// Owning them here lets a receiver amortize every one of those
 /// allocations across a run: after the first packet, a decode performs
@@ -143,10 +143,8 @@ pub struct DecoderScratch {
     /// Demodulated clean-head bits (§7.2 pilot search).
     head_bits: Vec<bool>,
     /// Per-sample energies `|y|²` from the SoA lane kernel — feeds the
-    /// batched detect stage (DESIGN.md §8).
+    /// interference-span search (§7.1, DESIGN.md §8).
     energies: Vec<f64>,
-    /// Per-sample interference mask (§7.1).
-    mask: Vec<bool>,
     /// Known sender's per-interval phase differences `Δθ_s` (§6.3).
     known_dtheta: Vec<f64>,
     /// Struct-of-arrays intermediates of the batched §6.3 kernel.
@@ -298,33 +296,24 @@ impl AncDecoder {
         let known_last = (f0 + known_len).min(samples.len().saturating_sub(1));
 
         // ---- Step 3: interference onset + amplitudes. ----
-        // The variance mask flags the packet's own rise edge (noise →
+        // The variance test flags the packet's own rise edge (noise →
         // signal is a legitimate energy-variance spike), so the onset
         // search starts one detector window past the frame start. The
         // MAC's minimum stagger (≥ one slot ≫ one window, §7.2)
         // guarantees real interference cannot begin that early.
-        // Batched detect stage: the |y|² map is one SoA lane pass, then
-        // the variance window consumes precomputed energies.
-        // Bit-identical to `interference_mask_into(samples, ..)`.
+        // The |y|² map is one SoA lane pass; the span search then reads
+        // only the windows that decide the onset and the overlap end,
+        // exactly as the per-sample mask over `samples` would flag them.
         energies_into(samples, &mut scratch.energies);
-        self.detector
-            .interference_mask_from_energies(&scratch.energies, &mut scratch.mask);
-        let mask = &scratch.mask;
         let search_from = (f0 + self.cfg.detector.window).min(known_last);
-        let onset = mask[search_from..known_last]
-            .iter()
-            .position(|&m| m)
-            .map(|p| p + search_from)
+        let (onset, overlap_end) = self
+            .detector
+            .interference_span(&scratch.energies, search_from, known_last)
             .ok_or(DecodeError::NotInterfered)?;
-        let overlap_end_mask = mask[onset..known_last]
-            .iter()
-            .rposition(|&m| m)
-            .map(|p| p + onset + 1)
-            .unwrap_or(known_last);
 
         // Known-signal amplitude from the clean prefix when available.
         // The prefix excludes a window-length margin before the onset:
-        // the mask's lookback means `onset` can sit up to one window
+        // the window's lookback means `onset` can sit up to one window
         // *early*, i.e. still inside the clean region, but the converse
         // error (prefix samples that are already interfered) must be
         // avoided.
@@ -339,7 +328,7 @@ impl AncDecoder {
         // onset and the known frame's tail step are energy transitions
         // that contaminate the moments, so a window-length margin is
         // trimmed from each end (kept only if enough samples remain).
-        let overlap_all = &samples[onset..overlap_end_mask];
+        let overlap_all = &samples[onset..overlap_end];
         let overlap = if overlap_all.len() >= 2 * w + 32 {
             &overlap_all[w..overlap_all.len() - w]
         } else {

@@ -17,7 +17,14 @@
 //! interfered one — a scale-free quantity with the same decision power;
 //! the default threshold 0.05 separates the two regimes for any SNR
 //! above ~16 dB. DESIGN.md §5 carries an ablation sweep of this knob.
+//!
+//! Only the yes/no decision of the variance test is ever read, so the
+//! searches here stop at the first window that decides it and skip the
+//! deviation pass of every window that provably cannot fire
+//! ([`VarianceWindow::exceeds`]); [`SignalDetector::interference_mask_into`]
+//! keeps the full per-sample pass as their oracle.
 
+use anc_dsp::window::energy_bounds;
 use anc_dsp::{db_to_linear, Cplx, EnergyWindow, VarianceWindow};
 
 /// Detector configuration.
@@ -56,10 +63,6 @@ pub struct ClassifiedSignal {
     pub end: usize,
     /// `true` when the §7.1 variance test fired anywhere in the region.
     pub interfered: bool,
-    /// Mean energy over the region.
-    pub mean_energy: f64,
-    /// Peak normalized energy variance observed over the region.
-    pub peak_normalized_variance: f64,
 }
 
 impl ClassifiedSignal {
@@ -105,7 +108,7 @@ impl SignalDetector {
     /// two energy scans of [`Self::detect`] without its interior
     /// classification. Callers that read only the bounds (a clean
     /// decode, a relay cutting out the region it amplifies) skip the
-    /// interior mean and the O(w)-per-sample variance pass. Returns
+    /// variance test over the interior. Returns
     /// `None` when no window crosses the energy gate; otherwise equal to
     /// `detect(samples).map(|r| (r.start, r.end))`.
     pub fn locate(&self, samples: &[Cplx]) -> Option<(usize, usize)> {
@@ -154,39 +157,33 @@ impl SignalDetector {
         // any packet produce a large energy variance (noise level →
         // signal level) that has nothing to do with interference, and
         // the region bounds deliberately overshoot into noise, so a
-        // window-length margin at each end is excluded from both the
-        // energy and the variance statistics.
+        // window-length margin at each end is excluded.
         let region = &samples[start..end];
         let interior = if region.len() > 2 * w {
             &region[w..region.len() - w]
         } else {
             region
         };
-        let mean_energy = Cplx::mean_energy(interior);
-        let mut vw = VarianceWindow::new(w.max(8));
-        let mut peak_nv: f64 = 0.0;
-        for &s in interior {
-            vw.push(s);
-            if vw.is_full() {
-                let (m, var) = vw.mean_and_variance();
-                if m > 0.0 {
-                    peak_nv = peak_nv.max(var / (m * m));
-                }
-            }
-        }
+        // The test fires when any full window's normalized variance
+        // exceeds the threshold; the scan stops at the first that does.
+        // The variance peak starts at zero, so a negative threshold
+        // fires even with no full window.
+        let interfered = 0.0 > self.cfg.variance_threshold || {
+            let mut vw = self.variance_window();
+            let energy = |k: usize| interior[k].norm_sq();
+            self.scan(&mut vw, energy, 0, 0, interior.len(), Scan::First)
+                .is_some()
+        };
         Some(ClassifiedSignal {
             start,
             end,
-            interfered: peak_nv > self.cfg.variance_threshold,
-            mean_energy,
-            peak_normalized_variance: peak_nv,
+            interfered,
         })
     }
 
     /// Per-sample interference mask over a detected region: `true`
     /// where the trailing window's normalized variance exceeds the
-    /// threshold. Used by the decoder to find the interference onset
-    /// (§7.2: where the second packet begins).
+    /// threshold. The full-pass oracle of [`Self::interference_span`].
     pub fn interference_mask(&self, region: &[Cplx]) -> Vec<bool> {
         let mut mask = Vec::new();
         self.interference_mask_into(region, &mut mask);
@@ -195,10 +192,10 @@ impl SignalDetector {
 
     /// [`SignalDetector::interference_mask`] into a caller-owned
     /// buffer (cleared, then filled to `region.len()`), so repeated
-    /// decodes amortize the allocation.
+    /// calls amortize the allocation.
     pub fn interference_mask_into(&self, region: &[Cplx], mask: &mut Vec<bool>) {
-        let w = self.cfg.window.max(8);
-        let mut vw = VarianceWindow::new(w);
+        let mut vw = self.variance_window();
+        let w = self.variance_len();
         mask.clear();
         mask.resize(region.len(), false);
         // High-water mark of flags already set: a contiguously
@@ -224,39 +221,144 @@ impl SignalDetector {
         }
     }
 
-    /// [`SignalDetector::interference_mask_into`] from *precomputed*
-    /// per-sample energies (`|y|²`, e.g. from
-    /// [`anc_dsp::batch::energies_into`]) instead of complex samples.
+    /// The interfered span of `[from, to)` from a region's per-sample
+    /// energies (`|y|²`, [`anc_dsp::batch::energies_into`]): the first
+    /// flagged index and one past the last, where the flags are those
+    /// of [`Self::interference_mask_into`] over the same region. `None`
+    /// when nothing in `[from, to)` is flagged; `to` is clamped to the
+    /// region. Equal to [`mask_span`] of that mask.
     ///
-    /// This is the batched pipeline's detect stage (DESIGN.md §8): the
-    /// energy map is a lane pass over the struct-of-arrays layout, and
-    /// the variance window then consumes scalars. Bit-identical to the
-    /// sample form — `VarianceWindow::push(s)` is defined as
-    /// `push_energy(s.norm_sq())`, so the window sees the exact same
-    /// value stream; the window's own ring/accumulator arithmetic is
-    /// untouched (its summation order is part of the pinned FP path).
-    pub fn interference_mask_from_energies(&self, energies: &[f64], mask: &mut Vec<bool>) {
-        let w = self.cfg.window.max(8);
-        let mut vw = VarianceWindow::new(w);
-        mask.clear();
-        mask.resize(energies.len(), false);
-        // Same O(n) high-water fill as `interference_mask_into`.
-        let mut flagged_to = 0usize;
-        for (i, &e) in energies.iter().enumerate() {
-            vw.push_energy(e);
-            if vw.is_full() {
-                let (m, var) = vw.mean_and_variance();
-                let nv = if m > 0.0 { var / (m * m) } else { 0.0 };
-                if nv > self.cfg.variance_threshold {
-                    let lo = (i + 1 - w).max(flagged_to);
-                    for flag in mask[lo..=i].iter_mut() {
-                        *flag = true;
-                    }
-                    flagged_to = i + 1;
+    /// A window firing at `i` flags `i + 1 − w ..= i`, so only firings
+    /// in `[from, to + w − 1)` flag anything in range: the span opens
+    /// at `max(from, i₀ + 1 − w)` for the first of them, `i₀`, and
+    /// closes after `min(i₁, to − 1)` for the last, `i₁`. The forward
+    /// search for `i₀` starts at the refresh boundary below `from`
+    /// ([`VarianceWindow::rebuild`]). The search for `i₁` rebuilds the
+    /// window at the boundary below the end of the range, scans that
+    /// block, and walks back one refresh block at a time until a block
+    /// fires, which the block holding `i₀` does at the latest.
+    pub fn interference_span(
+        &self,
+        energies: &[f64],
+        from: usize,
+        to: usize,
+    ) -> Option<(usize, usize)> {
+        let to = to.min(energies.len());
+        if from >= to {
+            return None;
+        }
+        let w = self.variance_len();
+        let limit = (to + w - 1).min(energies.len());
+        let mut vw = self.variance_window();
+        let period = vw.refresh_period();
+        let energy = |k: usize| energies[k];
+        let next = self.seek(&mut vw, energies, from);
+        let first = self.scan(&mut vw, energy, next, from, limit, Scan::First)?;
+        let last = (first / period..=(limit - 1) / period)
+            .rev()
+            .find_map(|block| {
+                let base = block * period;
+                let next = self.seek(&mut vw, energies, base);
+                let stop = limit.min(base + period);
+                self.scan(&mut vw, energy, next, base.max(first), stop, Scan::Last)
+            })
+            .unwrap_or(first);
+        Some((from.max(first + 1 - w), last.min(to - 1) + 1))
+    }
+
+    /// Length of the variance window (at least 8 samples).
+    fn variance_len(&self) -> usize {
+        self.cfg.window.max(8)
+    }
+
+    fn variance_window(&self) -> VarianceWindow {
+        VarianceWindow::new(self.variance_len())
+    }
+
+    /// Puts `vw` in the streamed state at the last refresh boundary at
+    /// or below `i` pushes, and returns that boundary: the index of the
+    /// next energy to push.
+    fn seek(&self, vw: &mut VarianceWindow, energies: &[f64], i: usize) -> usize {
+        let period = vw.refresh_period();
+        let base = i / period * period;
+        if base == 0 {
+            vw.clear();
+        } else {
+            vw.rebuild(&energies[base - self.variance_len()..base]);
+        }
+        base
+    }
+
+    /// Pushes `energy(next..to)` into `vw`, which holds the streamed
+    /// state after `next` pushes, and tests the window after each push
+    /// from index `eval_from` on: returns the first index whose window
+    /// fires, or the last one, as `which` asks.
+    ///
+    /// Every window ending in block `c` of `w` energies (aligned at
+    /// multiples of `w`, cut at `to`) lies within blocks `c − 1` and
+    /// `c`, so the tests take their energy bounds from those two
+    /// blocks, computed once per block.
+    fn scan(
+        &self,
+        vw: &mut VarianceWindow,
+        energy: impl Fn(usize) -> f64,
+        next: usize,
+        eval_from: usize,
+        to: usize,
+        which: Scan,
+    ) -> Option<usize> {
+        let w = self.variance_len();
+        let thr = self.cfg.variance_threshold;
+        let eval_from = eval_from.max(next);
+        for i in next..eval_from.min(to) {
+            vw.push_energy(energy(i));
+        }
+        let bounds = |c: usize| energy_bounds((c * w..((c + 1) * w).min(to)).map(&energy));
+        let empty = energy_bounds([]);
+        let (mut cur, mut window) = (empty, empty);
+        // One past the block holding `cur`; crossing it starts a block.
+        let mut block_end = 0;
+        let mut found = None;
+        for i in eval_from..to {
+            vw.push_energy(energy(i));
+            if i >= block_end {
+                let c = i / w;
+                let prev = match c {
+                    0 => empty,
+                    _ if block_end == c * w => cur,
+                    _ => bounds(c - 1),
+                };
+                cur = bounds(c);
+                window = (prev.0.min(cur.0), prev.1.max(cur.1));
+                block_end = (c + 1) * w;
+            }
+            if vw.is_full() && vw.exceeds(thr, window.0, window.1) {
+                found = Some(i);
+                if which == Scan::First {
+                    break;
                 }
             }
         }
+        found
     }
+}
+
+/// Which firing [`SignalDetector::scan`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scan {
+    First,
+    Last,
+}
+
+/// The span [`SignalDetector::interference_span`] searches for, read
+/// off a full-pass mask ([`SignalDetector::interference_mask_into`]):
+/// the first flagged index in `[from, to)` and one past the last.
+/// `None` when nothing in range is flagged; `to` is clamped to the mask.
+pub fn mask_span(mask: &[bool], from: usize, to: usize) -> Option<(usize, usize)> {
+    let to = to.min(mask.len());
+    let first = mask.get(from..to)?.iter().position(|&m| m)? + from;
+    let last = mask[first..to].iter().rposition(|&m| m)? + first;
+    Some((first, last + 1))
 }
 
 /// Estimates the noise floor from a quiet (signal-free) sample region.
@@ -281,6 +383,26 @@ mod tests {
             noise_floor: NOISE,
             ..Default::default()
         })
+    }
+
+    /// Mean energy and peak normalized variance over the interior that
+    /// `detect` classifies, by the full per-window pass.
+    fn interior_stats(det: &SignalDetector, rx: &[Cplx]) -> (f64, f64) {
+        let (start, end) = det.locate(rx).unwrap();
+        let w = det.config().window;
+        let interior = &rx[start + w..end - w];
+        let mut vw = VarianceWindow::new(w.max(8));
+        let mut peak_nv: f64 = 0.0;
+        for &s in interior {
+            vw.push(s);
+            if vw.is_full() {
+                let (m, var) = vw.mean_and_variance();
+                if m > 0.0 {
+                    peak_nv = peak_nv.max(var / (m * m));
+                }
+            }
+        }
+        (Cplx::mean_energy(interior), peak_nv)
     }
 
     /// Noise, then a clean MSK packet, then noise.
@@ -317,7 +439,8 @@ mod tests {
             end
         );
         assert!(!det.interfered, "clean packet misclassified: {det:?}");
-        assert!((det.mean_energy - 1.0).abs() < 0.1);
+        let (mean_energy, _) = interior_stats(&detector(), &rx);
+        assert!((mean_energy - 1.0).abs() < 0.1);
     }
 
     #[test]
@@ -351,19 +474,16 @@ mod tests {
         rx.extend(noise_vec(&mut rng, 150));
         let det = detector().detect(&rx).unwrap();
         assert!(det.interfered, "interference missed: {det:?}");
-        assert!(det.peak_normalized_variance > 0.05);
+        let (_, peak_nv) = interior_stats(&detector(), &rx);
+        assert!(peak_nv > 0.05);
     }
 
     #[test]
     fn clean_packet_normalized_variance_is_small() {
         let (rx, _, _) = clean_reception(4);
-        let det = detector().detect(&rx).unwrap();
+        let (_, peak_nv) = interior_stats(&detector(), &rx);
         // ≈ 2/SNR = 2·10⁻⁴·... noise floor 40 dB below: nv ≈ 2e-4·…
-        assert!(
-            det.peak_normalized_variance < 0.01,
-            "nv {}",
-            det.peak_normalized_variance
-        );
+        assert!(peak_nv < 0.01, "nv {peak_nv}");
     }
 
     #[test]
@@ -467,10 +587,10 @@ mod tests {
     }
 
     #[test]
-    fn mask_from_energies_matches_sample_mask() {
-        // The batched detect stage (precomputed |y|² via the SoA energy
-        // kernel) must produce the bit-identical mask to the sample
-        // form, including on a dirty, oversized reused buffer.
+    fn span_from_energies_matches_sample_mask() {
+        // The searched span over precomputed |y|² (the SoA energy
+        // kernel) must equal the one read off the sample-form mask, for
+        // every search range over the region.
         let det = detector();
         let mut rng = DspRng::seed_from(9);
         let modem = MskModem::default();
@@ -493,14 +613,40 @@ mod tests {
                 })
                 .collect();
             anc_dsp::batch::energies_into(&region, &mut energies);
-            let mut from_energies = vec![true; 9000]; // dirty
-            det.interference_mask_from_energies(&energies, &mut from_energies);
-            assert_eq!(
-                from_energies,
-                det.interference_mask(&region),
-                "stagger {stagger}"
-            );
+            let mask = det.interference_mask(&region);
+            for from in (0..region.len()).step_by(37) {
+                for to in (from..=region.len() + 5).step_by(23) {
+                    assert_eq!(
+                        det.interference_span(&energies, from, to),
+                        mask_span(&mask, from, to),
+                        "stagger {stagger}, range {from}..{to}"
+                    );
+                }
+            }
         }
+    }
+
+    #[test]
+    fn negative_threshold_fires_without_a_full_window() {
+        // A 6-sample region holds no full 8-sample variance window; the
+        // variance peak of zero still exceeds a negative threshold.
+        let det = SignalDetector::new(DetectorConfig {
+            window: 4,
+            noise_floor: NOISE,
+            variance_threshold: -0.1,
+            ..Default::default()
+        });
+        let rx = [
+            Cplx::ZERO,
+            Cplx::ZERO,
+            Cplx::ONE,
+            Cplx::I,
+            Cplx::ZERO,
+            Cplx::ZERO,
+        ];
+        let region = det.detect(&rx).unwrap();
+        assert_eq!((region.start, region.end), (0, 6));
+        assert!(region.interfered);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Property-based tests of the decoder's algebraic invariants.
 
 use anc_core::amplitude::estimate_amplitudes;
-use anc_core::detect::{DetectorConfig, SignalDetector};
+use anc_core::detect::{mask_span, DetectorConfig, SignalDetector};
 use anc_core::lemma::{solve_phases, CandidateBatch, LemmaKernel};
 use anc_core::matcher::{
     match_bits_batch, match_bits_into, match_phase_differences, MatchBatchScratch,
 };
 use anc_dsp::angle::circular_distance;
 use anc_dsp::batch::energies_into;
-use anc_dsp::{Cplx, DspRng};
+use anc_dsp::{Cplx, DspRng, VarianceWindow};
 use anc_modem::{Modem, MskConfig, MskModem};
 use proptest::prelude::*;
 use std::f64::consts::PI;
@@ -164,7 +164,7 @@ proptest! {
     }
 
     /// The batched SoA pipeline — `energies_into` →
-    /// `interference_mask_from_energies` → `candidate_vectors_batch` →
+    /// `interference_span` → `candidate_vectors_batch` →
     /// `match_bits_batch` — is bit-identical to the scalar reference
     /// stages on realistic interfered MSK receptions. `cut` truncates
     /// the reception by 0–3 samples so the candidate batch exercises
@@ -191,15 +191,17 @@ proptest! {
         rx.truncate(rx.len() - cut);
         let dtheta = ma.phase_differences(&alice);
 
-        // Detection: the precomputed-energy batch front-end must agree
-        // sample-for-sample with the streaming scalar mask.
+        // Detection: the span searched over precomputed energies must
+        // agree with the one read off the streaming scalar mask.
         let det = SignalDetector::new(DetectorConfig::default());
         let scalar_mask = det.interference_mask(&rx);
         let mut energies = Vec::new();
         energies_into(&rx, &mut energies);
-        let mut batch_mask = Vec::new();
-        det.interference_mask_from_energies(&energies, &mut batch_mask);
-        prop_assert_eq!(&batch_mask, &scalar_mask);
+        let from = det.config().window.min(rx.len());
+        prop_assert_eq!(
+            det.interference_span(&energies, from, rx.len()),
+            mask_span(&scalar_mask, from, rx.len())
+        );
 
         // Lemma: the SoA candidate kernel replays the scalar ops.
         let kernel = LemmaKernel::new(a, b);
@@ -306,6 +308,116 @@ proptest! {
         prop_assert_eq!(det.locate(&rx), want);
     }
 
+    /// `detect` stops at the first firing window and skips the windows
+    /// that cannot fire, yet returns what the full per-window pass over
+    /// the same interior returns: on noise alone, clean and interfered
+    /// packets, inputs shorter than a window, regions shorter than the
+    /// variance window, constant signals, NaN/±∞ samples, magnitudes
+    /// 1e±150, subnormal energies, and negative thresholds.
+    #[test]
+    fn variance_detect_matches_full_pass(
+        kind in 0u8..9, seed in any::<u64>(), scale_pick in 0usize..3,
+        lead in 0usize..120, n in 8usize..400, stagger in 1usize..200,
+        window in 4usize..48, thr_pick in 0usize..5,
+    ) {
+        const NOISE: f64 = 1e-4;
+        let mut rng = DspRng::seed_from(seed);
+        let amp = match kind {
+            6 => [1e75, 1e-75, 5e76][scale_pick],
+            7 => 1e-158,
+            _ => 1.0,
+        };
+        // A burst of a few samples leaves no full variance window only
+        // when the detection window and the noise around it are short.
+        let (window, lead) = if kind == 8 {
+            (4 + window % 4, lead % 4)
+        } else {
+            (window, lead)
+        };
+        let det = SignalDetector::new(DetectorConfig {
+            window,
+            noise_floor: NOISE * amp * amp,
+            variance_threshold: [0.05, 0.002, 0.3, -0.1, 0.0][thr_pick],
+            ..DetectorConfig::default()
+        });
+        let rx: Vec<Cplx> = reception(&mut rng, kind, lead, n, stagger, window)
+            .into_iter()
+            .map(|y| y.scale(amp))
+            .collect();
+        prop_assert_eq!(
+            det.detect(&rx).map(|r| (r.start, r.end, r.interfered)),
+            full_pass_detect(&det, &rx)
+        );
+    }
+
+    /// The searched interference span equals the one read off the
+    /// full-pass mask, for every search range: firings that start or
+    /// end across refresh boundaries (indices 255/256/257 and 511/512
+    /// for a 32-sample window), empty ranges, spans whose last firing
+    /// sits blocks below the end of the range, and regions that never
+    /// fire.
+    #[test]
+    fn variance_span_matches_mask(
+        kind in 0u8..4, seed in any::<u64>(), window_pick in 0usize..4,
+        d1 in 0usize..5, d2 in 0usize..5,
+    ) {
+        let mut rng = DspRng::seed_from(seed);
+        let det = SignalDetector::new(DetectorConfig {
+            window: [32, 32, 8, 20][window_pick],
+            ..DetectorConfig::default()
+        });
+        let w = det.config().window.max(8);
+        let period = 8 * w;
+        let n = 3 * period + 100;
+        // A lone constant-envelope signal plus a little noise: its
+        // windows never fire, and most are certified.
+        let mut rx: Vec<Cplx> = (0..n)
+            .map(|_| Cplx::cis(rng.phase()).scale(1.0 + 0.002 * rng.gaussian()))
+            .collect();
+        match kind {
+            0 => {
+                // Isolated energy spikes: a spike at k fires exactly
+                // windows k ..= k + w − 1. The first firing lands on
+                // period − 3 ..= period + 1, the last of the second
+                // spike on 2·period − 3 ..= 2·period + 1.
+                for k in [period - 3 + d1, 2 * period - w - 2 + d2] {
+                    rx[k] = rx[k].scale(10.0);
+                }
+            }
+            1 => {
+                // A second MSK signal over a burst that opens near the
+                // first boundary and closes near the second.
+                let b0 = period - 40 + 10 * d1;
+                let b1 = 2 * period - w - 20 + 10 * d2;
+                let other = MskModem::default().modulate(&rng.bits(b1 - b0));
+                let rot = rng.phase();
+                for (k, &s) in other.iter().enumerate().take(b1 - b0) {
+                    rx[b0 + k] += s.rotate(rot);
+                }
+            }
+            2 => {}
+            _ => {
+                for _ in 0..1 + d1 {
+                    let k = rng.uniform_int(0, n as u64 - 1) as usize;
+                    rx[k] = rx[k].scale(10.0);
+                }
+            }
+        }
+        let mut energies = Vec::new();
+        energies_into(&rx, &mut energies);
+        let mask = det.interference_mask(&rx);
+        let froms = [0, w, period - 2, period + 1, 2 * period, n - 1];
+        for from in froms {
+            for to in 0..=n + 2 {
+                prop_assert_eq!(
+                    det.interference_span(&energies, from, to),
+                    mask_span(&mask, from, to),
+                    "range {}..{}", from, to
+                );
+            }
+        }
+    }
+
     /// End-to-end invariant: for a noiseless, phase-swept mixture with
     /// exact amplitudes the matcher's residual is small on nearly all
     /// intervals.
@@ -325,4 +437,90 @@ proptest! {
         let small = m.err.iter().filter(|&&e| e < 0.5).count();
         prop_assert!(small * 10 >= m.err.len() * 9, "only {}/{} small residuals", small, m.err.len());
     }
+}
+
+/// A detector input of `kind`: 0 noise alone, 1 a clean packet, 2 two
+/// packets staggered by `stagger`, 3 an input shorter than the window,
+/// 4 a constant signal, 5 a clean or interfered packet carrying NaN and
+/// ±∞ samples; 6 and 7 (rescaled by the caller) a clean or interfered
+/// packet; 8 a burst of 1–3 unit samples. Packets carry `n` bits
+/// between `lead` samples of noise.
+fn reception(
+    rng: &mut DspRng,
+    kind: u8,
+    lead: usize,
+    n: usize,
+    stagger: usize,
+    window: usize,
+) -> Vec<Cplx> {
+    const NOISE: f64 = 1e-4;
+    let modem = MskModem::default();
+    let interfered = kind == 2 || ((5..=7).contains(&kind) && rng.bit());
+    let mut rx: Vec<Cplx> = (0..lead).map(|_| rng.complex_gaussian(NOISE)).collect();
+    match kind {
+        0 => rx.extend((0..n).map(|_| rng.complex_gaussian(NOISE))),
+        4 => rx.extend(std::iter::repeat(Cplx::new(0.6, -0.8)).take(n)),
+        8 => rx.extend((0..1 + n % 3).map(|_| Cplx::cis(rng.phase()))),
+        _ if interfered => {
+            let a = modem.modulate(&rng.bits(n));
+            let b = modem.modulate(&rng.bits(n));
+            let rb = rng.phase();
+            for i in 0..stagger + b.len() {
+                let mut y = rng.complex_gaussian(NOISE);
+                if i < a.len() {
+                    y += a[i];
+                }
+                if i >= stagger {
+                    y += b[i - stagger].rotate(rb);
+                }
+                rx.push(y);
+            }
+        }
+        _ => {
+            let sig = modem.modulate(&rng.bits(n));
+            rx.extend(sig.iter().map(|&x| x + rng.complex_gaussian(NOISE)));
+        }
+    }
+    rx.extend((0..lead).map(|_| rng.complex_gaussian(NOISE)));
+    if kind == 3 {
+        rx.truncate(window - 1);
+    }
+    if kind == 5 {
+        for k in 0..4 {
+            let i = rng.uniform_int(0, rx.len() as u64 - 1) as usize;
+            rx[i] = match k {
+                0 => Cplx::new(f64::NAN, 0.5),
+                1 => Cplx::new(0.5, f64::INFINITY),
+                2 => Cplx::new(f64::NEG_INFINITY, 0.0),
+                _ => Cplx::new(f64::NAN, f64::NAN),
+            };
+        }
+    }
+    rx
+}
+
+/// `detect` as the full pass computes it: the `locate` bounds, then
+/// the peak normalized variance over every full window of the
+/// interior against the threshold.
+fn full_pass_detect(det: &SignalDetector, rx: &[Cplx]) -> Option<(usize, usize, bool)> {
+    let (start, end) = det.locate(rx)?;
+    let w = det.config().window;
+    let region = &rx[start..end];
+    let interior = if region.len() > 2 * w {
+        &region[w..region.len() - w]
+    } else {
+        region
+    };
+    let mut vw = VarianceWindow::new(w.max(8));
+    let mut peak_nv: f64 = 0.0;
+    for &s in interior {
+        vw.push(s);
+        if vw.is_full() {
+            let (m, var) = vw.mean_and_variance();
+            if m > 0.0 {
+                peak_nv = peak_nv.max(var / (m * m));
+            }
+        }
+    }
+    Some((start, end, peak_nv > det.config().variance_threshold))
 }

@@ -136,7 +136,7 @@ impl CplxBatch {
 ///
 /// This is the detect stage's batch front half: the variance windows of
 /// §7.1 consume only energies, so computing them once in a lane loop
-/// lets the mask fill (`interference_mask_from_energies` in `anc-core`)
+/// lets the interference-span search (`interference_span` in `anc-core`)
 /// skip the per-sample `norm_sq` inside its sequential window update.
 /// Each element is exactly [`Cplx::norm_sq`] — the same `mul_add`
 /// contraction the scalar detector performs — so downstream statistics

@@ -15,6 +15,13 @@
 //! sliding `E[x²]−E[x]²`, the deviation form cannot cancel
 //! catastrophically (an off-by-δ mean inflates the variance by only
 //! δ², and δ is pinned to a few ulps by the refresh).
+//!
+//! Only the §7.1 yes/no decision leaves the variance tracker, so
+//! [`VarianceWindow::exceeds`] skips the deviation pass wherever a
+//! bound on the window's energies proves the pass cannot fire, and
+//! [`VarianceWindow::rebuild`] restores a streamed window's exact state
+//! at a refresh boundary, so a search can start there instead of at the
+//! head of the stream (DESIGN.md §5).
 
 use crate::cplx::Cplx;
 use std::collections::VecDeque;
@@ -56,7 +63,7 @@ impl EnergyWindow {
     /// poison the window's mean for the rest of the stream.
     #[inline]
     pub fn push_energy(&mut self, energy: f64) {
-        let energy = if energy.is_finite() { energy } else { 0.0 };
+        let energy = sanitize(energy);
         if self.buf.len() == self.cap {
             if let Some(old) = self.buf.pop_front() {
                 self.sum -= old;
@@ -125,6 +132,9 @@ pub struct VarianceWindow {
     cap: usize,
     sum: f64,
     until_refresh: usize,
+    /// Largest squared deviation bound [`VarianceWindow::exceeds`] may
+    /// certify: `cap` such terms cannot overflow the deviation pass.
+    max_certified_d2: f64,
 }
 
 /// Pushes between exact recomputations of a window's running sum, as a
@@ -133,6 +143,35 @@ pub struct VarianceWindow {
 /// below anything the §7.1 thresholds could notice — while keeping the
 /// refresh cost amortized O(1/interval) per push.
 const REFRESH_INTERVAL_CAPS: usize = 8;
+
+/// Relative safety margin of [`VarianceWindow::exceeds`]'s certificate.
+/// The deviation pass rounds each of its `O(cap)` operations by at most
+/// one unit in 2⁵³, so for any window below millions of samples its
+/// result sits within far less than 10⁻⁹ of its real-number value.
+const CERTIFICATE_SCALE: f64 = 1.0 - 1e-9;
+
+/// Smallest and largest energy of a slice as a [`VarianceWindow`]
+/// stores them (non-finite energies count as zero, the push sentinel);
+/// `(+∞, −∞)` for an empty slice. Feed the result of every block a
+/// window spans to [`VarianceWindow::exceeds`].
+pub fn energy_bounds(energies: impl IntoIterator<Item = f64>) -> (f64, f64) {
+    energies
+        .into_iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), e| {
+            let e = sanitize(e);
+            (lo.min(e), hi.max(e))
+        })
+}
+
+/// The NaN sentinel shared by both trackers' `push_energy`.
+#[inline]
+fn sanitize(energy: f64) -> f64 {
+    if energy.is_finite() {
+        energy
+    } else {
+        0.0
+    }
+}
 
 impl VarianceWindow {
     /// Creates a window holding `cap` energies. `cap` must be ≥ 2 for a
@@ -148,6 +187,7 @@ impl VarianceWindow {
             cap,
             sum: 0.0,
             until_refresh: REFRESH_INTERVAL_CAPS * cap,
+            max_certified_d2: f64::MAX / (2 * cap) as f64,
         }
     }
 
@@ -164,7 +204,7 @@ impl VarianceWindow {
     /// mean and variance in the stream.
     #[inline]
     pub fn push_energy(&mut self, energy: f64) {
-        let energy = if energy.is_finite() { energy } else { 0.0 };
+        let energy = sanitize(energy);
         if self.ring.len() < self.cap {
             self.ring.push(energy);
         } else {
@@ -257,6 +297,71 @@ impl VarianceWindow {
         } else {
             self.sum / self.ring.len() as f64
         }
+    }
+
+    /// Pushes between the exact recomputations of the running sum
+    /// (`8·cap`). Right after each one the window's whole state is a
+    /// function of its last `cap` energies alone ([`Self::rebuild`]).
+    pub fn refresh_period(&self) -> usize {
+        REFRESH_INTERVAL_CAPS * self.cap
+    }
+
+    /// Puts the window in the exact state a streamed window holds after
+    /// any positive multiple of [`Self::refresh_period`] pushes whose
+    /// last `cap` energies are `last`, oldest first: the refresh has
+    /// just recomputed the sum from the ring, and since the period is a
+    /// multiple of `cap` the ring holds `last` in order with its write
+    /// position back at slot 0. Reuses the ring's storage.
+    ///
+    /// # Panics
+    /// Panics if `last.len()` differs from the capacity.
+    pub fn rebuild(&mut self, last: &[f64]) {
+        assert_eq!(last.len(), self.cap, "rebuild needs exactly cap energies");
+        self.ring.clear();
+        self.ring.extend(last.iter().map(|&e| sanitize(e)));
+        self.pos = 0;
+        self.sum = self.ring.iter().sum();
+        self.until_refresh = REFRESH_INTERVAL_CAPS * self.cap;
+    }
+
+    /// The §7.1 decision: `true` when the window's normalized variance
+    /// `var/m²` exceeds `threshold` (0 when `m ≤ 0`) — bit-identical to
+    /// testing [`Self::mean_and_variance`] — provided every energy in
+    /// the window lies in `[lo, hi]` ([`energy_bounds`]).
+    ///
+    /// Each squared deviation the pass sums is at most
+    /// `d² = max(hi − m, m − lo)²` (rounding is monotone), so when
+    /// `d² ≤ threshold·m²·(1 − 10⁻⁹)` the pass cannot fire and is
+    /// skipped: the margin absorbs the pass's own rounding. The skip is
+    /// taken only while `m > 0`, `m²` and `d²` are normal and `cap·d²`
+    /// cannot overflow; everything else runs the exact pass.
+    #[inline]
+    pub fn exceeds(&self, threshold: f64, lo: f64, hi: f64) -> bool {
+        let n = self.ring.len();
+        if n >= 2 {
+            let m = self.sum / n as f64;
+            let mm = m * m;
+            let d = (hi - m).max(m - lo);
+            let d2 = d * d;
+            if m > 0.0
+                && mm.is_normal()
+                && d2.is_normal()
+                && d2 <= self.max_certified_d2
+                && d2 <= threshold * mm * CERTIFICATE_SCALE
+            {
+                return false;
+            }
+        }
+        self.exceeds_exact(threshold)
+    }
+
+    /// The exact test behind [`Self::exceeds`]. Out of line, so that
+    /// the certified path stays small enough to inline into a scan.
+    #[inline(never)]
+    fn exceeds_exact(&self, threshold: f64) -> bool {
+        let (m, var) = self.mean_and_variance();
+        let nv = if m > 0.0 { var / (m * m) } else { 0.0 };
+        nv > threshold
     }
 
     /// Clears the window.
@@ -442,6 +547,49 @@ mod tests {
         w.push_energy(4.0);
         assert_eq!(w.variance(), 0.0);
         assert!((w.mean() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn certificate_never_hides_an_overflowing_pass() {
+        // Half the energies at m − d, half at m + d with d² = 0.04·m²:
+        // below the 0.05 threshold in real numbers, but 32 squared
+        // deviations near 7e306 overflow the pass to +∞, which fires.
+        // The skip must leave that window to the exact pass.
+        let m = 1.3e154;
+        let (lo, hi) = (0.8 * m, 1.2 * m);
+        let mut w = VarianceWindow::new(32);
+        for k in 0..32 {
+            w.push_energy(if k % 2 == 0 { lo } else { hi });
+        }
+        let (mean, var) = w.mean_and_variance();
+        assert!(var.is_infinite() && (mean * mean).is_normal());
+        assert!(w.exceeds(0.05, lo, hi));
+    }
+
+    #[test]
+    fn rebuild_restores_refresh_state() {
+        let mut streamed = VarianceWindow::new(4);
+        let stream: Vec<f64> = (0..streamed.refresh_period())
+            .map(|k| (k as f64 * 0.37).sin() + 2.0)
+            .collect();
+        stream.iter().for_each(|&e| streamed.push_energy(e));
+        let mut rebuilt = VarianceWindow::new(4);
+        rebuilt.rebuild(&stream[stream.len() - 4..]);
+        for e in [1.0, f64::NAN, 7.5, 2.0, 3.0] {
+            streamed.push_energy(e);
+            rebuilt.push_energy(e);
+            let (a, b) = (streamed.mean_and_variance(), rebuilt.mean_and_variance());
+            assert_eq!(
+                (a.0.to_bits(), a.1.to_bits()),
+                (b.0.to_bits(), b.1.to_bits())
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn rebuild_rejects_wrong_length() {
+        VarianceWindow::new(4).rebuild(&[1.0; 3]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use anc_dsp::angle::{circular_diff, unwrap};
 use anc_dsp::corr::{best_match, hamming_distance};
 use anc_dsp::resample::{decimate, fractional_delay, upsample_hold};
+use anc_dsp::window::energy_bounds;
 use anc_dsp::{
     percentile, wrap_pi, Cdf, Cplx, DspRng, EnergyWindow, Lfsr, RunningStats, VarianceWindow,
 };
@@ -213,6 +214,73 @@ proptest! {
         }
     }
 
+    /// A window rebuilt at a refresh boundary from its last `cap`
+    /// energies is the streamed window: the same `mean_and_variance`
+    /// bits right away and after every push of two refresh periods.
+    #[test]
+    fn variance_rebuild_matches_stream(
+        cap in 2usize..48, periods in 1usize..4, kind in 0u8..5, seed in any::<u64>(),
+    ) {
+        let mut rng = DspRng::seed_from(seed);
+        let mut streamed = VarianceWindow::new(cap);
+        let period = streamed.refresh_period();
+        prop_assert_eq!(period % cap, 0);
+        let stream = energies(&mut rng, kind, (periods + 2) * period);
+        let (head, tail) = stream.split_at(periods * period);
+        for &e in head {
+            streamed.push_energy(e);
+        }
+        let mut rebuilt = VarianceWindow::new(cap);
+        rebuilt.push_energy(tail[0]); // dirty state first
+        rebuilt.rebuild(&head[head.len() - cap..]);
+        for k in 0..=tail.len() {
+            if k > 0 {
+                streamed.push_energy(tail[k - 1]);
+                rebuilt.push_energy(tail[k - 1]);
+            }
+            let (m0, v0) = streamed.mean_and_variance();
+            let (m1, v1) = rebuilt.mean_and_variance();
+            prop_assert_eq!(m0.to_bits(), m1.to_bits(), "mean after {} pushes", k);
+            prop_assert_eq!(v0.to_bits(), v1.to_bits(), "variance after {} pushes", k);
+        }
+    }
+
+    /// The certified §7.1 decision equals the exact test for any
+    /// bounds that hold the window's energies, at thresholds a few
+    /// ulps and a few margins away from the window's own normalized
+    /// variance, and at the degenerate thresholds.
+    #[test]
+    fn variance_certificate_matches_exact_test(
+        cap in 2usize..64, pushes in 1usize..200, kind in 0u8..5, seed in any::<u64>(),
+    ) {
+        let mut rng = DspRng::seed_from(seed);
+        let mut w = VarianceWindow::new(cap);
+        let stream = energies(&mut rng, kind, pushes);
+        for (i, &e) in stream.iter().enumerate() {
+            w.push_energy(e);
+            let (m, v) = w.mean_and_variance();
+            let nv = if m > 0.0 { v / (m * m) } else { 0.0 };
+            let (lo, hi) = energy_bounds(stream[..=i].iter().rev().take(cap).copied());
+            let mut thresholds = vec![0.05, 0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, 1e300];
+            if nv.is_finite() && nv > 0.0 {
+                for k in 0..=4u64 {
+                    thresholds.push(f64::from_bits(nv.to_bits() + k));
+                    thresholds.push(f64::from_bits(nv.to_bits() - k));
+                }
+                for j in [0.5, 1.0, 2.0] {
+                    thresholds.push(nv * (1.0 + j * 1e-9));
+                    thresholds.push(nv * (1.0 - j * 1e-9));
+                }
+            }
+            for thr in thresholds {
+                let want = nv > thr;
+                prop_assert_eq!(w.exceeds(thr, lo, hi), want, "thr {} nv {}", thr, nv);
+                let (lo2, hi2) = (lo - lo.abs() * 0.5, hi + hi.abs() * 0.5);
+                prop_assert_eq!(w.exceeds(thr, lo2, hi2), want, "loose bounds, thr {}", thr);
+            }
+        }
+    }
+
     /// Gaussian sampler: bounded draws don't explode (smoke) and the
     /// seeded stream is reproducible.
     #[test]
@@ -224,4 +292,31 @@ proptest! {
             prop_assert_eq!(a.uniform_int(1, 32), b.uniform_int(1, 32));
         }
     }
+}
+
+/// `len` energies of a stream `kind`: 0 a clean signal (1 plus small
+/// noise), 1 an interfered one (anywhere in 0..4), 2 magnitudes from
+/// 1e-150 to 1e150, 3 levels 1 − δ and 1 + δ in turn, so that every
+/// even window's mean is exactly 1 and its squared deviations all meet
+/// the certificate's bound (the tight case), 4 a clean signal with NaN,
+/// ±∞ and subnormal draws mixed in.
+fn energies(rng: &mut DspRng, kind: u8, len: usize) -> Vec<f64> {
+    // 30 fractional bits keep every running sum exact, while δ² needs
+    // 60 bits and rounds.
+    let delta = rng.uniform_int(1, 1 << 30) as f64 / (1u64 << 31) as f64;
+    (0..len)
+        .map(|i| match kind {
+            0 => 1.0 + 0.01 * rng.gaussian(),
+            1 => rng.uniform_range(0.0, 4.0),
+            2 => rng.uniform() * 10f64.powf(rng.uniform_range(-150.0, 150.0)),
+            3 => 1.0 + if i % 2 == 0 { -delta } else { delta },
+            _ => match rng.uniform_int(0, 40) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => f64::from_bits(rng.uniform_int(1, 1 << 40)),
+                _ => 1.0 + 0.01 * rng.gaussian(),
+            },
+        })
+        .collect()
 }

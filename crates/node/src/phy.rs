@@ -173,32 +173,48 @@ impl RxChain {
         std::mem::swap(&mut self.scratch, other);
     }
 
-    /// Reads the header near a bit stream's head: pilot located by
-    /// best correlation, header follows it.
-    fn read_head_header(&self, bits: &[bool]) -> Option<Header> {
+    /// Reads the header near the head of a `total`-bit stream whose
+    /// first bits are `head`: pilot located by best correlation, header
+    /// follows it. `head` must hold [`Self::header_span`] bits (or the
+    /// whole stream, if shorter).
+    fn read_head_header(&self, head: &[bool], total: usize) -> Option<Header> {
         let p = self.frame_cfg.pilot_len;
         let pilot = pilot_sequence(p);
-        let search = (p + HEADER_BITS + 512).min(bits.len());
+        let search = (p + HEADER_BITS + 512).min(total);
         let (off, _err) =
-            best_match_bounded(&bits[..search], &pilot, self.frame_cfg.pilot_max_errors)?;
-        if off + p + HEADER_BITS > bits.len() {
+            best_match_bounded(&head[..search], &pilot, self.frame_cfg.pilot_max_errors)?;
+        if off + p + HEADER_BITS > total {
             return None;
         }
-        Header::from_bits(&bits[off + p..off + p + HEADER_BITS])
+        Header::from_bits(&head[off + p..off + p + HEADER_BITS])
     }
 
-    /// Reads the mirrored header near a bit stream's tail by reversing
-    /// and reusing the head reader.
-    fn read_tail_header(&self, bits: &[bool]) -> Option<Header> {
-        let rev: Vec<bool> = bits.iter().rev().copied().collect();
-        self.read_head_header(&rev)
+    /// Bits [`Self::read_head_header`] can read: the pilot search span
+    /// plus one header past its end.
+    fn header_span(&self) -> usize {
+        self.frame_cfg.pilot_len + 2 * HEADER_BITS + 512
     }
 
     /// Recovers both headers of an interfered region (§7.5): the first
-    /// packet's from the clean head, the second's from the clean tail.
+    /// packet's from the clean head, the second's from the clean tail
+    /// (its mirrored header, read on the reversed bits). MSK decides
+    /// each bit from its own symbol interval, so only the two header
+    /// spans are demodulated.
     pub fn peek_headers(&self, region: &[Cplx]) -> (Option<Header>, Option<Header>) {
-        let bits = self.modem.demodulate(region);
-        (self.read_head_header(&bits), self.read_tail_header(&bits))
+        let s = self.modem.config().samples_per_symbol;
+        // Bit k spans samples k·s ..= (k+1)·s.
+        let total = region.len().saturating_sub(1) / s;
+        let span = self.header_span().min(total);
+        let end = |bits: usize| (bits * s + 1).min(region.len());
+        let head = self.modem.demodulate(&region[..end(span)]);
+        let mut tail = self
+            .modem
+            .demodulate(&region[(total - span) * s..end(total)]);
+        tail.reverse();
+        (
+            self.read_head_header(&head, total),
+            self.read_head_header(&tail, total),
+        )
     }
 
     /// The full Alg.-1 receive path for one reception window.
@@ -423,6 +439,40 @@ mod tests {
         match rxc.process(&rx_samples, &buf, &RouterPolicy::new()) {
             RxEvent::Dropped(DropReason::PolicyDrop) => {}
             other => panic!("expected PolicyDrop, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn peek_headers_matches_full_demodulation() {
+        // Demodulating only the two header spans must read the same
+        // headers as demodulating the whole region and reversing all of
+        // it, at every region length and oversampling factor.
+        let mut rng = DspRng::seed_from(9);
+        for sps in [1, 2, 3] {
+            let tx = TxChain::with_oversampling(FrameConfig::default(), sps);
+            let rxc = RxChain::with_oversampling(decoder_cfg(), sps);
+            let fa = make_frame(&mut rng, 1, 2, 3, 300);
+            let fb = make_frame(&mut rng, 2, 1, 5, 300);
+            let region = reception(
+                &mut rng,
+                &tx,
+                &[(&fa, 0, 1.0, 0.0), (&fb, 250 * sps, 0.9, 0.02)],
+            );
+            let mut lens: Vec<usize> = (0..40).chain((0..region.len()).step_by(97)).collect();
+            lens.push(region.len());
+            for len in lens {
+                let r = &region[..len];
+                let bits = rxc.modem.demodulate(r);
+                let rev: Vec<bool> = bits.iter().rev().copied().collect();
+                let want = (
+                    rxc.read_head_header(&bits, bits.len()),
+                    rxc.read_head_header(&rev, rev.len()),
+                );
+                assert_eq!(rxc.peek_headers(r), want, "sps {sps}, len {len}");
+            }
+            let (head, tail) = rxc.peek_headers(&region);
+            assert_eq!(head.unwrap().key(), fa.header.key(), "sps {sps}");
+            assert_eq!(tail.unwrap().key(), fb.header.key(), "sps {sps}");
         }
     }
 
