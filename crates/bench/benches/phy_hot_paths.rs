@@ -10,7 +10,9 @@ use anc_core::matcher::{
     match_bits_batch, match_bits_into, match_phase_differences, MatchBatchScratch,
 };
 use anc_dsp::batch::energies_into;
+use anc_dsp::lfsr::{Lfsr, WHITEN_SEED};
 use anc_dsp::{Cplx, DspRng};
+use anc_frame::{Frame, FrameConfig, Header};
 use anc_modem::{Modem, MskModem};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -24,8 +26,36 @@ fn bench_modulation(c: &mut Criterion) {
         b.iter(|| black_box(modem.modulate(black_box(&bits))))
     });
     let signal = modem.modulate(&bits);
-    g.bench_function("demodulate_8k_bits", |b| {
+    g.bench_function("demodulate_8k", |b| {
         b.iter(|| black_box(modem.demodulate(black_box(&signal))))
+    });
+    g.finish();
+}
+
+/// The bit path of one paper-size (8192-bit payload) frame: the TX
+/// serializer, the clean-RX parse, and the whitening scrambler alone.
+fn bench_frame_bits(c: &mut Criterion) {
+    let mut rng = DspRng::seed_from(8);
+    let cfg = FrameConfig::default();
+    let frame = Frame::new(Header::new(1, 2, 3, 0), rng.bits(8192));
+    let on_air = frame.to_bits(&cfg);
+    let mut g = c.benchmark_group("frame");
+    g.throughput(Throughput::Elements(on_air.len() as u64));
+    g.bench_function("to_bits_8k", |b| {
+        b.iter(|| black_box(black_box(&frame).to_bits(&cfg)))
+    });
+    g.bench_function("parse_lenient_8k", |b| {
+        b.iter(|| black_box(Frame::parse_lenient(black_box(&on_air), &cfg)))
+    });
+    g.finish();
+    let mut data = rng.bits(8192);
+    let mut g = c.benchmark_group("lfsr");
+    g.throughput(Throughput::Elements(data.len() as u64));
+    g.bench_function("whiten_8k", |b| {
+        b.iter(|| {
+            Lfsr::new(WHITEN_SEED).whiten(black_box(&mut data));
+            black_box(data[0])
+        })
     });
     g.finish();
 }
@@ -198,6 +228,7 @@ fn bench_medium(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_modulation,
+    bench_frame_bits,
     bench_medium,
     bench_lemma,
     bench_matcher,

@@ -262,7 +262,11 @@ impl AncDecoder {
         Ok(out)
     }
 
-    fn decode_in_region(
+    /// [`AncDecoder::decode_forward_with`] on the `region` that
+    /// [`AncDecoder::classify`] returned for this same `rx`: a receiver
+    /// that has already classified the reception skips a second
+    /// detection.
+    pub fn decode_in_region(
         &self,
         rx: &[Cplx],
         region: &ClassifiedSignal,

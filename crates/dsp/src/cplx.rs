@@ -88,26 +88,27 @@ impl Cplx {
     }
 
     /// `true` exactly when `self.arg() >= 0.0` would be, without the
-    /// `atan2`: the argument's sign is the sign of `im`, except on the
-    /// real axis where IEEE signed zeros decide between `±0` and `±π`.
-    /// NaN components yield `false` (`arg` would be NaN, and
-    /// `NaN >= 0.0` is false) — the explicit NaN sentinel the §6.4 bit
-    /// decision and the MSK hard demodulator rely on.
+    /// `atan2` in all but a sliver of the plane.
+    ///
+    /// Off that sliver the argument's sign is the sign bit of `im`:
+    /// for `re ≤ 0` `atan2` lies in `[−π, −π/2]` or `[π/2, π]` (`±π`
+    /// on the negative real axis, by the sign of `im`'s zero), and for
+    /// `re > 0` with `|im/re| > 1e-300` it is a normal angle of `im`'s
+    /// sign. The sliver `|im|·1e300 ≤ re` — the
+    /// positive real axis with its signed zeros, quotients whose tiny
+    /// negative `im` makes `atan2` underflow to `−0.0`, and `re = +∞` —
+    /// is left to `atan2` itself. NaN components yield `false` (`arg`
+    /// would be NaN, and `NaN >= 0.0` is false) — the explicit NaN
+    /// sentinel the §6.4 bit decision and the MSK hard demodulator rely
+    /// on.
     #[inline]
     pub fn arg_is_non_negative(self) -> bool {
-        if self.re.is_nan() || self.im.is_nan() {
-            return false;
+        if self.im.abs() * 1e300 <= self.re {
+            return self.arg() >= 0.0;
         }
-        if self.im != 0.0 {
-            return self.im > 0.0;
-        }
-        if self.im.is_sign_positive() {
-            true // arg is +0 or +π
-        } else {
-            // im = −0: arg is −0.0 (which satisfies >= 0.0) when re
-            // lies on the positive side, −π otherwise.
-            self.re > 0.0 || (self.re == 0.0 && self.re.is_sign_positive())
-        }
+        // `&`, not `&&`: the sign of a random bit stream must not cost
+        // a mispredicted branch.
+        self.im.is_sign_positive() & !self.im.is_nan() & !self.re.is_nan()
     }
 
     /// Complex conjugate.
@@ -430,18 +431,28 @@ mod tests {
 
     #[test]
     fn arg_sign_predicate_matches_atan2_everywhere() {
-        // All sign/zero combinations of the axes, plus general points.
-        for &re in &[-2.0, -0.0, 0.0, 3.0] {
-            for &im in &[-1.0, -0.0, 0.0, 2.5] {
+        // All sign/zero/infinity combinations of the axes, general
+        // points, and points below the positive real axis so close to
+        // it that atan2 underflows to −0.0 (which satisfies `>= 0.0`
+        // although im < 0).
+        let (inf, sub) = (f64::INFINITY, f64::from_bits(1));
+        let vals = [
+            -inf, -1e300, -2.0, -1.0, -1e-300, -sub, -0.0, 0.0, sub, 1e-300, 2.5, 3.0, 1e300, inf,
+        ];
+        for &re in &vals {
+            for &im in &vals {
                 let q = Cplx::new(re, im);
                 assert_eq!(
                     q.arg_is_non_negative(),
                     q.arg() >= 0.0,
-                    "q = {re:?}+{im:?}i (arg {})",
+                    "q = {re:?}+{im:?}i (arg {:?})",
                     q.arg()
                 );
             }
         }
+        assert!(Cplx::new(inf, -1.0).arg_is_non_negative());
+        assert!(Cplx::new(1e300, -1e-310).arg_is_non_negative());
+        assert!(!Cplx::new(1.0, -sub).arg_is_non_negative());
         assert!(!Cplx::new(f64::NAN, 1.0).arg_is_non_negative());
         assert!(!Cplx::new(1.0, f64::NAN).arg_is_non_negative());
         assert!(!Cplx::new(f64::NAN, f64::NAN).arg_is_non_negative());

@@ -50,16 +50,42 @@ impl Lfsr {
         bit == 1
     }
 
+    /// Advances four steps at once and returns the four output bits in
+    /// the low nibble, first bit in bit 0.
+    ///
+    /// Output `k` of [`Lfsr::next_bit`] reads state bits `k`, `k+1`,
+    /// `k+3` and `k+12`. For `k ≤ 3` none of them has been replaced by
+    /// feedback yet, so the four outputs are bits 0–3 of
+    /// `t = s ^ s>>1 ^ s>>3 ^ s>>12`, and after four shifts the state
+    /// is the old bits 4–15 with those outputs above them.
+    #[inline]
+    fn next_nibble(&mut self) -> u16 {
+        let s = self.state;
+        let t = s ^ (s >> 1) ^ (s >> 3) ^ (s >> 12);
+        self.state = (s >> 4) | ((t & 0xF) << 12);
+        t
+    }
+
     /// Generates `n` bits into a fresh vector.
     pub fn bits(&mut self, n: usize) -> Vec<bool> {
-        (0..n).map(|_| self.next_bit()).collect()
+        let mut out = vec![false; n];
+        self.whiten(&mut out);
+        out
     }
 
     /// XORs `data` in place with the LFSR stream — the whitening
     /// operation of §6.2. Applying it twice with the same seed restores
-    /// the original bits.
+    /// the original bits. Runs four steps per `next_nibble` call;
+    /// the `len mod 4` leftover bits take [`Lfsr::next_bit`].
     pub fn whiten(&mut self, data: &mut [bool]) {
-        for b in data {
+        let mut nibbles = data.chunks_exact_mut(4);
+        for nibble in &mut nibbles {
+            let t = self.next_nibble();
+            for (i, b) in nibble.iter_mut().enumerate() {
+                *b ^= (t >> i) & 1 == 1;
+            }
+        }
+        for b in nibbles.into_remainder() {
             *b ^= self.next_bit();
         }
     }

@@ -320,3 +320,59 @@ fn energies(rng: &mut DspRng, kind: u8, len: usize) -> Vec<f64> {
         })
         .collect()
 }
+
+/// The LFSR stream one [`Lfsr::next_bit`] at a time: the reference the
+/// four-step paths must reproduce bit for bit.
+fn lfsr_reference(seed: u16, n: usize) -> Vec<bool> {
+    let mut l = Lfsr::new(seed);
+    (0..n).map(|_| l.next_bit()).collect()
+}
+
+proptest! {
+    /// `Lfsr::bits` equals the per-bit stream for any seed (0 included)
+    /// at every length mod 4, and leaves the register where the per-bit
+    /// walk does.
+    #[test]
+    fn bitpath_lfsr_bits_match_next_bit(seed in any::<u16>(), len in 0usize..260) {
+        for seed in [0, seed] {
+            for n in len..len + 4 {
+                let mut slow = Lfsr::new(seed);
+                let want: Vec<bool> = (0..n).map(|_| slow.next_bit()).collect();
+                let mut fast = Lfsr::new(seed);
+                prop_assert_eq!(fast.bits(n), want, "seed {} len {}", seed, n);
+                prop_assert_eq!(fast.state(), slow.state(), "seed {} len {}", seed, n);
+            }
+        }
+    }
+
+    /// `Lfsr::whiten` XORs the per-bit stream into any data, for any
+    /// seed (0 included) at every length mod 4, including when resumed
+    /// mid-stream.
+    #[test]
+    fn bitpath_whiten_matches_next_bit(
+        seed in any::<u16>(),
+        data in proptest::collection::vec(any::<bool>(), 0..300),
+        split in 0usize..300,
+    ) {
+        for seed in [0, seed] {
+            for cut in 0..4.min(data.len() + 1) {
+                let d = &data[..data.len() - cut];
+                let want: Vec<bool> = d
+                    .iter()
+                    .zip(lfsr_reference(seed, d.len()))
+                    .map(|(&b, k)| b ^ k)
+                    .collect();
+                let mut got = d.to_vec();
+                Lfsr::new(seed).whiten(&mut got);
+                prop_assert_eq!(&got, &want, "seed {} len {}", seed, d.len());
+                // Two calls continue one stream.
+                let mut resumed = d.to_vec();
+                let (head, tail) = resumed.split_at_mut(split.min(d.len()));
+                let mut l = Lfsr::new(seed);
+                l.whiten(head);
+                l.whiten(tail);
+                prop_assert_eq!(&resumed, &want, "seed {} split {}", seed, split);
+            }
+        }
+    }
+}

@@ -6,14 +6,51 @@
 //! frame header, both computed directly over bits (the frame is a bit
 //! stream before modulation, Fig. 6).
 
+/// CRC-16/CCITT-FALSE generator polynomial (MSB first).
+const CRC16_POLY: u16 = 0x1021;
+
+/// Byte table for [`crc16`]: entry `b` is the register after shifting
+/// the 8 bits of `b` (MSB first) through a register holding `b << 8`,
+/// so one lookup stands for eight turns of the per-bit loop.
+const CRC16_TABLE: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = (b as u16) << 8;
+        let mut i = 0;
+        while i < 8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ CRC16_POLY
+            } else {
+                crc << 1
+            };
+            i += 1;
+        }
+        table[b] = crc;
+        b += 1;
+    }
+    table
+};
+
 /// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no reflection).
+///
+/// Whole bytes go through a 256-entry table, eight bits per lookup;
+/// the `len mod 8` leftover bits take the per-bit loop. Bit-identical
+/// to running the per-bit loop over every bit.
 pub fn crc16(bits: &[bool]) -> u16 {
     let mut crc: u16 = 0xFFFF;
-    for &bit in bits {
+    let mut bytes = bits.chunks_exact(8);
+    for byte in &mut bytes {
+        let b = byte
+            .iter()
+            .fold(0u8, |acc, &bit| (acc << 1) | u8::from(bit));
+        crc = (crc << 8) ^ CRC16_TABLE[usize::from((crc >> 8) as u8 ^ b)];
+    }
+    for &bit in bytes.remainder() {
         let top = (crc >> 15) & 1 == 1;
         crc <<= 1;
         if top != bit {
-            crc ^= 0x1021;
+            crc ^= CRC16_POLY;
         }
     }
     crc

@@ -103,24 +103,23 @@ impl Frame {
         Frame { header, payload }
     }
 
-    /// Serializes to the on-air bit layout.
+    /// Serializes to the on-air bit layout. The payload is copied once,
+    /// straight into the output, then whitened and checksummed there.
     pub fn to_bits(&self, cfg: &FrameConfig) -> Vec<bool> {
         let pilot = pilot_sequence(cfg.pilot_len);
         let header_bits = self.header.to_bits();
 
-        let mut body = self.payload.clone();
-        if cfg.whiten {
-            Lfsr::new(WHITEN_SEED).whiten(&mut body);
-        }
-        let c = crc16(&body);
-
         let mut bits = Vec::with_capacity(cfg.frame_bits(self.payload.len()));
         bits.extend_from_slice(&pilot);
         bits.extend_from_slice(&header_bits);
-        bits.extend_from_slice(&body);
-        for i in (0..16).rev() {
-            bits.push((c >> i) & 1 == 1);
+        let body_start = bits.len();
+        bits.extend_from_slice(&self.payload);
+        let body = &mut bits[body_start..];
+        if cfg.whiten {
+            Lfsr::new(WHITEN_SEED).whiten(body);
         }
+        let c = crc16(body);
+        bits.extend((0..16).rev().map(|i| (c >> i) & 1 == 1));
         bits.extend(header_bits.iter().rev());
         bits.extend(pilot.iter().rev());
         bits

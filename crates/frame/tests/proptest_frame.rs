@@ -1,5 +1,7 @@
 //! Property-based tests for the framing substrate.
 
+use anc_dsp::lfsr::{Lfsr, PILOT_SEED, WHITEN_SEED};
+use anc_dsp::DspRng;
 use anc_frame::crc::{append_crc16, crc16, crc8, verify_crc16};
 use anc_frame::fec::{ideal_redundancy_for_ber, Fec, Hamming74, Repetition3};
 use anc_frame::{Frame, FrameConfig, Header, SentPacketBuffer};
@@ -151,5 +153,86 @@ proptest! {
         let last = *seqs.last().unwrap();
         let key = anc_frame::PacketKey { src: 1, dst: 2, seq: last };
         prop_assert!(buf.contains(&key));
+    }
+}
+
+/// CRC-16/CCITT-FALSE one bit at a time: the reference the byte-table
+/// path must reproduce.
+fn crc16_reference(bits: &[bool]) -> u16 {
+    let mut crc: u16 = 0xFFFF;
+    for &bit in bits {
+        let top = crc >> 15 == 1;
+        crc <<= 1;
+        if top != bit {
+            crc ^= 0x1021;
+        }
+    }
+    crc
+}
+
+/// `n` LFSR bits one `next_bit` at a time.
+fn lfsr_reference(seed: u16, n: usize) -> Vec<bool> {
+    let mut l = Lfsr::new(seed);
+    (0..n).map(|_| l.next_bit()).collect()
+}
+
+/// Reference serializer: clone the payload, whiten the clone, checksum
+/// it and concatenate, on the per-bit LFSR and CRC references.
+fn to_bits_reference(frame: &Frame, cfg: &FrameConfig) -> Vec<bool> {
+    let pilot = lfsr_reference(PILOT_SEED, cfg.pilot_len);
+    let header_bits = frame.header.to_bits();
+    let mut body = frame.payload.clone();
+    if cfg.whiten {
+        let key = lfsr_reference(WHITEN_SEED, body.len());
+        body.iter_mut().zip(key).for_each(|(b, k)| *b ^= k);
+    }
+    let c = crc16_reference(&body);
+    let mut bits = Vec::new();
+    bits.extend_from_slice(&pilot);
+    bits.extend_from_slice(&header_bits);
+    bits.extend_from_slice(&body);
+    for i in (0..16).rev() {
+        bits.push((c >> i) & 1 == 1);
+    }
+    bits.extend(header_bits.iter().rev());
+    bits.extend(pilot.iter().rev());
+    bits
+}
+
+proptest! {
+    /// The byte-table CRC-16 equals the per-bit loop on every prefix of
+    /// a ≤ 300-bit stream and on 8,200–8,216-bit streams: every length
+    /// mod 8, at short and at paper frame size.
+    #[test]
+    fn bitpath_crc16_matches_per_bit_reference(
+        data in proptest::collection::vec(any::<bool>(), 0..301),
+        seed in any::<u64>(),
+    ) {
+        for n in 0..=data.len() {
+            prop_assert_eq!(crc16(&data[..n]), crc16_reference(&data[..n]), "len {}", n);
+        }
+        let long = DspRng::seed_from(seed).bits(8216);
+        for n in 8200..=8216 {
+            prop_assert_eq!(crc16(&long[..n]), crc16_reference(&long[..n]), "len {}", n);
+        }
+        let mut framed = data.clone();
+        append_crc16(&mut framed);
+        prop_assert_eq!(verify_crc16(&framed), Some(&data[..]));
+    }
+
+    /// The copy-free `Frame::to_bits` equals the clone-whiten-concatenate
+    /// serializer, whitened or not, at any pilot length and payload.
+    #[test]
+    fn bitpath_to_bits_matches_clone_whiten_concat(
+        payload in proptest::collection::vec(any::<bool>(), 0..600),
+        seq in any::<u16>(),
+        pilot_len in 0usize..80,
+        whiten in any::<bool>(),
+    ) {
+        let cfg = FrameConfig { pilot_len, whiten, ..FrameConfig::default() };
+        let frame = Frame::new(Header::new(3, 4, seq, 0), payload);
+        let bits = frame.to_bits(&cfg);
+        prop_assert_eq!(bits.len(), frame.bit_len(&cfg));
+        prop_assert_eq!(bits, to_bits_reference(&frame, &cfg));
     }
 }

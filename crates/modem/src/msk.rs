@@ -184,18 +184,14 @@ impl MskModem {
             return;
         }
         let n_sym = (samples.len() - 1) / s;
-        out.reserve(n_sym);
-        for k in 0..n_sym {
-            let a = samples[k * s];
-            let b = samples[(k + 1) * s];
-            // §5.3 / §6.4 decision rule: Δθ ≥ 0 → "1", else "0" — the
-            // sign of arg(b/a) read off the quotient directly, skipping
-            // the atan2 (`demodulate_soft` remains the thresholded
-            // reference). The quotient itself is kept — NOT b·conj(a) —
-            // because a = 0 must keep yielding NaN → bit 0, exactly as
-            // the soft path's arg does.
-            out.push((b / a).arg_is_non_negative());
-        }
+        // §5.3 / §6.4 decision rule: Δθ ≥ 0 → "1", else "0" — the sign
+        // of arg(b/a) read off the quotient directly, skipping the atan2
+        // (`demodulate_soft` remains the thresholded reference). The
+        // quotient itself is kept — NOT b·conj(a) — because a = 0 must
+        // keep yielding NaN → bit 0, exactly as the soft path's arg does.
+        out.extend(
+            (0..n_sym).map(|k| (samples[(k + 1) * s] / samples[k * s]).arg_is_non_negative()),
+        );
     }
 }
 
@@ -255,12 +251,13 @@ impl Modem for MskModem {
         out
     }
 
+    /// §5.3 / §6.4 decision rule: Δθ ≥ 0 → "1", else "0", read off the
+    /// quotient's sign ([`MskModem::demodulate_extend`]) — bit-identical
+    /// to thresholding [`MskModem::demodulate_soft`].
     fn demodulate(&self, samples: &[Cplx]) -> Vec<bool> {
-        // §5.3 / §6.4 decision rule: Δθ ≥ 0 → "1", else "0".
-        self.demodulate_soft(samples)
-            .into_iter()
-            .map(|dphi| dphi >= 0.0)
-            .collect()
+        let mut out = Vec::new();
+        self.demodulate_extend(samples, &mut out);
+        out
     }
 
     fn samples_per_symbol(&self) -> usize {

@@ -125,16 +125,18 @@ pub enum RxEvent {
 
 /// The receiver side of Fig. 8.
 ///
-/// Owns the [`DecoderScratch`] its decoder works in, so a node's
-/// per-packet decodes stop allocating once the buffers have grown to
-/// packet size — the receive path is driven per reception window, and
-/// the scratch persists across windows.
+/// Owns the [`DecoderScratch`] its decoder works in and the bit buffer
+/// its clean path demodulates into, so a node's per-packet receives
+/// stop allocating once the buffers have grown to packet size — the
+/// receive path is driven per reception window, and both persist
+/// across windows.
 #[derive(Debug, Clone)]
 pub struct RxChain {
     decoder: AncDecoder,
     frame_cfg: FrameConfig,
     modem: MskModem,
     scratch: DecoderScratch,
+    clean_bits: Vec<bool>,
 }
 
 impl RxChain {
@@ -155,6 +157,7 @@ impl RxChain {
             frame_cfg: cfg.frame,
             modem: MskModem::new(MskConfig::oversampled(samples_per_symbol)),
             scratch: DecoderScratch::default(),
+            clean_bits: Vec::new(),
         }
     }
 
@@ -234,8 +237,8 @@ impl RxChain {
         let samples = &rx[region.start..region.end];
         if !region.interfered {
             // Standard MSK path.
-            let bits = self.modem.demodulate(samples);
-            return match Frame::parse_lenient(&bits, &self.frame_cfg) {
+            self.modem.demodulate_into(samples, &mut self.clean_bits);
+            return match Frame::parse_lenient(&self.clean_bits, &self.frame_cfg) {
                 Ok((frame, _, crc_ok)) => RxEvent::Clean { frame, crc_ok },
                 Err(_) => RxEvent::Dropped(DropReason::ParseFailed),
             };
@@ -249,9 +252,12 @@ impl RxChain {
             } => {
                 let known_frame = buffer.get(&known).expect("policy checked membership");
                 let known_bits = known_frame.to_bits(&self.frame_cfg);
+                // The forward decode reuses `region`: detection is a pure
+                // function of `rx`. The backward one detects on its
+                // conjugate-reversed copy.
                 let result = if known_starts_first {
                     self.decoder
-                        .decode_forward_with(rx, &known_bits, &mut self.scratch)
+                        .decode_in_region(rx, &region, &known_bits, &mut self.scratch)
                 } else {
                     self.decoder
                         .decode_backward_with(rx, &known_bits, &mut self.scratch)

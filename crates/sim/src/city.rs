@@ -2089,6 +2089,12 @@ impl CityRunBuilder {
                 "empty payloads carry nothing".into(),
             ));
         }
+        if cfg.payload_bits > usize::from(u16::MAX) {
+            return Err(CityError::InvalidConfig(format!(
+                "payload_bits {} exceeds the header's 16-bit length field",
+                cfg.payload_bits
+            )));
+        }
         if !cfg.noise_power.is_finite() || cfg.noise_power <= 0.0 {
             return Err(CityError::InvalidConfig(format!(
                 "noise_power must be finite and positive, got {}",
@@ -2449,6 +2455,13 @@ mod tests {
         cfg.payload_bits = 0;
         let err = build(&cfg, Scheme::Anc).unwrap_err();
         assert!(err.to_string().contains("payload"));
+        cfg.payload_bits = usize::from(u16::MAX);
+        assert!(build(&cfg, Scheme::Anc).is_ok());
+        cfg.payload_bits += 1;
+        assert!(matches!(
+            build(&cfg, Scheme::Anc),
+            Err(CityError::InvalidConfig(s)) if s.contains("payload_bits")
+        ));
         for noise in [0.0, -1e-3, f64::NAN, f64::INFINITY] {
             let mut cfg = small(1);
             cfg.noise_power = noise;

@@ -197,6 +197,12 @@ impl RunBuilder {
                 "noise_power must be finite and positive, got {noise}"
             )));
         }
+        let payload = self.cfg.payload_bits;
+        if payload > usize::from(u16::MAX) {
+            return Err(ScenarioError::Invalid(format!(
+                "payload_bits {payload} exceeds the header's 16-bit length field"
+            )));
+        }
         let program = self.spec.compile(self.scheme)?;
         Ok(Run {
             program,
@@ -438,5 +444,26 @@ mod tests {
                 "noise {noise}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn builder_rejects_payloads_past_the_length_field() {
+        let build = |payload_bits| {
+            ScenarioSpec::alice_bob()
+                .builder(Scheme::Anc)
+                .config(RunConfig {
+                    payload_bits,
+                    ..RunConfig::quick(14)
+                })
+                .build()
+        };
+        assert!(build(usize::from(u16::MAX)).is_ok());
+        let Err(err) = build(usize::from(u16::MAX) + 1) else {
+            panic!("a payload past the length field must not build");
+        };
+        assert!(
+            matches!(&err, ScenarioError::Invalid(s) if s.contains("payload_bits")),
+            "{err}"
+        );
     }
 }
