@@ -1,19 +1,16 @@
-//! The Eq.-2 superposition medium as a poll-driven streaming block.
+//! The Eq.-2 superposition of one reception window as a pure job.
 //!
-//! [`MediumBlock`] is one receiver's channel mixer lifted out of the
-//! engine's RX loop: the engine resolves everything stateful about a
-//! reception window (audibility, link impairments, the forked noise
-//! stream, jammer bursts) in intent order and ships the result as a
-//! pure [`WindowJob`]; the block then computes the superposition — the
-//! expensive per-sample part — wherever the scheduler runs it. Waves
-//! arrive as `Arc<Vec<Cplx>>` because one slot's transmission fans out
-//! to every receiver in range; the window buffers themselves travel in
-//! a recycle ring so steady-state slots allocate nothing.
+//! The engine resolves everything stateful about a reception window
+//! (audibility, link impairments, the forked noise stream, jammer
+//! bursts) in intent order and ships the result as a [`WindowJob`];
+//! the receiving node's block then runs [`mix_window`] — the expensive
+//! per-sample part — wherever the scheduler runs it. Waves arrive as
+//! `Arc<Vec<Cplx>>` because one slot's transmission fans out to every
+//! receiver in range.
 
 use crate::link::Link;
 use crate::medium::{Medium, TransmissionRef};
 use anc_dsp::{Cplx, DspRng};
-use anc_runtime::{Block, BlockStatus, Consumer, Producer};
 use std::sync::Arc;
 
 /// One fully resolved reception window for the superposition stage.
@@ -37,24 +34,11 @@ pub struct WindowJob {
     /// Optional jammer burst: power and its coordinate-keyed stream,
     /// injected on top of the finished mixture.
     pub jammer: Option<(f64, DspRng)>,
-    /// Caller correlation tag, passed through to the output ring.
-    pub tag: u64,
 }
 
-/// One receiver's medium as a block: pops [`WindowJob`]s, pushes
-/// `(tag, window)` pairs, in order. Spent windows return through
-/// `recycle`; when none are available the block falls back to a fresh
-/// allocation, so an undersized pool costs allocations, never progress.
-pub struct MediumBlock {
-    input: Consumer<WindowJob>,
-    recycle: Consumer<Vec<Cplx>>,
-    output: Producer<(u64, Vec<Cplx>)>,
-    staged: Option<(u64, Vec<Cplx>)>,
-}
-
-/// Mixes one job into `window` — the exact math of the engine's serial
-/// RX path, factored out so the inline and block-graph routes share one
-/// implementation.
+/// Mixes one job into `window`: [`Medium::receive_refs_into`] over the
+/// transmissions then the tones, plus [`Medium::inject_jammer`] when a
+/// jammer burst is set.
 pub fn mix_window(job: WindowJob, window: &mut Vec<Cplx>) {
     let WindowJob {
         duration,
@@ -63,7 +47,6 @@ pub fn mix_window(job: WindowJob, window: &mut Vec<Cplx>) {
         transmissions,
         tones,
         jammer,
-        tag: _,
     } = job;
     let mut refs: Vec<TransmissionRef<'_>> = Vec::with_capacity(transmissions.len() + tones.len());
     for (wave, start, link) in &transmissions {
@@ -86,61 +69,9 @@ pub fn mix_window(job: WindowJob, window: &mut Vec<Cplx>) {
     }
 }
 
-impl MediumBlock {
-    /// Builds the block from its ring endpoints.
-    pub fn new(
-        input: Consumer<WindowJob>,
-        recycle: Consumer<Vec<Cplx>>,
-        output: Producer<(u64, Vec<Cplx>)>,
-    ) -> Self {
-        MediumBlock {
-            input,
-            recycle,
-            output,
-            staged: None,
-        }
-    }
-}
-
-impl Block for MediumBlock {
-    fn name(&self) -> &str {
-        "medium"
-    }
-
-    fn poll(&mut self) -> BlockStatus {
-        let mut progressed = false;
-        loop {
-            if let Some(out) = self.staged.take() {
-                match self.output.try_push(out) {
-                    Ok(()) => progressed = true,
-                    Err(out) => {
-                        self.staged = Some(out);
-                        break;
-                    }
-                }
-            }
-            match self.input.try_pop() {
-                Some(job) => {
-                    let tag = job.tag;
-                    let mut window = self.recycle.try_pop().unwrap_or_default();
-                    mix_window(job, &mut window);
-                    self.staged = Some((tag, window));
-                }
-                None => break,
-            }
-        }
-        if progressed {
-            BlockStatus::Progress
-        } else {
-            BlockStatus::Idle
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anc_runtime::channel;
 
     fn wave(n: usize, seed: u64) -> Vec<Cplx> {
         let mut rng = DspRng::seed_from(seed);
@@ -149,8 +80,9 @@ mod tests {
 
     #[test]
     fn block_matches_inline_medium_path() {
-        // The block must reproduce Medium::receive_refs_into (+ jammer)
-        // bit for bit: same summation order, same noise stream.
+        // mix_window must reproduce Medium::receive_refs_into (+ the
+        // jammer) bit for bit: same summation order, same noise
+        // stream, whatever the reused buffer held before.
         let w0 = Arc::new(wave(40, 1));
         let w1 = Arc::new(wave(32, 2));
         let tone = wave(64, 3);
@@ -190,58 +122,22 @@ mod tests {
         );
         Medium::inject_jammer(&mut expect, 0.25, jam.clone());
 
-        let (mut jobs, input) = channel(2);
-        let (mut pool, recycle) = channel(2);
-        let (output, mut sink) = channel(2);
-        pool.try_push(Vec::with_capacity(duration)).unwrap();
-        let mut block = MediumBlock::new(input, recycle, output);
-        jobs.try_push(WindowJob {
-            duration,
-            noise_power,
-            noise,
-            transmissions: vec![(w0, 4, links[0]), (w1, 10, links[1])],
-            tones: vec![(tone, links[2])],
-            jammer: Some((0.25, jam)),
-            tag: 7,
-        })
-        .unwrap();
-        assert_eq!(block.poll(), BlockStatus::Progress);
-        let (tag, got) = sink.try_pop().expect("window emitted");
-        assert_eq!(tag, 7);
+        let mut got = vec![Cplx::ONE; 2 * duration];
+        mix_window(
+            WindowJob {
+                duration,
+                noise_power,
+                noise,
+                transmissions: vec![(w0, 4, links[0]), (w1, 10, links[1])],
+                tones: vec![(tone, links[2])],
+                jammer: Some((0.25, jam)),
+            },
+            &mut got,
+        );
         assert_eq!(got.len(), expect.len());
         for (a, b) in got.iter().zip(&expect) {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
-    }
-
-    #[test]
-    fn recycle_ring_feeds_window_buffers() {
-        let (mut jobs, input) = channel(4);
-        let (mut pool, recycle) = channel(4);
-        let (output, mut sink) = channel(4);
-        pool.try_push(vec![Cplx::ONE; 128]).unwrap();
-        let mut block = MediumBlock::new(input, recycle, output);
-        for tag in 0..2u64 {
-            jobs.try_push(WindowJob {
-                duration: 16,
-                noise_power: 0.0,
-                noise: DspRng::seed_from(tag),
-                transmissions: Vec::new(),
-                tones: Vec::new(),
-                jammer: None,
-                tag,
-            })
-            .unwrap();
-        }
-        block.poll();
-        // First window came from the pool (cleared + resized), the
-        // second from the allocation fallback; both are usable.
-        let (t0, w0) = sink.try_pop().unwrap();
-        let (t1, w1) = sink.try_pop().unwrap();
-        assert_eq!((t0, t1), (0, 1));
-        assert_eq!(w0.len(), 16);
-        assert_eq!(w1.len(), 16);
-        assert!(w0.iter().all(|s| *s == Cplx::ZERO));
     }
 }

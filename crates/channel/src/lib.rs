@@ -18,6 +18,9 @@
 //!   transmissions at a receiver and adds its noise.
 //! * [`relay::AmplifyForward`] — the §7.5 router operation, with the
 //!   power-normalizing gain of Appendix C.
+//! * [`block`] — one reception window's superposition as a pure
+//!   [`WindowJob`], mixed by [`mix_window`] off the engine's
+//!   controller.
 //! * [`fault`] — optional impairments (CFO, Rayleigh block fading,
 //!   clipping) for robustness testing, in the spirit of smoltcp's fault
 //!   injection options.
@@ -40,7 +43,7 @@ pub mod relay;
 pub mod spatial;
 
 pub use awgn::Awgn;
-pub use block::{mix_window, MediumBlock, WindowJob};
+pub use block::{mix_window, WindowJob};
 pub use impairment::{ImpairmentSpec, TxImpairment};
 pub use link::Link;
 pub use medium::{Medium, Transmission, TransmissionRef};

@@ -14,21 +14,19 @@
 //!
 //! [`msk::MskModem`] generates a continuous-phase oversampled waveform
 //! (`samples_per_symbol ≥ 1`) and demodulates at symbol spacing.
-//! [`psk`] adds differential BPSK/QPSK modems and [`gmsk`] the GSM
-//! waveform — §4 argues the ANC ideas apply to any phase-shift keying,
-//! and these let the decoder demonstrate that claim. [`mod@ber`] holds the bit-error
-//! accounting used throughout the evaluation (§11.2).
+//! [`psk`] adds differential BPSK/QPSK modems — §4 argues the ANC
+//! ideas apply to any phase-shift keying, and these let the decoder
+//! demonstrate that claim. [`mod@ber`] holds the bit-error accounting
+//! used throughout the evaluation (§11.2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ber;
-pub mod gmsk;
 pub mod msk;
 pub mod psk;
 
 pub use ber::{ber, count_bit_errors};
-pub use gmsk::{GmskConfig, GmskModem};
 pub use msk::{MskConfig, MskModem};
 pub use psk::{DbpskModem, DqpskModem};
 

@@ -1,14 +1,14 @@
-//! The node front end as a poll-driven streaming block.
+//! The node front end as a pure synthesis job.
 //!
-//! [`TxFrontEndBlock`] is the pure half of a transmission, lifted out
-//! of the engine's slot loop so the block-graph runtime can overlap TX
-//! synthesis across senders and with downstream superposition/decode:
-//! modulation, the §5.3 front-end rotation, the §7.5 amplify-forward
-//! normalization, and the Monte-Carlo CFO rotation are all functions
-//! of the job alone. Everything stateful about a transmission (frame
-//! sourcing, buffer bookkeeping, carrier-phase and MAC-delay draws)
-//! stays with the engine, which resolves it *before* the job is
-//! pushed — that split is what keeps every scheduler bit-identical.
+//! [`synthesize`] is the pure half of a transmission, lifted out of
+//! the engine's slot loop so the block-graph runtime can run it on the
+//! sending node's block: modulation, the §5.3 front-end rotation, the
+//! §7.5 amplify-forward normalization, and the Monte-Carlo CFO
+//! rotation are all functions of the job alone. Everything stateful
+//! about a transmission (frame sourcing, buffer bookkeeping,
+//! carrier-phase and MAC-delay draws) stays with the engine, which
+//! resolves it *before* the job is shipped — that split is what keeps
+//! every scheduler bit-identical.
 
 use crate::node::FrontEnd;
 use crate::phy::TxChain;
@@ -16,7 +16,6 @@ use anc_channel::fault::{CarrierOffset, Impairment};
 use anc_channel::AmplifyForward;
 use anc_dsp::Cplx;
 use anc_frame::Frame;
-use anc_runtime::{Block, BlockStatus, Consumer, Producer};
 
 /// What a synthesis job turns into samples.
 #[derive(Debug, Clone)]
@@ -68,74 +67,12 @@ pub fn synthesize(chain: &TxChain, front_end: &FrontEnd, job: SynthJob) -> Vec<C
     wave
 }
 
-/// One sender's TX front end as a block: pops [`SynthJob`]s, pushes
-/// finished waveforms, in order.
-pub struct TxFrontEndBlock {
-    chain: TxChain,
-    front_end: FrontEnd,
-    input: Consumer<SynthJob>,
-    output: Producer<Vec<Cplx>>,
-    staged: Option<Vec<Cplx>>,
-}
-
-impl TxFrontEndBlock {
-    /// Builds the block from clones of the sender's chains and its
-    /// ring endpoints.
-    pub fn new(
-        chain: TxChain,
-        front_end: FrontEnd,
-        input: Consumer<SynthJob>,
-        output: Producer<Vec<Cplx>>,
-    ) -> Self {
-        TxFrontEndBlock {
-            chain,
-            front_end,
-            input,
-            output,
-            staged: None,
-        }
-    }
-}
-
-impl Block for TxFrontEndBlock {
-    fn name(&self) -> &str {
-        "tx-front-end"
-    }
-
-    fn poll(&mut self) -> BlockStatus {
-        let mut progressed = false;
-        loop {
-            if let Some(wave) = self.staged.take() {
-                match self.output.try_push(wave) {
-                    Ok(()) => progressed = true,
-                    Err(wave) => {
-                        self.staged = Some(wave);
-                        break;
-                    }
-                }
-            }
-            match self.input.try_pop() {
-                Some(job) => {
-                    self.staged = Some(synthesize(&self.chain, &self.front_end, job));
-                }
-                None => break,
-            }
-        }
-        if progressed {
-            BlockStatus::Progress
-        } else {
-            BlockStatus::Idle
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node::{Node, NodeConfig, NodeRole};
     use anc_dsp::DspRng;
     use anc_frame::Header;
-    use anc_runtime::channel;
 
     fn test_node() -> Node {
         let mut cfg = NodeConfig::new(1, NodeRole::Endpoint);
@@ -145,9 +82,8 @@ mod tests {
 
     #[test]
     fn block_matches_inline_transmit_path() {
-        // The block's synthesize() must equal transmit_frame +
-        // apply_front_end to the last bit — it is the same math, just
-        // off-thread.
+        // synthesize() must equal transmit_frame + apply_front_end to
+        // the last bit — it is the same math, run on a node's block.
         let mut node = test_node();
         node.front_end.osc_offset = 3e-4;
         node.front_end.amplitude = 0.8;
@@ -155,18 +91,15 @@ mod tests {
         let mut inline = node.transmit_frame(&frame);
         node.apply_front_end(&mut inline, 0.37);
 
-        let (mut jobs, input) = channel(2);
-        let (output, mut waves) = channel(2);
-        let mut block =
-            TxFrontEndBlock::new(node.tx_chain().clone(), node.front_end, input, output);
-        jobs.try_push(SynthJob {
-            source: SynthSource::Frame(frame),
-            carrier_phase: 0.37,
-            cfo: 0.0,
-        })
-        .unwrap();
-        assert_eq!(block.poll(), BlockStatus::Progress);
-        let wave = waves.try_pop().expect("wave emitted");
+        let wave = synthesize(
+            node.tx_chain(),
+            &node.front_end,
+            SynthJob {
+                source: SynthSource::Frame(frame),
+                carrier_phase: 0.37,
+                cfo: 0.0,
+            },
+        );
         assert_eq!(wave.len(), inline.len());
         for (a, b) in wave.iter().zip(&inline) {
             assert_eq!(a.re.to_bits(), b.re.to_bits());

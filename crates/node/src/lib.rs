@@ -7,13 +7,12 @@
 //! node, minus the USRP: samples go to/come from the simulated medium.
 //!
 //! * [`phy::TxChain`] / [`phy::RxChain`] — the Fig. 8 pipelines.
+//! * [`block::synthesize`] — one transmission's pure synthesis job,
+//!   run on the sender's block in the simulator's block graph.
 //! * [`mac::TriggerMac`] — the §7.6 random-delay draw: triggered
 //!   neighbours transmit after the §7.2 random delay (slots + user-space
 //!   jitter), which is what limits packet overlap to ≈ 80 % in the
 //!   paper (§11.4).
-//! * [`trigger`] — the §7.6 trigger sequence itself: the marker a node
-//!   appends to its transmission and the detector neighbours run on
-//!   reception tails.
 //! * [`node::Node`] — queues, sent-packet buffer, role (endpoint,
 //!   amplifying relay, decoding relay), and the poll-based interface
 //!   the simulator drives.
@@ -25,10 +24,8 @@ pub mod block;
 pub mod mac;
 pub mod node;
 pub mod phy;
-pub mod trigger;
 
-pub use block::{synthesize, SynthJob, SynthSource, TxFrontEndBlock};
+pub use block::{synthesize, SynthJob, SynthSource};
 pub use mac::{CsmaConfig, MacConfig, TriggerMac};
 pub use node::{FrontEnd, Node, NodeConfig, NodeRole};
 pub use phy::{RxChain, RxEvent, TxChain};
-pub use trigger::{detect_trigger, frame_with_trigger, trigger_sequence};

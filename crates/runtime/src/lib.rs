@@ -1,10 +1,10 @@
 //! Block-graph streaming runtime.
 //!
-//! The simulation engine's TX synthesis → medium superposition →
-//! per-node decode pipeline is a dataflow graph (the paper's §7 relay
-//! chain). This crate provides the graph substrate, kept deliberately
-//! free of simulation types so `anc-node`, `anc-channel`, and
-//! `anc-sim` can all contribute blocks:
+//! The simulation engine runs each node's TX synthesis → medium
+//! superposition → decode chain (the paper's Fig. 8) as a block of a
+//! dataflow graph, and the city engine runs each street as one. This
+//! crate provides the graph substrate, kept deliberately free of
+//! simulation types:
 //!
 //! * [`ring`] — fixed-capacity single-producer/single-consumer ring
 //!   buffers (the only inter-block channel; bounded, allocation-free

@@ -8,11 +8,12 @@
 //! [`anc_core::decoder::AncDecoder`], §7.3–§7.5 amplify-and-forward
 //! relays) at city scale through five mechanisms:
 //!
-//! 1. **Regions as block groups.** The city is partitioned into
-//!    spatial regions (street rows); each region compiles to a group
-//!    of [`anc_runtime`] blocks — TX synthesis, relay
-//!    amplify-forward, endpoint decode — connected to the controller
-//!    by SPSC rings and executed by whatever
+//! 1. **Regions as blocks.** The city is partitioned into spatial
+//!    regions (street rows); each region compiles to one
+//!    [`anc_runtime`] block that runs every stage of an exchange —
+//!    TX synthesis, relay amplify-forward, endpoint decode — one job
+//!    at a time, connected to the controller by a pair of SPSC rings
+//!    and executed by whatever
 //!    [`crate::pipeline::SchedulerSpec`] selects. Because every block
 //!    is a pure function of its ring inputs and a read-only snapshot
 //!    of the shared board, the deterministic executor and the
@@ -77,7 +78,7 @@ use std::time::Instant;
 
 use crate::faults::FaultSpec;
 use crate::metrics::StatDigest;
-use crate::pipeline::SchedulerSpec;
+use crate::pipeline::{ring, wait_pop, wait_push, SchedulerSpec, Stalled};
 use anc_channel::{within_range, AmplifyForward, Link, Medium, SpatialGrid, TransmissionRef};
 use anc_core::decoder::{AncDecoder, DecoderConfig, DecoderScratch};
 use anc_core::detect::DetectorConfig;
@@ -88,7 +89,7 @@ use anc_modem::ber::ber;
 use anc_netcode::{contention_rotation, derive_plan, FlowSpec, Scheme, SlotPlan, SlotStep};
 use anc_node::phy::TxChain;
 use anc_node::CsmaConfig;
-use anc_runtime::{channel, Block, BlockStatus, Consumer, Producer, Pump};
+use anc_runtime::{Block, BlockStatus, Consumer, Producer, Pump};
 use serde::{Deserialize, Serialize};
 
 /// Root of every [`DspRng::from_path`] stream this module draws
@@ -899,6 +900,27 @@ struct Board {
     hop_to: u8,
 }
 
+impl Board {
+    /// An empty board over the city's node positions, indexed at the
+    /// gate radius, with one (empty) segment per region.
+    fn new(positions: Vec<(f64, f64)>, gate: f64, regions: usize) -> Self {
+        let grid = SpatialGrid::build(&positions, gate);
+        Board {
+            positions,
+            grid,
+            exch: Vec::new(),
+            seg: vec![0..0; regions],
+            dctx: Vec::new(),
+            txs: Vec::new(),
+            slot: 0,
+            eround: 0,
+            hop_frames: Vec::new(),
+            hop_from: 0,
+            hop_to: 0,
+        }
+    }
+}
+
 /// Buffers [`CityPhy::window`] builds a window in. One set serves every
 /// window of a stage job and is dropped with the job, so no region
 /// block keeps a window buffer resident between jobs.
@@ -1287,87 +1309,45 @@ impl Block for RegionBlock<'_> {
     }
 }
 
-/// The controller's handles to one region's three stage blocks.
+/// The controller's handle on one region's block.
 struct RegionPorts {
-    tx_job: Producer<RegionJob>,
-    tx_out: Consumer<RegionOut>,
-    relay_job: Producer<RegionJob>,
-    relay_out: Consumer<RegionOut>,
-    dec_job: Producer<RegionJob>,
-    dec_out: Consumer<RegionOut>,
+    job: Producer<RegionJob>,
+    out: Consumer<RegionOut>,
 }
 
-/// Builds the city's block graph: three stage blocks per region
-/// (street row), region-major, named `city-r{row}-{stage}`.
+/// Builds the city's block graph: one [`RegionBlock`] per region
+/// (street row), in row order, named `city-r{row}`. The controller
+/// runs one stage at a time across all regions (every result popped
+/// before the next stage is pushed), so a single block per region
+/// serves the TX, relay and decode stages alike.
 fn build_city_graph<'env>(
     phy: &'env CityPhy<'env>,
     board: &'env RwLock<Board>,
     regions: usize,
-    capacity: usize,
 ) -> (Vec<Box<dyn Block + 'env>>, Vec<RegionPorts>) {
-    let cap = capacity.max(1);
-    let mut blocks: Vec<Box<dyn Block + 'env>> = Vec::with_capacity(3 * regions);
+    let mut blocks: Vec<Box<dyn Block + 'env>> = Vec::with_capacity(regions);
     let mut ports = Vec::with_capacity(regions);
     for region in 0..regions {
-        let mut mk = |tag: &str| {
-            let (job_tx, job_rx) = channel(cap);
-            let (out_tx, out_rx) = channel(cap);
-            blocks.push(Box::new(RegionBlock {
-                name: format!("city-r{region}-{tag}"),
-                region,
-                phy,
-                board,
-                job: job_rx,
-                out: out_tx,
-                staged: None,
-                scratch: DecoderScratch::default(),
-            }));
-            (job_tx, out_rx)
-        };
-        let (tx_job, tx_out) = mk("tx");
-        let (relay_job, relay_out) = mk("relay");
-        let (dec_job, dec_out) = mk("decode");
-        ports.push(RegionPorts {
-            tx_job,
-            tx_out,
-            relay_job,
-            relay_out,
-            dec_job,
-            dec_out,
-        });
+        let (job, job_rx) = ring();
+        let (out_tx, out) = ring();
+        blocks.push(Box::new(RegionBlock {
+            name: format!("city-r{region}"),
+            region,
+            phy,
+            board,
+            job: job_rx,
+            out: out_tx,
+            staged: None,
+            scratch: DecoderScratch::default(),
+        }));
+        ports.push(RegionPorts { job, out });
     }
     (blocks, ports)
 }
 
-/// Pushes a job, pumping the graph whenever the ring is full.
-fn push_job(
-    pump: &mut dyn Pump,
-    port: &mut Producer<RegionJob>,
-    job: RegionJob,
-) -> Result<(), CityError> {
-    let mut j = job;
-    loop {
-        match port.try_push(j) {
-            Ok(()) => return Ok(()),
-            Err(back) => {
-                j = back;
-                if !pump.pump() {
-                    return Err(CityError::PipelineStalled);
-                }
-            }
-        }
-    }
-}
-
-/// Pops a stage result, pumping the graph until it arrives.
-fn pop_out(pump: &mut dyn Pump, port: &mut Consumer<RegionOut>) -> Result<RegionOut, CityError> {
-    loop {
-        if let Some(out) = port.try_pop() {
-            return Ok(out);
-        }
-        if !pump.pump() {
-            return Err(CityError::PipelineStalled);
-        }
+impl From<Stalled> for CityError {
+    fn from(_: Stalled) -> Self {
+        CityError::PipelineStalled
     }
 }
 
@@ -1841,6 +1821,18 @@ impl CityDriver<'_> {
         self.profile.mobility_ns += elapsed_ns(t0);
     }
 
+    /// Runs one stage on every region in `active`: pushes `job` to each
+    /// region's block, then pops their results in region order.
+    fn run_stage(&mut self, active: &[usize], job: RegionJob) -> Result<Vec<RegionOut>, CityError> {
+        for &r in active {
+            wait_push(&mut self.ports[r].job, job, &mut *self.pump)?;
+        }
+        active
+            .iter()
+            .map(|&r| Ok(wait_pop(&mut self.ports[r].out, &mut *self.pump)?))
+            .collect()
+    }
+
     /// Runs one exchange sub-round `e` over `exch` (cell-ascending)
     /// through the region blocks: install board state, fan a stage
     /// job out to every involved region, fold stage results back in
@@ -1877,16 +1869,12 @@ impl CityDriver<'_> {
                     b.seg = seg;
                     b.eround = e;
                 }
-                for &r in &active {
-                    push_job(&mut *self.pump, &mut self.ports[r].tx_job, RegionJob::AncTx)?;
-                }
                 let mut dctx = Vec::with_capacity(n);
                 let mut uplink = Vec::with_capacity(2 * n);
-                for &r in &active {
+                for out in self.run_stage(&active, RegionJob::AncTx)? {
                     // A mismatched variant would mean the rings broke
                     // FIFO — surfaced as a stall, not a panic.
-                    let RegionOut::Tx(v) = pop_out(&mut *self.pump, &mut self.ports[r].tx_out)?
-                    else {
+                    let RegionOut::Tx(v) = out else {
                         return Err(CityError::PipelineStalled);
                     };
                     for (ctx, [ta, tb]) in v {
@@ -1901,18 +1889,9 @@ impl CityDriver<'_> {
                     b.txs = uplink;
                     b.slot = e * self.spr;
                 }
-                for &r in &active {
-                    push_job(
-                        &mut *self.pump,
-                        &mut self.ports[r].relay_job,
-                        RegionJob::AncRelay,
-                    )?;
-                }
                 let mut downlink = Vec::with_capacity(n);
-                for &r in &active {
-                    let RegionOut::Relay(v) =
-                        pop_out(&mut *self.pump, &mut self.ports[r].relay_out)?
-                    else {
+                for out in self.run_stage(&active, RegionJob::AncRelay)? {
+                    let RegionOut::Relay(v) = out else {
                         return Err(CityError::PipelineStalled);
                     };
                     downlink.extend(v);
@@ -1924,18 +1903,9 @@ impl CityDriver<'_> {
                     b.slot = e * self.spr + 1;
                 }
                 let t1 = Instant::now();
-                for &r in &active {
-                    push_job(
-                        &mut *self.pump,
-                        &mut self.ports[r].dec_job,
-                        RegionJob::AncDecode,
-                    )?;
-                }
                 let mut results = Vec::with_capacity(n);
-                for &r in &active {
-                    let RegionOut::Decode(v) =
-                        pop_out(&mut *self.pump, &mut self.ports[r].dec_out)?
-                    else {
+                for out in self.run_stage(&active, RegionJob::AncDecode)? {
+                    let RegionOut::Decode(v) = out else {
                         return Err(CityError::PipelineStalled);
                     };
                     results.extend(v);
@@ -1973,18 +1943,9 @@ impl CityDriver<'_> {
                         b.hop_to = hop.to;
                     }
                     let t0 = Instant::now();
-                    for &r in &active {
-                        push_job(
-                            &mut *self.pump,
-                            &mut self.ports[r].tx_job,
-                            RegionJob::TradModulate,
-                        )?;
-                    }
                     let mut txs = Vec::with_capacity(n);
-                    for &r in &active {
-                        let RegionOut::Modulated(v) =
-                            pop_out(&mut *self.pump, &mut self.ports[r].tx_out)?
-                        else {
+                    for out in self.run_stage(&active, RegionJob::TradModulate)? {
+                        let RegionOut::Modulated(v) = out else {
                             return Err(CityError::PipelineStalled);
                         };
                         txs.extend(v);
@@ -1996,18 +1957,9 @@ impl CityDriver<'_> {
                         b.slot = e * self.spr + j as u64;
                     }
                     let t1 = Instant::now();
-                    for &r in &active {
-                        push_job(
-                            &mut *self.pump,
-                            &mut self.ports[r].dec_job,
-                            RegionJob::TradDecode,
-                        )?;
-                    }
                     let mut decoded = Vec::with_capacity(n);
-                    for &r in &active {
-                        let RegionOut::HopDecoded(v) =
-                            pop_out(&mut *self.pump, &mut self.ports[r].dec_out)?
-                        else {
+                    for out in self.run_stage(&active, RegionJob::TradDecode)? {
+                        let RegionOut::HopDecoded(v) = out else {
                             return Err(CityError::PipelineStalled);
                         };
                         decoded.extend(v);
@@ -2072,6 +2024,16 @@ impl CityRunBuilder {
         let cfg = &self.cfg;
         if cfg.cells_x == 0 || cfg.rows == 0 {
             return Err(CityError::InvalidConfig("city needs cells".into()));
+        }
+        let nodes = cfg
+            .cells_x
+            .checked_mul(cfg.rows)
+            .and_then(|c| c.checked_mul(3));
+        if !nodes.is_some_and(|n| u32::try_from(n).is_ok()) {
+            return Err(CityError::InvalidConfig(format!(
+                "{} x {} cells of 3 nodes exceed u32 node indices",
+                cfg.cells_x, cfg.rows
+            )));
         }
         if u32::try_from(cfg.rounds).is_err() {
             return Err(CityError::InvalidConfig(
@@ -2185,21 +2147,8 @@ impl CityRun {
         let cal = calendars(cfg, &positions, &chains);
         let mut waypoints = build_waypoints(cfg, &positions);
         let phy = CityPhy::new(cfg);
-        let grid = SpatialGrid::build(&positions, phy.gate);
-        let board = RwLock::new(Board {
-            positions,
-            grid,
-            exch: Vec::new(),
-            seg: vec![0..0; cfg.rows],
-            dctx: Vec::new(),
-            txs: Vec::new(),
-            slot: 0,
-            eround: 0,
-            hop_frames: Vec::new(),
-            hop_from: 0,
-            hop_to: 0,
-        });
-        let (blocks, mut ports) = build_city_graph(&phy, &board, cfg.rows, self.sched.capacity);
+        let board = RwLock::new(Board::new(positions, phy.gate, cfg.rows));
+        let (blocks, mut ports) = build_city_graph(&phy, &board, cfg.rows);
         let mut st = RunState::new(chains.len());
         let mut profile = CityProfile::default();
         let result: Result<(), CityError> = self.sched.run_blocks(
@@ -2502,6 +2451,44 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("carrier-sense"));
+    }
+
+    #[test]
+    fn builder_rejects_cities_past_u32_node_indices() {
+        let build = |cells_x, rows| {
+            CityConfig::builder(Scheme::Anc)
+                .config(CityConfig {
+                    cells_x,
+                    rows,
+                    ..CityConfig::default()
+                })
+                .build()
+                .map(|_| ())
+        };
+        // 3 · 1,431,655,765 = u32::MAX nodes: the largest city whose
+        // node indices fit u32 (built only, never executed).
+        let max_cells = usize::try_from(u32::MAX / 3).unwrap();
+        assert!(build(max_cells, 1).is_ok());
+        for (cells_x, rows) in [(max_cells + 1, 1), (usize::MAX / 2, 3), (usize::MAX, 2)] {
+            assert!(
+                matches!(
+                    build(cells_x, rows),
+                    Err(CityError::InvalidConfig(s)) if s.contains("u32 node indices")
+                ),
+                "{cells_x} x {rows}"
+            );
+        }
+    }
+
+    #[test]
+    fn city_graph_has_one_block_per_street() {
+        let cfg = small(1);
+        let phy = CityPhy::new(&cfg);
+        let board = RwLock::new(Board::new(place(&cfg), phy.gate, cfg.rows));
+        let (blocks, ports) = build_city_graph(&phy, &board, cfg.rows);
+        let names: Vec<&str> = blocks.iter().map(|b| b.name()).collect();
+        assert_eq!(names, ["city-r0", "city-r1"]);
+        assert_eq!(ports.len(), cfg.rows);
     }
 
     #[test]

@@ -43,7 +43,8 @@
 use crate::faults::FaultSpec;
 use crate::metrics::{FlowMetrics, OutageRecord, RunMetrics};
 use crate::pipeline::{
-    build_graph, wait_pop, wait_push, NodePark, RunCtx, RxDone, RxWork, SchedulerSpec, SlotDriver,
+    build_graph, wait_pop, wait_push, NodeJob, NodeOut, NodePark, RunCtx, RxDone, RxWork,
+    SchedulerSpec, SlotDriver,
 };
 use crate::runs::RunConfig;
 use crate::topology::{Topology, TopologyGraph};
@@ -96,12 +97,14 @@ pub enum EngineError {
     /// only under the deterministic scheduler (which is therefore the
     /// oracle for work-stealing runs of the same program).
     PipelineStalled,
-    /// A decode outcome came back with the wrong correlation tag or
-    /// kind for the receive intent being folded.
+    /// A node block's output came back with the wrong correlation tag
+    /// or kind: a decode outcome for another receive intent, the wrong
+    /// outcome kind, or an outcome where a waveform was due.
     PipelineDesync {
-        /// The intent index the fold expected.
+        /// The intent index the fold expected (for a waveform, the
+        /// sender's position in the slot's fired order).
         expected: u64,
-        /// The tag that actually arrived.
+        /// The tag that actually arrived (`u64::MAX` for a waveform).
         got: u64,
     },
 }
@@ -617,7 +620,7 @@ impl<'p> Engine<'p> {
     /// the controller closure holds `&mut self`.
     fn execute(&mut self, sched: &SchedulerSpec) -> Result<(), EngineError> {
         let park = std::mem::take(&mut self.park);
-        let (blocks, mut ports) = build_graph(&park, sched.capacity);
+        let (blocks, mut ports) = build_graph(&park);
         let result = sched.run_blocks(
             blocks,
             Box::new(|pump| {
@@ -684,8 +687,8 @@ impl<'p> Engine<'p> {
     /// intents into synthesis jobs (all RNG draws happen here, in
     /// intent order), barrier on the finished waveforms (fired order),
     /// advance the clock by the slot span, then stream each receive
-    /// intent's superposition window through its mixer/decoder chain
-    /// and fold the outcomes back in intent order.
+    /// intent's superposition window through the receiver's block and
+    /// fold the outcomes back in intent order.
     fn run_slot(
         &mut self,
         drv: &mut SlotDriver<'_, '_>,
@@ -699,7 +702,7 @@ impl<'p> Engine<'p> {
         for intent in &slot.txs {
             if let Some((job, offset)) = self.resolve_tx(park, intent, timing)? {
                 let idx = park.index_of(intent.sender)?;
-                wait_push(&mut drv.ports.tx[idx].jobs, job, &mut *drv.pump)?;
+                wait_push(&mut drv.ports[idx].jobs, NodeJob::Tx(job), &mut *drv.pump)?;
                 fired.push((intent.sender, offset));
             }
         }
@@ -711,9 +714,17 @@ impl<'p> Engine<'p> {
         // TX barrier: collect the synthesized waveforms in fired order
         // (per-sender rings are FIFO, so order within a sender holds
         // too). The event queue's order fixes superposition summation.
-        for (sender, offset) in fired {
+        for (i, (sender, offset)) in fired.into_iter().enumerate() {
             let idx = park.index_of(sender)?;
-            let wave = wait_pop(&mut drv.ports.tx[idx].waves, &mut *drv.pump)?;
+            let wave = match wait_pop(&mut drv.ports[idx].out, &mut *drv.pump)? {
+                NodeOut::Wave(wave) => wave,
+                NodeOut::Rx(tag, _) => {
+                    return Err(EngineError::PipelineDesync {
+                        expected: i as u64,
+                        got: tag,
+                    })
+                }
+            };
             self.events.push(ScheduledTx {
                 sender,
                 wave: Arc::new(wave),
@@ -1383,11 +1394,11 @@ impl<'p> Engine<'p> {
 
     /// Streams a slot's receive intents through the block graph: each
     /// intent is resolved in order (gates, audibility, noise fork) and
-    /// its pure superposition job shipped to the receiver's
-    /// mixer/decoder chain, while outcomes are folded back strictly in
-    /// intent order — so several receivers' windows mix and decode
-    /// concurrently under a parallel scheduler, yet every engine-state
-    /// and metric mutation keeps the serial order.
+    /// its pure superposition job shipped to the receiver's block,
+    /// while outcomes are folded back strictly in intent order — so
+    /// several receivers' windows mix and decode concurrently under a
+    /// parallel scheduler, yet every engine-state and metric mutation
+    /// keeps the serial order.
     fn run_rx_phase(
         &mut self,
         drv: &mut SlotDriver<'_, '_>,
@@ -1409,8 +1420,8 @@ impl<'p> Engine<'p> {
                 self.fold_until(drv, slot, &plan, &mut folded, i)?;
             } else if let Ok(idx) = drv.park.index_of(intent.receiver) {
                 // One outstanding window per receiver: a second window
-                // for the same node could wedge its rings at capacity
-                // 1 while the controller is blocked pushing, so fold
+                // for the same node could wedge its depth-1 rings
+                // while the controller is blocked pushing, so fold
                 // first. (Per-node FIFO order is unaffected.)
                 if plan[folded..]
                     .iter()
@@ -1442,13 +1453,19 @@ impl<'p> Engine<'p> {
             match &plan[j] {
                 Pending::Skip(skip) => self.apply_skip(&slot.rxs[j], skip),
                 Pending::Window(idx) => {
-                    let (tag, done) = wait_pop(&mut drv.ports.rx[*idx].done, &mut *drv.pump)?;
-                    if tag != j as u64 {
-                        return Err(EngineError::PipelineDesync {
-                            expected: j as u64,
-                            got: tag,
-                        });
-                    }
+                    let expected = j as u64;
+                    let (tag, done) = match wait_pop(&mut drv.ports[*idx].out, &mut *drv.pump)? {
+                        NodeOut::Rx(tag, done) if tag == expected => (tag, done),
+                        NodeOut::Rx(got, _) => {
+                            return Err(EngineError::PipelineDesync { expected, got })
+                        }
+                        NodeOut::Wave(_) => {
+                            return Err(EngineError::PipelineDesync {
+                                expected,
+                                got: u64::MAX,
+                            })
+                        }
+                    };
                     self.apply_outcome(&slot.rxs[j], done, tag)?;
                 }
             }
@@ -1617,25 +1634,24 @@ impl<'p> Engine<'p> {
             _ => RxWork::Poll,
         };
         let idx = drv.park.index_of(recv)?;
-        wait_push(&mut drv.ports.rx[idx].meta, work, &mut *drv.pump)?;
+        let window = WindowJob {
+            duration,
+            noise_power: self.cfg.noise_power,
+            noise,
+            transmissions,
+            tones,
+            jammer,
+        };
         wait_push(
-            &mut drv.ports.rx[idx].jobs,
-            WindowJob {
-                duration,
-                noise_power: self.cfg.noise_power,
-                noise,
-                transmissions,
-                tones,
-                jammer,
-                tag,
-            },
+            &mut drv.ports[idx].jobs,
+            NodeJob::Rx { tag, work, window },
             &mut *drv.pump,
         )?;
         Ok(Pending::Window(idx))
     }
 
     /// Applies a decode outcome — computed off the controller by the
-    /// receiver's block chain — to the engine's accounting. Runs at
+    /// receiver's block — to the engine's accounting. Runs at
     /// fold position, so every metric and engine-state mutation keeps
     /// the serial intent order. A done value of the wrong kind for the
     /// intent's action means the rings desynchronized (`at` is the
@@ -1820,7 +1836,7 @@ impl<'p> Engine<'p> {
 enum Pending {
     /// The window never opened; its accounting applies at fold position.
     Skip(RxSkip),
-    /// A window is in flight through the block chain of node `idx`.
+    /// A window is in flight through the block of node `idx`.
     Window(usize),
 }
 

@@ -1,28 +1,30 @@
 //! The block-graph streaming runtime behind the engine.
 //!
-//! DESIGN.md §14: one run is executed as a small dataflow graph — per
-//! node a TX front-end block ([`anc_node::TxFrontEndBlock`]), a medium
-//! mixer ([`anc_channel::MediumBlock`]) and a crate-private decode
-//! block (`DecodeBlock`) — connected by fixed-capacity SPSC rings and
-//! driven by a pluggable [`anc_runtime::Scheduler`]. The engine's slot
-//! loop stays the sequential *controller*: it resolves everything
-//! stateful (RNG draws, queue state, metric mutations) in intent
-//! order, ships pure jobs into the rings, and folds outcomes back in
-//! intent order. Because every block computes a pure function of its
-//! ring traffic and per-node rings are FIFO, the deterministic and
-//! work-stealing executors produce bit-identical [`RunMetrics`]
-//! (pinned by the golden suites and a scheduler-equivalence proptest).
+//! DESIGN.md §14: one run is executed as a small dataflow graph with
+//! one block per node (`NodeBlock`), each wired to the controller by
+//! one job ring and one output ring of depth 1, and driven by a
+//! pluggable [`anc_runtime::Scheduler`]. A node block runs the Fig. 8
+//! chain of its node: TX synthesis ([`anc_node::synthesize`]), the
+//! receive window's superposition ([`anc_channel::mix_window`]) and
+//! the RX decode. The engine's slot loop stays the sequential
+//! *controller*: it resolves everything stateful (RNG draws, queue
+//! state, metric mutations) in intent order, ships pure jobs into the
+//! rings, and folds outcomes back in intent order. Because every block
+//! computes a pure function of its ring traffic and per-node rings are
+//! FIFO, the deterministic and work-stealing executors produce
+//! bit-identical [`RunMetrics`] (pinned by the golden suites and a
+//! scheduler-equivalence proptest).
 //!
 //! [`RunMetrics`]: crate::metrics::RunMetrics
 
 use crate::engine::EngineError;
-use anc_channel::{MediumBlock, WindowJob};
+use anc_channel::{mix_window, WindowJob};
 use anc_core::DecoderScratch;
 use anc_dsp::Cplx;
 use anc_frame::{Frame, NodeId};
 use anc_netcode::CopeCoder;
-use anc_node::phy::RxEvent;
-use anc_node::{Node, SynthJob, TxFrontEndBlock};
+use anc_node::phy::{RxEvent, TxChain};
+use anc_node::{synthesize, FrontEnd, Node, SynthJob};
 use anc_runtime::{
     channel, Block, BlockStatus, Consumer, Controller, DeterministicScheduler, Producer, Pump,
     Scheduler, WorkStealingScheduler,
@@ -30,14 +32,27 @@ use anc_runtime::{
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
+/// Depth of every ring between the controller and a block. The
+/// controller collects a slot's waveforms before it opens any window,
+/// and folds a receiver's window before it opens another, so a deeper
+/// ring would buy no overlap; on a full ring the controller pumps the
+/// graph until it drains.
+const RING_DEPTH: usize = 1;
+
+/// A controller-to-block ring pair at [`RING_DEPTH`].
+pub(crate) fn ring<T>() -> (Producer<T>, Consumer<T>) {
+    channel(RING_DEPTH)
+}
+
 /// Which executor runs the block graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedMode {
     /// Everything inline on the calling thread, blocks polled in
     /// insertion order — the bit-reproducible reference executor (and
     /// the right choice inside an already-parallel Monte Carlo pool).
     /// Also the deadlock oracle: a wired-graph stall surfaces as
     /// [`EngineError::PipelineStalled`] instead of a hang.
+    #[default]
     Deterministic,
     /// Scoped worker threads steal block polls so one run pipelines
     /// across cores. Produces bit-identical metrics (blocks are pure
@@ -48,25 +63,12 @@ pub enum SchedMode {
     },
 }
 
-/// How the engine executes a run: which scheduler and how deep the
-/// inter-block rings are.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How the engine executes a run: which scheduler drives the block
+/// graph.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerSpec {
     /// The executor.
     pub mode: SchedMode,
-    /// Ring capacity between blocks (clamped to ≥ 1). Deeper rings
-    /// admit more in-flight overlap per slot; capacity 1 is valid and
-    /// exercised by the equivalence proptest.
-    pub capacity: usize,
-}
-
-impl Default for SchedulerSpec {
-    fn default() -> Self {
-        SchedulerSpec {
-            mode: SchedMode::Deterministic,
-            capacity: 8,
-        }
-    }
 }
 
 impl SchedulerSpec {
@@ -79,14 +81,13 @@ impl SchedulerSpec {
     pub fn work_stealing(workers: usize) -> Self {
         SchedulerSpec {
             mode: SchedMode::WorkStealing { workers },
-            ..SchedulerSpec::default()
         }
     }
 
     /// Runs `controller` alongside `blocks` on the executor this spec
     /// selects — the one dispatch point shared by every block-graph
-    /// client (the engine's per-node pipeline, the city engine's
-    /// per-region groups), so mode matching lives in exactly one place.
+    /// client (the engine's node blocks, the city engine's region
+    /// blocks), so mode matching lives in exactly one place.
     pub fn run_blocks<'env, R>(
         &self,
         blocks: Vec<Box<dyn Block + 'env>>,
@@ -114,7 +115,7 @@ pub struct RunCtx {
     pub(crate) scratches: Vec<DecoderScratch>,
 }
 
-/// The engine's nodes, parked in `Mutex` cells so decode blocks can
+/// The engine's nodes, parked in `Mutex` cells so node blocks can
 /// borrow them from worker threads while the controller keeps mutable
 /// access to everything else. Per-node access is exclusive; the
 /// slot-end fold barrier orders cross-thread handoffs.
@@ -162,9 +163,8 @@ impl NodePark {
     }
 }
 
-/// What a decode block should do with its next reception window —
-/// resolved by the engine in intent order and shipped ahead of the
-/// window itself.
+/// What a node block should do with a reception window — resolved by
+/// the engine in intent order and shipped with the window's job.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RxWork {
     /// Standard receiver poll; the outcome is folded by the engine.
@@ -180,8 +180,8 @@ pub(crate) enum RxWork {
     Overhear,
 }
 
-/// A decode block's outcome, matched one-to-one with the [`RxWork`]
-/// kind that requested it.
+/// A node block's decode outcome, matched one-to-one with the
+/// [`RxWork`] kind that requested it.
 #[derive(Debug)]
 pub(crate) enum RxDone {
     /// The receiver's poll event, for the engine to account.
@@ -193,22 +193,6 @@ pub(crate) enum RxDone {
     Cope(Option<Frame>),
     /// Whether the overhear decoded a frame.
     Heard(bool),
-}
-
-/// One receiver's decode stage: pops `(tag, window)` pairs mixed by
-/// its [`MediumBlock`], pops the matching [`RxWork`] meta, runs the
-/// node's RX chain under the park lock, and pushes `(tag, outcome)`.
-/// Spent windows return to the mixer through the recycle ring
-/// (best-effort: dropped when the pool is full).
-pub(crate) struct DecodeBlock<'env> {
-    park: &'env NodePark,
-    node_idx: usize,
-    meta: Consumer<RxWork>,
-    windows: Consumer<(u64, Vec<Cplx>)>,
-    done: Producer<(u64, RxDone)>,
-    recycle: Producer<Vec<Cplx>>,
-    staged: Option<(u64, RxDone)>,
-    pending_meta: Option<RxWork>,
 }
 
 /// Runs one unit of RX work against a locked node — the exact decode
@@ -236,38 +220,80 @@ fn run_rx_work(node: &mut Node, work: RxWork, window: &[Cplx]) -> RxDone {
     }
 }
 
-impl Block for DecodeBlock<'_> {
+/// One job for a node's block, resolved by the engine in intent order.
+#[derive(Debug)]
+pub(crate) enum NodeJob {
+    /// Synthesize one transmission; answered by [`NodeOut::Wave`].
+    Tx(SynthJob),
+    /// Mix one reception window and run `work` on it; answered by
+    /// [`NodeOut::Rx`] carrying the same `tag`.
+    Rx {
+        /// The receive intent's index within its slot.
+        tag: u64,
+        /// What the decode does with the mixed window.
+        work: RxWork,
+        /// The window's pure superposition job.
+        window: WindowJob,
+    },
+}
+
+/// A node block's answer to one [`NodeJob`], in job order.
+#[derive(Debug)]
+pub(crate) enum NodeOut {
+    /// The on-air waveform of a [`NodeJob::Tx`].
+    Wave(Vec<Cplx>),
+    /// The tagged outcome of a [`NodeJob::Rx`].
+    Rx(u64, RxDone),
+}
+
+/// One node's Fig. 8 chain as a block: synthesizes its transmissions
+/// with a clone of its TX chain and front end, and mixes its reception
+/// windows into one reused buffer before decoding them under the park
+/// lock. The staged output makes backpressure safe: an answer that
+/// does not fit its ring is retried before the next job is popped.
+pub(crate) struct NodeBlock<'env> {
+    park: &'env NodePark,
+    node_idx: usize,
+    chain: TxChain,
+    front_end: FrontEnd,
+    window: Vec<Cplx>,
+    jobs: Consumer<NodeJob>,
+    out: Producer<NodeOut>,
+    staged: Option<NodeOut>,
+}
+
+impl NodeBlock<'_> {
+    fn run(&mut self, job: NodeJob) -> NodeOut {
+        match job {
+            NodeJob::Tx(job) => NodeOut::Wave(synthesize(&self.chain, &self.front_end, job)),
+            NodeJob::Rx { tag, work, window } => {
+                mix_window(window, &mut self.window);
+                let mut node = self.park.lock_at(self.node_idx);
+                NodeOut::Rx(tag, run_rx_work(&mut node, work, &self.window))
+            }
+        }
+    }
+}
+
+impl Block for NodeBlock<'_> {
     fn name(&self) -> &str {
-        "decode"
+        "node"
     }
 
     fn poll(&mut self) -> BlockStatus {
         let mut progressed = false;
         loop {
             if let Some(out) = self.staged.take() {
-                match self.done.try_push(out) {
-                    Ok(()) => progressed = true,
-                    Err(out) => {
-                        self.staged = Some(out);
-                        break;
-                    }
+                if let Err(out) = self.out.try_push(out) {
+                    self.staged = Some(out);
+                    break;
                 }
+                progressed = true;
             }
-            if self.pending_meta.is_none() {
-                self.pending_meta = self.meta.try_pop();
-            }
-            if self.pending_meta.is_none() {
-                break;
-            }
-            let Some((tag, window)) = self.windows.try_pop() else {
+            let Some(job) = self.jobs.try_pop() else {
                 break;
             };
-            let Some(work) = self.pending_meta.take() else {
-                break;
-            };
-            let done = run_rx_work(&mut self.park.lock_at(self.node_idx), work, &window);
-            let _ = self.recycle.try_push(window);
-            self.staged = Some((tag, done));
+            self.staged = Some(self.run(job));
         }
         if progressed {
             BlockStatus::Progress
@@ -277,106 +303,78 @@ impl Block for DecodeBlock<'_> {
     }
 }
 
-/// The engine's handle on one sender's synthesis chain.
-pub(crate) struct TxPort {
-    pub(crate) jobs: Producer<SynthJob>,
-    pub(crate) waves: Consumer<Vec<Cplx>>,
-}
-
-/// The engine's handle on one receiver's mix-and-decode chain.
-pub(crate) struct RxPort {
-    pub(crate) meta: Producer<RxWork>,
-    pub(crate) jobs: Producer<WindowJob>,
-    pub(crate) done: Consumer<(u64, RxDone)>,
-}
-
-/// All ring endpoints the controller holds, indexed by park order.
-pub(crate) struct GraphPorts {
-    pub(crate) tx: Vec<TxPort>,
-    pub(crate) rx: Vec<RxPort>,
+/// The controller's handle on one node's block.
+pub(crate) struct NodePort {
+    pub(crate) jobs: Producer<NodeJob>,
+    pub(crate) out: Consumer<NodeOut>,
 }
 
 /// The controller-side context threaded through the engine's slot
-/// loop: the parked nodes, the graph's ring endpoints, and the
+/// loop: the parked nodes, one port per node (park order), and the
 /// scheduler's pump for driving progress while a ring blocks.
 pub(crate) struct SlotDriver<'a, 'env> {
     pub(crate) park: &'env NodePark,
-    pub(crate) ports: &'a mut GraphPorts,
+    pub(crate) ports: &'a mut [NodePort],
     pub(crate) pump: &'a mut dyn Pump,
 }
 
-/// Builds the per-node block graph over parked nodes: for node `i` a
-/// TX front-end block (cloned chain + copied front end), a medium
-/// mixer, and a decode block borrowing the park, wired with
-/// `capacity`-deep rings. The window recycle pool is pre-seeded so
-/// steady-state slots allocate nothing.
-pub(crate) fn build_graph(
-    park: &NodePark,
-    capacity: usize,
-) -> (Vec<Box<dyn Block + '_>>, GraphPorts) {
-    let capacity = capacity.max(1);
+/// Builds the block graph over parked nodes: one [`NodeBlock`] per
+/// node, in park order, each owning clones of its node's TX chain and
+/// front end and borrowing the park for decodes.
+pub(crate) fn build_graph(park: &NodePark) -> (Vec<Box<dyn Block + '_>>, Vec<NodePort>) {
     let n = park.len();
-    let mut blocks: Vec<Box<dyn Block + '_>> = Vec::with_capacity(3 * n);
-    let mut tx = Vec::with_capacity(n);
-    let mut rx = Vec::with_capacity(n);
-    for i in 0..n {
+    let mut blocks: Vec<Box<dyn Block + '_>> = Vec::with_capacity(n);
+    let mut ports = Vec::with_capacity(n);
+    for node_idx in 0..n {
         let (chain, front_end) = {
-            let node = park.lock_at(i);
+            let node = park.lock_at(node_idx);
             (node.tx_chain().clone(), node.front_end)
         };
-        let (jobs, jobs_in) = channel(capacity);
-        let (waves_out, waves) = channel(capacity);
-        blocks.push(Box::new(TxFrontEndBlock::new(
-            chain, front_end, jobs_in, waves_out,
-        )));
-        let (wjobs, wjobs_in) = channel(capacity);
-        let (mut pool, pool_out) = channel(capacity);
-        for _ in 0..capacity {
-            let _ = pool.try_push(Vec::new());
-        }
-        let (mixed_out, mixed) = channel(capacity);
-        let (meta, meta_in) = channel(capacity);
-        let (done_out, done) = channel(capacity);
-        blocks.push(Box::new(MediumBlock::new(wjobs_in, pool_out, mixed_out)));
-        blocks.push(Box::new(DecodeBlock {
+        let (jobs, jobs_in) = ring();
+        let (out_tx, out) = ring();
+        blocks.push(Box::new(NodeBlock {
             park,
-            node_idx: i,
-            meta: meta_in,
-            windows: mixed,
-            done: done_out,
-            recycle: pool,
+            node_idx,
+            chain,
+            front_end,
+            window: Vec::new(),
+            jobs: jobs_in,
+            out: out_tx,
             staged: None,
-            pending_meta: None,
         }));
-        tx.push(TxPort { jobs, waves });
-        rx.push(RxPort {
-            meta,
-            jobs: wjobs,
-            done,
-        });
+        ports.push(NodePort { jobs, out });
     }
-    (blocks, GraphPorts { tx, rx })
+    (blocks, ports)
+}
+
+/// The block graph could not advance while the controller waited on a
+/// ring: a wired-graph deadlock, which each graph client reports as its
+/// own `PipelineStalled` error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stalled;
+
+impl From<Stalled> for EngineError {
+    fn from(_: Stalled) -> Self {
+        EngineError::PipelineStalled
+    }
 }
 
 /// Pushes into a ring, pumping the graph while it is full. A
 /// deterministic pump reporting no possible progress is a wired-graph
-/// deadlock, surfaced as [`EngineError::PipelineStalled`] (after one
-/// final retry, since the controller itself may have freed space).
+/// deadlock, surfaced as [`Stalled`] (after one final retry, since the
+/// controller itself may have freed space).
 pub(crate) fn wait_push<T>(
     ring: &mut Producer<T>,
     mut value: T,
     pump: &mut dyn Pump,
-) -> Result<(), EngineError> {
+) -> Result<(), Stalled> {
     loop {
         match ring.try_push(value) {
             Ok(()) => return Ok(()),
             Err(back) => {
                 value = back;
                 if !pump.pump() {
-                    return match ring.try_push(value) {
-                        Ok(()) => Ok(()),
-                        Err(_) => Err(EngineError::PipelineStalled),
-                    };
+                    return ring.try_push(value).map_err(|_| Stalled);
                 }
             }
         }
@@ -385,13 +383,13 @@ pub(crate) fn wait_push<T>(
 
 /// Pops from a ring, pumping the graph while it is empty. See
 /// [`wait_push`] for the stall contract.
-pub(crate) fn wait_pop<T>(ring: &mut Consumer<T>, pump: &mut dyn Pump) -> Result<T, EngineError> {
+pub(crate) fn wait_pop<T>(ring: &mut Consumer<T>, pump: &mut dyn Pump) -> Result<T, Stalled> {
     loop {
         if let Some(v) = ring.try_pop() {
             return Ok(v);
         }
         if !pump.pump() {
-            return ring.try_pop().ok_or(EngineError::PipelineStalled);
+            return ring.try_pop().ok_or(Stalled);
         }
     }
 }
@@ -399,14 +397,16 @@ pub(crate) fn wait_pop<T>(ring: &mut Consumer<T>, pump: &mut dyn Pump) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anc_node::{NodeConfig, NodeRole};
+    use anc_dsp::DspRng;
+    use anc_frame::Header;
+    use anc_node::{NodeConfig, NodeRole, SynthSource};
 
     fn park_of(n: usize) -> NodePark {
         let nodes = (0..n as NodeId)
             .map(|id| {
                 let mut cfg = NodeConfig::new(id, NodeRole::Endpoint);
                 cfg.samples_per_symbol = 1;
-                (id, Node::new(cfg, anc_dsp::DspRng::seed_from(id as u64)))
+                (id, Node::new(cfg, DspRng::seed_from(id as u64)))
             })
             .collect();
         NodePark::new(nodes)
@@ -422,12 +422,64 @@ mod tests {
     }
 
     #[test]
-    fn graph_has_three_blocks_per_node() {
-        let park = park_of(2);
-        let (blocks, ports) = build_graph(&park, 4);
-        assert_eq!(blocks.len(), 6);
-        assert_eq!(ports.tx.len(), 2);
-        assert_eq!(ports.rx.len(), 2);
+    fn graph_has_one_block_per_node() {
+        let park = park_of(3);
+        let (blocks, ports) = build_graph(&park);
+        assert_eq!(blocks.len(), 3);
+        assert_eq!(ports.len(), 3);
+        assert!(blocks.iter().all(|b| b.name() == "node"));
+    }
+
+    #[test]
+    fn node_block_stages_behind_a_full_output_ring() {
+        let park = park_of(1);
+        let (mut blocks, mut ports) = build_graph(&park);
+        let (block, port) = (&mut blocks[0], &mut ports[0]);
+        let (chain, front_end) = {
+            let node = park.lock_at(0);
+            (node.tx_chain().clone(), node.front_end)
+        };
+        let tx = |phase: f64| SynthJob {
+            source: SynthSource::Frame(Frame::new(Header::new(0, 1, 3, 0), vec![true, false])),
+            carrier_phase: phase,
+            cfo: 0.0,
+        };
+        let rx = NodeJob::Rx {
+            tag: 5,
+            work: RxWork::Poll,
+            window: WindowJob {
+                duration: 32,
+                noise_power: 1e-3,
+                noise: DspRng::seed_from(9),
+                transmissions: Vec::new(),
+                tones: Vec::new(),
+                jammer: None,
+            },
+        };
+
+        port.jobs.try_push(NodeJob::Tx(tx(0.1))).unwrap();
+        assert_eq!(block.poll(), BlockStatus::Progress);
+        // The output ring (depth 1) is full: the next answer is
+        // computed and staged, freeing the job ring for one more job,
+        // which then waits behind the staged answer.
+        port.jobs.try_push(NodeJob::Tx(tx(0.2))).unwrap();
+        assert_eq!(block.poll(), BlockStatus::Idle);
+        port.jobs.try_push(rx).unwrap();
+        assert_eq!(block.poll(), BlockStatus::Idle);
+
+        for phase in [0.1, 0.2] {
+            let Some(NodeOut::Wave(wave)) = port.out.try_pop() else {
+                panic!("waveform expected");
+            };
+            assert_eq!(wave, synthesize(&chain, &front_end, tx(phase)));
+            assert_eq!(block.poll(), BlockStatus::Progress);
+        }
+        assert!(matches!(
+            port.out.try_pop(),
+            Some(NodeOut::Rx(5, RxDone::Evt(_)))
+        ));
+        assert_eq!(block.poll(), BlockStatus::Idle);
+        assert!(port.out.try_pop().is_none());
     }
 
     #[test]
@@ -440,14 +492,8 @@ mod tests {
         }
         let (mut p, mut c) = channel::<u32>(1);
         p.try_push(1).unwrap();
-        assert_eq!(
-            wait_push(&mut p, 2, &mut DeadPump),
-            Err(EngineError::PipelineStalled)
-        );
+        assert_eq!(wait_push(&mut p, 2, &mut DeadPump), Err(Stalled));
         assert_eq!(wait_pop(&mut c, &mut DeadPump), Ok(1));
-        assert_eq!(
-            wait_pop(&mut c, &mut DeadPump),
-            Err(EngineError::PipelineStalled)
-        );
+        assert_eq!(wait_pop(&mut c, &mut DeadPump), Err(Stalled));
     }
 }

@@ -81,12 +81,11 @@ fn static_city_fingerprints_survive_the_block_graph_rewrite() {
 proptest! {
     /// Mobility on: endpoints walk random waypoints and the spatial
     /// grid relocates them incrementally, yet both executors agree bit
-    /// for bit. Capacity 1 maximizes ring backpressure.
+    /// for bit, on the depth-1 rings every region block uses.
     #[test]
     fn mobile_city_is_executor_and_advance_invariant(
         seed in 0u64..500,
         workers in 2usize..5,
-        capacity in 1usize..6,
         velocity_q in 1u8..7,
         pause_q in 0u8..4,
     ) {
@@ -97,19 +96,13 @@ proptest! {
         cfg.payload_bits = 64;
         cfg.velocity = f64::from(velocity_q) * 0.5;
         cfg.pause = f64::from(pause_q);
-        let reference = run_with(&cfg, Scheme::Anc, SchedulerSpec {
-            mode: anc_sim::SchedMode::Deterministic,
-            capacity,
-        });
+        let reference = run_with(&cfg, Scheme::Anc, SchedulerSpec::deterministic());
         prop_assert!(reference.offered > 0 || reference.rounds_serviced == 0);
-        let stolen = run_with(&cfg, Scheme::Anc, SchedulerSpec {
-            mode: anc_sim::SchedMode::WorkStealing { workers },
-            capacity,
-        });
+        let stolen = run_with(&cfg, Scheme::Anc, SchedulerSpec::work_stealing(workers));
         prop_assert_eq!(
             stolen.fingerprint(), reference.fingerprint(),
-            "work-stealing diverged (seed={} workers={} capacity={})",
-            seed, workers, capacity
+            "work-stealing diverged (seed={} workers={})",
+            seed, workers
         );
     }
 }

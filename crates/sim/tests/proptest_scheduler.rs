@@ -5,14 +5,14 @@
 //! intent order, so the work-stealing executor — which races block
 //! polls across worker threads — must produce run metrics
 //! **bit-identical** to the deterministic single-thread executor, for
-//! any scenario, seed, worker count, and ring capacity (including
-//! capacity 1, where backpressure forces the controller to interleave
-//! pushes, pops, and pumps at the finest grain).
+//! any scenario, seed and worker count. The graph is one block per
+//! node on depth-1 rings, so backpressure forces the controller to
+//! interleave pushes, pops, and pumps at the finest grain.
 
 use anc_netcode::Scheme;
 use anc_sim::runs::RunConfig;
 use anc_sim::scenario::ScenarioSpec;
-use anc_sim::{Engine, RunCtx, RunMetrics, SchedMode, SchedulerSpec};
+use anc_sim::{Engine, RunCtx, RunMetrics, SchedulerSpec};
 use proptest::prelude::*;
 
 /// FNV-1a over every metric word that must stay bit-identical
@@ -66,16 +66,14 @@ fn run_with(
 
 proptest! {
     /// Work-stealing == deterministic, bit for bit, across random
-    /// scenarios × seeds × worker counts × ring capacities. Capacity 1
-    /// is in-range deliberately: it maximizes backpressure, forcing
-    /// the single-outstanding-window guard and the pump-retry loop
-    /// onto their hardest paths.
+    /// scenarios × seeds × worker counts. Every ring has depth 1, so
+    /// backpressure forces the single-outstanding-window guard and the
+    /// pump-retry loop onto their hardest paths on every run.
     #[test]
     fn work_stealing_matches_deterministic(
         topology in 0u8..4,
         seed in 0u64..1_000,
         workers in 1usize..5,
-        capacity in 1usize..6,
         anc in any::<bool>(),
     ) {
         let spec = spec_for(topology);
@@ -85,53 +83,13 @@ proptest! {
             payload_bits: 1024,
             ..RunConfig::quick(seed)
         };
-        let reference = run_with(&spec, scheme, &rc, &SchedulerSpec {
-            mode: SchedMode::Deterministic,
-            capacity,
-        });
-        let stolen = run_with(&spec, scheme, &rc, &SchedulerSpec {
-            mode: SchedMode::WorkStealing { workers },
-            capacity,
-        });
+        let reference = run_with(&spec, scheme, &rc, &SchedulerSpec::deterministic());
+        let stolen = run_with(&spec, scheme, &rc, &SchedulerSpec::work_stealing(workers));
         prop_assert_eq!(
             fingerprint(&reference),
             fingerprint(&stolen),
-            "work-stealing run diverged (topology={} seed={} workers={} capacity={} {:?})",
-            topology, seed, workers, capacity, scheme
-        );
-    }
-
-    /// Ring capacity is a throughput knob, never a semantics knob: the
-    /// deterministic executor's fingerprint is invariant under the
-    /// ring depth, pinning the slot-end fold barrier as the only
-    /// ordering authority.
-    #[test]
-    fn capacity_never_changes_deterministic_metrics(
-        topology in 0u8..4,
-        seed in 0u64..1_000,
-        capacity in 2usize..9,
-        anc in any::<bool>(),
-    ) {
-        let spec = spec_for(topology);
-        let scheme = if anc { Scheme::Anc } else { Scheme::Traditional };
-        let rc = RunConfig {
-            packets_per_flow: 3,
-            payload_bits: 512,
-            ..RunConfig::quick(seed)
-        };
-        let narrow = run_with(&spec, scheme, &rc, &SchedulerSpec {
-            mode: SchedMode::Deterministic,
-            capacity: 1,
-        });
-        let wide = run_with(&spec, scheme, &rc, &SchedulerSpec {
-            mode: SchedMode::Deterministic,
-            capacity,
-        });
-        prop_assert_eq!(
-            fingerprint(&narrow),
-            fingerprint(&wide),
-            "ring depth changed metrics (topology={} seed={} capacity={} {:?})",
-            topology, seed, capacity, scheme
+            "work-stealing run diverged (topology={} seed={} workers={} {:?})",
+            topology, seed, workers, scheme
         );
     }
 }
