@@ -41,35 +41,6 @@ pub fn fractional_delay(signal: &[Cplx], delay: f64) -> Vec<Cplx> {
     out
 }
 
-/// Repeats each input sample `factor` times (zero-order hold upsampling).
-///
-/// The MSK modulator generates its continuous-phase waveform directly,
-/// so this is only used by diagnostic tooling and tests.
-pub fn upsample_hold(signal: &[Cplx], factor: usize) -> Vec<Cplx> {
-    assert!(factor >= 1, "upsample factor must be >= 1");
-    let mut out = Vec::with_capacity(signal.len() * factor);
-    for &s in signal {
-        for _ in 0..factor {
-            out.push(s);
-        }
-    }
-    out
-}
-
-/// Takes every `factor`-th sample starting at `offset`.
-///
-/// Used to decimate an oversampled reception down to symbol rate after
-/// alignment.
-pub fn decimate(signal: &[Cplx], factor: usize, offset: usize) -> Vec<Cplx> {
-    assert!(factor >= 1, "decimation factor must be >= 1");
-    signal
-        .iter()
-        .skip(offset)
-        .step_by(factor)
-        .copied()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,38 +93,6 @@ mod tests {
     #[should_panic]
     fn negative_delay_panics() {
         let _ = fractional_delay(&ramp(3), -1.0);
-    }
-
-    #[test]
-    fn upsample_hold_repeats() {
-        let sig = ramp(3);
-        let up = upsample_hold(&sig, 3);
-        assert_eq!(up.len(), 9);
-        assert_eq!(up[0], up[2]);
-        assert_eq!(up[3].re, 1.0);
-        assert_eq!(up[8].re, 2.0);
-    }
-
-    #[test]
-    fn decimate_inverts_upsample() {
-        let sig = ramp(7);
-        let up = upsample_hold(&sig, 4);
-        let down = decimate(&up, 4, 0);
-        assert_eq!(down, sig);
-    }
-
-    #[test]
-    fn decimate_with_offset() {
-        let sig = ramp(8);
-        let d = decimate(&sig, 3, 1);
-        assert_eq!(
-            d,
-            vec![
-                Cplx::new(1.0, 0.0),
-                Cplx::new(4.0, 0.0),
-                Cplx::new(7.0, 0.0)
-            ]
-        );
     }
 
     #[test]

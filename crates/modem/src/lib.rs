@@ -12,8 +12,9 @@
 //!   `arg(r) ≥ 0 → 1`, `< 0 → 0`, which cancels both channel
 //!   attenuation `h` and phase shift `γ` without estimating either.
 //!
-//! [`msk::MskModem`] generates a continuous-phase oversampled waveform
-//! (`samples_per_symbol ≥ 1`) and demodulates at symbol spacing.
+//! [`msk::MskModem`] generates the continuous-phase waveform at one
+//! complex sample per symbol, the sample model of the paper's math, and
+//! demodulates consecutive samples.
 //! [`psk`] adds differential BPSK/QPSK modems — §4 argues the ANC
 //! ideas apply to any phase-shift keying, and these let the decoder
 //! demonstrate that claim. [`mod@ber`] holds the bit-error accounting
@@ -48,15 +49,12 @@ pub trait Modem {
     /// after channel attenuation/rotation/noise) back into bits.
     fn demodulate(&self, samples: &[Cplx]) -> Vec<bool>;
 
-    /// Samples emitted per symbol interval `T`.
-    fn samples_per_symbol(&self) -> usize;
-
     /// Bits carried per symbol (1 for MSK/DBPSK, 2 for DQPSK).
     fn bits_per_symbol(&self) -> usize;
 
-    /// Number of samples produced for `n_bits` input bits.
+    /// Number of samples produced for `n_bits` input bits: one per
+    /// symbol plus the trailing sample.
     fn sample_count(&self, n_bits: usize) -> usize {
-        let symbols = n_bits.div_ceil(self.bits_per_symbol());
-        symbols * self.samples_per_symbol() + 1
+        n_bits.div_ceil(self.bits_per_symbol()) + 1
     }
 }

@@ -4,16 +4,16 @@
 //!
 //! Time is divided into symbol intervals of duration `T`. During each
 //! interval the signal phase advances linearly by `+π/2` (bit 1) or
-//! `−π/2` (bit 0); the amplitude `A_s` is constant. With
-//! `samples_per_symbol = S`, each sample advances the phase by
-//! `±π/(2S)`, producing the continuous-phase trajectory of Fig. 3.
-//! The waveform carries one extra trailing sample so the final symbol's
+//! `−π/2` (bit 0); the amplitude `A_s` is constant. The modem works at
+//! one complex sample per symbol, as the paper's math does: each sample
+//! advances the phase by `±π/2`, walking the trajectory of Fig. 3. The
+//! waveform carries one extra trailing sample so the final symbol's
 //! full transition is observable.
 //!
 //! ## Demodulation (§5.3)
 //!
-//! For samples one symbol apart, the ratio
-//! `r = y[n+S]/y[n] = e^{i(θ[n+S]−θ[n])}` (Eq. 1) is invariant to both
+//! For consecutive samples, the ratio
+//! `r = y[n+1]/y[n] = e^{i(θ[n+1]−θ[n])}` (Eq. 1) is invariant to both
 //! the channel attenuation `h` and phase shift `γ`. The receiver maps
 //! `arg(r) ≥ 0 → 1` and `< 0 → 0`.
 
@@ -24,38 +24,20 @@ use std::f64::consts::FRAC_PI_2;
 /// Configuration for the MSK modem.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MskConfig {
-    /// Complex samples per symbol interval `T`. 1 = symbol-rate
-    /// processing (the representation used by the paper's math);
-    /// larger values model an oversampled front end.
-    pub samples_per_symbol: usize,
     /// Transmit amplitude `A_s` (§5.2: constant for MSK).
     pub amplitude: f64,
 }
 
 impl Default for MskConfig {
     fn default() -> Self {
-        MskConfig {
-            samples_per_symbol: 1,
-            amplitude: 1.0,
-        }
+        MskConfig { amplitude: 1.0 }
     }
 }
 
 impl MskConfig {
-    /// Symbol-rate configuration with the given amplitude.
+    /// Configuration with the given amplitude.
     pub fn with_amplitude(amplitude: f64) -> Self {
-        MskConfig {
-            amplitude,
-            ..Default::default()
-        }
-    }
-
-    /// Oversampled configuration.
-    pub fn oversampled(samples_per_symbol: usize) -> Self {
-        MskConfig {
-            samples_per_symbol,
-            amplitude: 1.0,
-        }
+        MskConfig { amplitude }
     }
 }
 
@@ -77,45 +59,39 @@ impl MskModem {
     /// Creates a modem from a configuration.
     ///
     /// # Panics
-    /// Panics if `samples_per_symbol == 0` or `amplitude <= 0`.
+    /// Panics if `amplitude <= 0`.
     pub fn new(cfg: MskConfig) -> Self {
-        assert!(cfg.samples_per_symbol >= 1, "need >= 1 sample per symbol");
         assert!(cfg.amplitude > 0.0, "amplitude must be positive");
         MskModem { cfg }
-    }
-
-    /// The modem's configuration.
-    pub fn config(&self) -> MskConfig {
-        self.cfg
     }
 
     /// The phase trajectory (radians, unwrapped) that [`Modem::modulate`]
     /// walks for the given bits, starting at 0 — one value per output
     /// sample. This regenerates Fig. 3 of the paper.
     pub fn phase_trajectory(&self, bits: &[bool]) -> Vec<f64> {
-        let mut phases = Vec::with_capacity(bits.len() * self.cfg.samples_per_symbol + 1);
+        let mut phases = Vec::with_capacity(bits.len() + 1);
         self.walk_phases(bits, |_, phi| phases.push(phi));
         phases
     }
 
     /// Walks the phase trajectory, calling `visit(k, φ)` once per output
-    /// sample, where `k` is the net number of `±π/(2S)` steps taken so
-    /// far and `φ` the accumulated phase. [`Self::phase_trajectory`]
-    /// and [`Modem::modulate`] share this walk, so both see the same
-    /// `φ` bits.
+    /// sample, where `k` is the net number of `±π/2` steps taken so far
+    /// and `φ` the accumulated phase. [`Self::phase_trajectory`] and
+    /// [`Modem::modulate`] share this walk, so both see the same `φ`
+    /// bits.
     fn walk_phases(&self, bits: &[bool], mut visit: impl FnMut(i64, f64)) {
-        let s = self.cfg.samples_per_symbol;
-        let step = FRAC_PI_2 / s as f64;
         let mut phi = 0.0;
         let mut k = 0i64;
         visit(k, phi);
         for &bit in bits {
-            let (d, dk) = if bit { (step, 1) } else { (-step, -1) };
-            for _ in 0..s {
-                phi += d;
-                k += dk;
-                visit(k, phi);
-            }
+            let (d, dk) = if bit {
+                (FRAC_PI_2, 1)
+            } else {
+                (-FRAC_PI_2, -1)
+            };
+            phi += d;
+            k += dk;
+            visit(k, phi);
         }
     }
 
@@ -137,32 +113,11 @@ impl MskModem {
         out.extend(bits.iter().map(|&b| if b { FRAC_PI_2 } else { -FRAC_PI_2 }));
     }
 
-    /// Demodulates starting from an arbitrary sample offset; used after
-    /// alignment when a reception does not begin exactly at a waveform
-    /// boundary.
-    pub fn demodulate_from(&self, samples: &[Cplx], offset: usize) -> Vec<bool> {
-        if offset >= samples.len() {
-            return Vec::new();
-        }
-        self.demodulate(&samples[offset..])
-    }
-
     /// Soft demodulation: returns the measured phase difference for each
     /// symbol instead of a hard bit. The ANC decoder's final step (§6.4)
     /// thresholds these at zero.
     pub fn demodulate_soft(&self, samples: &[Cplx]) -> Vec<f64> {
-        let s = self.cfg.samples_per_symbol;
-        if samples.len() <= s {
-            return Vec::new();
-        }
-        let n_sym = (samples.len() - 1) / s;
-        let mut out = Vec::with_capacity(n_sym);
-        for k in 0..n_sym {
-            let a = samples[k * s];
-            let b = samples[(k + 1) * s];
-            out.push((b / a).arg());
-        }
-        out
+        samples.windows(2).map(|w| (w[1] / w[0]).arg()).collect()
     }
 
     /// [`Modem::demodulate`] into a caller-owned buffer: clears `out`,
@@ -179,18 +134,15 @@ impl MskModem {
     /// to attach the clean-tail bits directly after the matcher's
     /// overlap bits (§7.2 step 5).
     pub fn demodulate_extend(&self, samples: &[Cplx], out: &mut Vec<bool>) {
-        let s = self.cfg.samples_per_symbol;
-        if samples.len() <= s {
-            return;
-        }
-        let n_sym = (samples.len() - 1) / s;
         // §5.3 / §6.4 decision rule: Δθ ≥ 0 → "1", else "0" — the sign
         // of arg(b/a) read off the quotient directly, skipping the atan2
         // (`demodulate_soft` remains the thresholded reference). The
         // quotient itself is kept — NOT b·conj(a) — because a = 0 must
         // keep yielding NaN → bit 0, exactly as the soft path's arg does.
         out.extend(
-            (0..n_sym).map(|k| (samples[(k + 1) * s] / samples[k * s]).arg_is_non_negative()),
+            samples
+                .windows(2)
+                .map(|w| (w[1] / w[0]).arg_is_non_negative()),
         );
     }
 }
@@ -246,7 +198,7 @@ impl Modem for MskModem {
     fn modulate(&self, bits: &[bool]) -> Vec<Cplx> {
         let amplitude = self.cfg.amplitude;
         let mut memo = PhasorMemo::new();
-        let mut out = Vec::with_capacity(bits.len() * self.cfg.samples_per_symbol + 1);
+        let mut out = Vec::with_capacity(bits.len() + 1);
         self.walk_phases(bits, |k, phi| out.push(memo.phasor(k, phi, amplitude)));
         out
     }
@@ -258,10 +210,6 @@ impl Modem for MskModem {
         let mut out = Vec::new();
         self.demodulate_extend(samples, &mut out);
         out
-    }
-
-    fn samples_per_symbol(&self) -> usize {
-        self.cfg.samples_per_symbol
     }
 
     fn bits_per_symbol(&self) -> usize {
@@ -287,19 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_oversampled() {
-        for s in [2, 4, 8] {
-            let modem = MskModem::new(MskConfig::oversampled(s));
-            let data = bits("110010111101");
-            assert_eq!(modem.demodulate(&modem.modulate(&data)), data, "S = {s}");
-        }
-    }
-
-    #[test]
     fn roundtrip_random_long() {
         let mut rng = DspRng::seed_from(42);
         let data = rng.bits(2000);
-        let modem = MskModem::new(MskConfig::oversampled(4));
+        let modem = MskModem::default();
         assert_eq!(modem.demodulate(&modem.modulate(&data)), data);
     }
 
@@ -336,29 +275,24 @@ mod tests {
         // including walks long and one-sided enough that the net step
         // count wraps the 256-slot table many times over.
         let mut rng = DspRng::seed_from(5);
-        for s in 1..=8 {
-            for amplitude in [1.0, 0.37, 2.5] {
-                let modem = MskModem::new(MskConfig {
-                    samples_per_symbol: s,
-                    amplitude,
-                });
-                for len in [0, 1, 2, 17, 560, 8400] {
-                    for data in [vec![true; len], vec![false; len], rng.bits(len)] {
-                        let want: Vec<(u64, u64)> = modem
-                            .phase_trajectory(&data)
-                            .into_iter()
-                            .map(|phi| {
-                                let z = Cplx::from_polar(amplitude, phi);
-                                (z.re.to_bits(), z.im.to_bits())
-                            })
-                            .collect();
-                        let got: Vec<(u64, u64)> = modem
-                            .modulate(&data)
-                            .into_iter()
-                            .map(|z| (z.re.to_bits(), z.im.to_bits()))
-                            .collect();
-                        assert!(got == want, "S = {s}, A = {amplitude}, {len} bits");
-                    }
+        for amplitude in [1.0, 0.37, 2.5] {
+            let modem = MskModem::new(MskConfig::with_amplitude(amplitude));
+            for len in [0, 1, 2, 17, 560, 8400] {
+                for data in [vec![true; len], vec![false; len], rng.bits(len)] {
+                    let want: Vec<(u64, u64)> = modem
+                        .phase_trajectory(&data)
+                        .into_iter()
+                        .map(|phi| {
+                            let z = Cplx::from_polar(amplitude, phi);
+                            (z.re.to_bits(), z.im.to_bits())
+                        })
+                        .collect();
+                    let got: Vec<(u64, u64)> = modem
+                        .modulate(&data)
+                        .into_iter()
+                        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                        .collect();
+                    assert!(got == want, "A = {amplitude}, {len} bits");
                 }
             }
         }
@@ -368,10 +302,7 @@ mod tests {
     fn constant_amplitude() {
         // §5.2: "in MSK, the amplitude of the transmitted signal is a
         // constant. The phase embeds all information."
-        let modem = MskModem::new(MskConfig {
-            samples_per_symbol: 4,
-            amplitude: 2.5,
-        });
+        let modem = MskModem::new(MskConfig::with_amplitude(2.5));
         for s in modem.modulate(&bits("1101001")) {
             assert!((s.norm() - 2.5).abs() < 1e-12);
         }
@@ -379,10 +310,10 @@ mod tests {
 
     #[test]
     fn sample_count_matches_trait() {
-        let modem = MskModem::new(MskConfig::oversampled(4));
+        let modem = MskModem::default();
         let data = bits("10110");
         assert_eq!(modem.modulate(&data).len(), modem.sample_count(5));
-        assert_eq!(modem.sample_count(5), 21);
+        assert_eq!(modem.sample_count(5), 6);
     }
 
     #[test]
@@ -430,7 +361,7 @@ mod tests {
 
     #[test]
     fn into_variants_match_allocating_ones() {
-        let modem = MskModem::new(MskConfig::oversampled(2));
+        let modem = MskModem::default();
         let mut rng = DspRng::seed_from(11);
         let data = rng.bits(300);
         let signal: Vec<Cplx> = modem
@@ -487,31 +418,8 @@ mod tests {
     }
 
     #[test]
-    fn demodulate_from_offset() {
-        let modem = MskModem::default();
-        let data = bits("1100");
-        let signal = modem.modulate(&data);
-        // skipping one symbol drops the first bit
-        let tail = modem.demodulate_from(&signal, 1);
-        assert_eq!(tail, bits("100"));
-        assert!(modem.demodulate_from(&signal, 99).is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_samples_per_symbol_rejected() {
-        let _ = MskModem::new(MskConfig {
-            samples_per_symbol: 0,
-            amplitude: 1.0,
-        });
-    }
-
-    #[test]
     #[should_panic]
     fn non_positive_amplitude_rejected() {
-        let _ = MskModem::new(MskConfig {
-            samples_per_symbol: 1,
-            amplitude: 0.0,
-        });
+        let _ = MskModem::new(MskConfig::with_amplitude(0.0));
     }
 }

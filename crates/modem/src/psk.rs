@@ -24,16 +24,12 @@ use std::f64::consts::{FRAC_PI_4, PI};
 /// Differential binary phase-shift keying.
 #[derive(Debug, Clone)]
 pub struct DbpskModem {
-    samples_per_symbol: usize,
     amplitude: f64,
 }
 
 impl Default for DbpskModem {
     fn default() -> Self {
-        DbpskModem {
-            samples_per_symbol: 1,
-            amplitude: 1.0,
-        }
+        DbpskModem { amplitude: 1.0 }
     }
 }
 
@@ -41,50 +37,31 @@ impl DbpskModem {
     /// Creates a DBPSK modem.
     ///
     /// # Panics
-    /// Panics on zero `samples_per_symbol` or non-positive amplitude.
-    pub fn new(samples_per_symbol: usize, amplitude: f64) -> Self {
-        assert!(samples_per_symbol >= 1);
+    /// Panics on a non-positive amplitude.
+    pub fn new(amplitude: f64) -> Self {
         assert!(amplitude > 0.0);
-        DbpskModem {
-            samples_per_symbol,
-            amplitude,
-        }
+        DbpskModem { amplitude }
     }
 }
 
 impl Modem for DbpskModem {
     fn modulate(&self, bits: &[bool]) -> Vec<Cplx> {
-        let s = self.samples_per_symbol;
-        let mut out = Vec::with_capacity(bits.len() * s + 1);
+        let mut out = Vec::with_capacity(bits.len() + 1);
         let mut phi = 0.0_f64;
         out.push(Cplx::from_polar(self.amplitude, phi));
         for &bit in bits {
+            // The phase jumps at the symbol boundary.
             phi = wrap_pi(phi + if bit { PI } else { 0.0 });
-            // Phase is constant across the symbol; the transition sits at
-            // the boundary. Emit S samples at the new phase.
-            for _ in 0..s {
-                out.push(Cplx::from_polar(self.amplitude, phi));
-            }
+            out.push(Cplx::from_polar(self.amplitude, phi));
         }
         out
     }
 
     fn demodulate(&self, samples: &[Cplx]) -> Vec<bool> {
-        let s = self.samples_per_symbol;
-        if samples.len() <= s {
-            return Vec::new();
-        }
-        let n_sym = (samples.len() - 1) / s;
-        (0..n_sym)
-            .map(|k| {
-                let d = (samples[(k + 1) * s] / samples[k * s]).arg();
-                d.abs() > PI / 2.0
-            })
+        samples
+            .windows(2)
+            .map(|w| (w[1] / w[0]).arg().abs() > PI / 2.0)
             .collect()
-    }
-
-    fn samples_per_symbol(&self) -> usize {
-        self.samples_per_symbol
     }
 
     fn bits_per_symbol(&self) -> usize {
@@ -95,16 +72,12 @@ impl Modem for DbpskModem {
 /// π/4 differential quadrature phase-shift keying (two bits per symbol).
 #[derive(Debug, Clone)]
 pub struct DqpskModem {
-    samples_per_symbol: usize,
     amplitude: f64,
 }
 
 impl Default for DqpskModem {
     fn default() -> Self {
-        DqpskModem {
-            samples_per_symbol: 1,
-            amplitude: 1.0,
-        }
+        DqpskModem { amplitude: 1.0 }
     }
 }
 
@@ -120,14 +93,10 @@ impl DqpskModem {
     /// Creates a DQPSK modem.
     ///
     /// # Panics
-    /// Panics on zero `samples_per_symbol` or non-positive amplitude.
-    pub fn new(samples_per_symbol: usize, amplitude: f64) -> Self {
-        assert!(samples_per_symbol >= 1);
+    /// Panics on a non-positive amplitude.
+    pub fn new(amplitude: f64) -> Self {
         assert!(amplitude > 0.0);
-        DqpskModem {
-            samples_per_symbol,
-            amplitude,
-        }
+        DqpskModem { amplitude }
     }
 
     fn dibit_to_phase(b0: bool, b1: bool) -> f64 {
@@ -155,8 +124,7 @@ impl DqpskModem {
 
 impl Modem for DqpskModem {
     fn modulate(&self, bits: &[bool]) -> Vec<Cplx> {
-        let s = self.samples_per_symbol;
-        let mut out = Vec::with_capacity(bits.len() / 2 * s + s + 1);
+        let mut out = Vec::with_capacity(bits.len().div_ceil(2) + 1);
         let mut phi = 0.0_f64;
         out.push(Cplx::from_polar(self.amplitude, phi));
         let mut idx = 0;
@@ -168,32 +136,20 @@ impl Modem for DqpskModem {
                 false
             };
             phi = wrap_pi(phi + Self::dibit_to_phase(b0, b1));
-            for _ in 0..s {
-                out.push(Cplx::from_polar(self.amplitude, phi));
-            }
+            out.push(Cplx::from_polar(self.amplitude, phi));
             idx += 2;
         }
         out
     }
 
     fn demodulate(&self, samples: &[Cplx]) -> Vec<bool> {
-        let s = self.samples_per_symbol;
-        if samples.len() <= s {
-            return Vec::new();
-        }
-        let n_sym = (samples.len() - 1) / s;
-        let mut out = Vec::with_capacity(n_sym * 2);
-        for k in 0..n_sym {
-            let d = (samples[(k + 1) * s] / samples[k * s]).arg();
-            let (b0, b1) = Self::phase_to_dibit(d);
+        let mut out = Vec::with_capacity(2 * samples.len().saturating_sub(1));
+        for w in samples.windows(2) {
+            let (b0, b1) = Self::phase_to_dibit((w[1] / w[0]).arg());
             out.push(b0);
             out.push(b1);
         }
         out
-    }
-
-    fn samples_per_symbol(&self) -> usize {
-        self.samples_per_symbol
     }
 
     fn bits_per_symbol(&self) -> usize {
@@ -215,8 +171,8 @@ mod tests {
     }
 
     #[test]
-    fn dbpsk_oversampled_roundtrip() {
-        let modem = DbpskModem::new(4, 2.0);
+    fn dbpsk_amplitude_roundtrip() {
+        let modem = DbpskModem::new(2.0);
         let mut rng = DspRng::seed_from(2);
         let data = rng.bits(128);
         assert_eq!(modem.demodulate(&modem.modulate(&data)), data);
@@ -254,7 +210,7 @@ mod tests {
 
     #[test]
     fn dqpsk_channel_invariance() {
-        let modem = DqpskModem::new(2, 1.5);
+        let modem = DqpskModem::new(1.5);
         let mut rng = DspRng::seed_from(4);
         let data = rng.bits(64);
         let distorted: Vec<Cplx> = modem

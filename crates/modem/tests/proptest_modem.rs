@@ -1,7 +1,7 @@
 //! Property-based tests for the MSK modem's hard decisions.
 
 use anc_dsp::{Cplx, DspRng};
-use anc_modem::{Modem, MskConfig, MskModem};
+use anc_modem::{Modem, MskModem};
 use proptest::prelude::*;
 
 /// The §5.3 reference decision: the soft `Δθ = arg(b/a)` thresholded
@@ -46,45 +46,39 @@ fn component(w: u64) -> f64 {
     }
 }
 
-/// Every ordered pair of edge samples one symbol apart, at sps 1–3:
-/// the decisions a random draw would almost never reach, such as
-/// `atan2` underflowing to `−0.0` on a quotient with a tiny negative
-/// imaginary part.
+/// Every ordered pair of edge samples one symbol apart: the decisions
+/// a random draw would almost never reach, such as `atan2` underflowing
+/// to `−0.0` on a quotient with a tiny negative imaginary part.
 #[test]
 fn bitpath_demodulate_matches_thresholded_soft_on_edge_pairs() {
     let values: Vec<Cplx> = EDGES
         .iter()
         .flat_map(|&re| EDGES.iter().map(move |&im| Cplx::new(re, im)))
         .collect();
-    for sps in 1..=3 {
-        let modem = MskModem::new(MskConfig::oversampled(sps));
-        let mut samples = vec![Cplx::ONE; sps + 1];
-        for &a in &values {
-            samples[0] = a;
-            for &b in &values {
-                samples[sps] = b;
-                assert_eq!(
-                    modem.demodulate(&samples),
-                    thresholded_soft(&modem, &samples),
-                    "sps {sps}: a = {a:?}, b = {b:?}"
-                );
-            }
+    let modem = MskModem::default();
+    for &a in &values {
+        for &b in &values {
+            let samples = [a, b];
+            assert_eq!(
+                modem.demodulate(&samples),
+                thresholded_soft(&modem, &samples),
+                "a = {a:?}, b = {b:?}"
+            );
         }
     }
 }
 
 proptest! {
     /// `Modem::demodulate` equals thresholded `demodulate_soft` on noisy
-    /// MSK waveforms at sps 1–3, with NaN, ±0, ±∞, subnormal and
+    /// MSK waveforms, with NaN, ±0, ±∞, subnormal and
     /// extreme samples poked in at random.
     #[test]
     fn bitpath_demodulate_matches_thresholded_soft(
-        sps in 1usize..4,
         seed in any::<u64>(),
         nbits in 0usize..300,
         pokes in proptest::collection::vec(any::<u64>(), 0..64),
     ) {
-        let modem = MskModem::new(MskConfig::oversampled(sps));
+        let modem = MskModem::default();
         let mut rng = DspRng::seed_from(seed);
         let gamma = rng.phase();
         let mut samples: Vec<Cplx> = modem

@@ -75,9 +75,7 @@ mod tests {
     use anc_frame::Header;
 
     fn test_node() -> Node {
-        let mut cfg = NodeConfig::new(1, NodeRole::Endpoint);
-        cfg.samples_per_symbol = 1;
-        Node::new(cfg, DspRng::seed_from(7))
+        Node::new(NodeConfig::new(1, NodeRole::Endpoint), DspRng::seed_from(7))
     }
 
     #[test]

@@ -100,18 +100,17 @@ impl TriggerMac {
         &self.cfg
     }
 
-    /// Draws a transmission delay in *samples* for a triggered sender
-    /// (`samples_per_bit` converts bit-times). Slot index is uniform in
-    /// `1..=delay_slots`; Gaussian jitter is added and the result
-    /// clamped non-negative.
-    pub fn draw_delay(&mut self, samples_per_bit: usize) -> usize {
+    /// Draws a transmission delay in samples (one per bit-time) for a
+    /// triggered sender. Slot index is uniform in `1..=delay_slots`;
+    /// Gaussian jitter is added and the result clamped non-negative.
+    pub fn draw_delay(&mut self) -> usize {
         let slot = self.rng.uniform_int(1, self.cfg.delay_slots);
         let base = slot as f64 * self.cfg.slot_bits as f64;
         let jitter = self.rng.gaussian() * self.cfg.jitter_bits;
         let bits = (base + jitter).max(0.0);
         // Saturating, NaN-safe rounding: a pathological jitter draw can
         // no longer wrap into a garbage delay (`as` would truncate).
-        round_to_usize(bits * samples_per_bit as f64)
+        round_to_usize(bits)
     }
 
     /// Expected overlap fraction between two frames of `frame_bits`
@@ -143,20 +142,8 @@ mod tests {
         let cfg = *m.config();
         let max_bits = cfg.delay_slots as f64 * cfg.slot_bits as f64 + 8.0 * cfg.jitter_bits;
         for _ in 0..1000 {
-            let d = m.draw_delay(1);
+            let d = m.draw_delay();
             assert!(d as f64 <= max_bits, "delay {d} too large");
-        }
-    }
-
-    #[test]
-    fn delays_scale_with_samples_per_bit() {
-        let mut m1 = mac(7);
-        let mut m4 = mac(7);
-        for _ in 0..100 {
-            let d1 = m1.draw_delay(1);
-            let d4 = m4.draw_delay(4);
-            // Same random draws, 4× the samples (± rounding).
-            assert!((d4 as i64 - 4 * d1 as i64).abs() <= 4, "{d1} vs {d4}");
         }
     }
 
@@ -167,7 +154,7 @@ mod tests {
         let mut b = mac(3);
         let mut exact = 0;
         for _ in 0..500 {
-            if a.draw_delay(1) == b.draw_delay(1) {
+            if a.draw_delay() == b.draw_delay() {
                 exact += 1;
             }
         }
@@ -188,8 +175,8 @@ mod tests {
         let n = 20_000;
         let mut total = 0.0;
         for _ in 0..n {
-            let da = a.draw_delay(1) as f64;
-            let db = b.draw_delay(1) as f64;
+            let da = a.draw_delay() as f64;
+            let db = b.draw_delay() as f64;
             total += (1.0 - (da - db).abs() / frame_bits as f64).clamp(0.0, 1.0);
         }
         let empirical = total / n as f64;
@@ -217,7 +204,7 @@ mod tests {
         let mut a = mac(9);
         let mut b = mac(9);
         for _ in 0..50 {
-            assert_eq!(a.draw_delay(2), b.draw_delay(2));
+            assert_eq!(a.draw_delay(), b.draw_delay());
         }
     }
 

@@ -40,11 +40,6 @@ pub struct NodeConfig {
     pub mac: MacConfig,
     /// Sent/overheard packet buffer capacity (§7.3).
     pub buffer_capacity: usize,
-    /// Front-end oversampling factor: complex samples per bit-time in
-    /// both TX and RX chains (1 = the paper's symbol-rate processing).
-    /// MAC delay draws convert bit-times through this factor so slot
-    /// stagger stays in sample units whatever the radio's rate.
-    pub samples_per_symbol: usize,
 }
 
 impl NodeConfig {
@@ -56,7 +51,6 @@ impl NodeConfig {
             decoder: DecoderConfig::default(),
             mac: MacConfig::default(),
             buffer_capacity: 64,
-            samples_per_symbol: 1,
         }
     }
 }
@@ -134,8 +128,8 @@ impl Node {
             policy: RouterPolicy::new(),
             buffer: SentPacketBuffer::new(cfg.buffer_capacity),
             front_end: FrontEnd::default(),
-            tx: TxChain::with_oversampling(cfg.decoder.frame, cfg.samples_per_symbol),
-            rx: RxChain::with_oversampling(cfg.decoder, cfg.samples_per_symbol),
+            tx: TxChain::new(cfg.decoder.frame),
+            rx: RxChain::new(cfg.decoder),
             mac: TriggerMac::new(cfg.mac, rng),
             tx_queue: VecDeque::new(),
             delivered: Vec::new(),
@@ -183,11 +177,6 @@ impl Node {
         self.tx.modulate_frame(frame)
     }
 
-    /// Records an overheard frame (the "X" topology's snooping, §11.5).
-    pub fn overhear(&mut self, frame: Frame) {
-        self.buffer.insert(frame);
-    }
-
     /// One engine poll: processes a reception window through the
     /// Alg.-1 RX chain against this node's buffer and policy. This is
     /// the smoltcp-style entry point the simulation engine drives —
@@ -195,12 +184,6 @@ impl Node {
     /// protocol state.
     pub fn poll(&mut self, rx: &[Cplx]) -> RxEvent {
         self.rx.process(rx, &self.buffer, &self.policy)
-    }
-
-    /// Processes one reception window through the Alg.-1 RX chain
-    /// (alias of [`Self::poll`], kept for direct-use call sites).
-    pub fn receive(&mut self, rx: &[Cplx]) -> RxEvent {
-        self.poll(rx)
     }
 
     /// Promiscuous overhearing (the "X" topology, §11.5): attempt a
@@ -218,25 +201,13 @@ impl Node {
     }
 
     /// Draws this node's §7.2 random transmission delay, in samples.
-    pub fn draw_delay(&mut self, samples_per_bit: usize) -> usize {
-        self.mac.draw_delay(samples_per_bit)
-    }
-
-    /// On-air samples per bit-time of this node's radio — the factor
-    /// MAC delay draws must be scaled by (see
-    /// [`crate::phy::TxChain::samples_per_bit`]).
-    pub fn samples_per_bit(&self) -> usize {
-        self.tx.samples_per_bit()
+    pub fn draw_delay(&mut self) -> usize {
+        self.mac.draw_delay()
     }
 
     /// Accepts a frame destined to this node.
     pub fn deliver(&mut self, frame: Frame) {
         self.delivered.push(frame);
-    }
-
-    /// Access the RX chain (for header peeking in relay logic).
-    pub fn rx_chain(&self) -> &RxChain {
-        &self.rx
     }
 
     /// Swaps this node's decoder scratch with `other` (see
@@ -285,14 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn overhear_populates_buffer() {
-        let mut n = node(3);
-        let f = Frame::new(Header::new(9, 8, 1, 0), vec![true; 8]);
-        n.overhear(f.clone());
-        assert!(n.buffer.contains(&f.header.key()));
-    }
-
-    #[test]
     fn seq_wraps() {
         let mut n = node(1);
         n.next_seq = u16::MAX;
@@ -310,37 +273,11 @@ mod tests {
     }
 
     #[test]
-    fn oversampled_node_reports_and_scales_its_stagger() {
-        // The MAC delay draw must be fed the node's real front-end
-        // rate: an oversampled radio's stagger, in samples, is the
-        // symbol-rate draw scaled by the oversampling factor (modulo
-        // rounding of the Gaussian jitter term).
-        let mut base = node(1);
-        let mut over = Node::new(
-            NodeConfig {
-                samples_per_symbol: 4,
-                ..NodeConfig::new(1, NodeRole::Endpoint)
-            },
-            DspRng::seed_from(1),
-        );
-        assert_eq!(base.samples_per_bit(), 1);
-        assert_eq!(over.samples_per_bit(), 4);
-        for _ in 0..50 {
-            let d1 = base.draw_delay(base.samples_per_bit());
-            let d4 = over.draw_delay(over.samples_per_bit());
-            assert!(
-                (d4 as i64 - 4 * d1 as i64).abs() <= 4,
-                "stagger not proportional to samples-per-bit: {d1} vs {d4}"
-            );
-        }
-    }
-
-    #[test]
     fn delays_are_node_specific_streams() {
         let mut a = node(1);
         let mut b = node(2);
-        let da: Vec<usize> = (0..20).map(|_| a.draw_delay(1)).collect();
-        let db: Vec<usize> = (0..20).map(|_| b.draw_delay(1)).collect();
+        let da: Vec<usize> = (0..20).map(|_| a.draw_delay()).collect();
+        let db: Vec<usize> = (0..20).map(|_| b.draw_delay()).collect();
         assert_ne!(da, db, "different nodes must draw different delays");
     }
 }

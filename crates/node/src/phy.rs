@@ -17,7 +17,7 @@ use anc_dsp::lfsr::pilot_sequence;
 use anc_dsp::Cplx;
 use anc_frame::header::HEADER_BITS;
 use anc_frame::{Frame, FrameConfig, Header, PacketKey, SentPacketBuffer};
-use anc_modem::{Modem, MskConfig, MskModem};
+use anc_modem::{Modem, MskModem};
 
 /// The transmitter side of Fig. 8: Framer → Modulator.
 #[derive(Debug, Clone)]
@@ -27,34 +27,18 @@ pub struct TxChain {
 }
 
 impl TxChain {
-    /// Creates a TX chain with the given frame layout (symbol-rate
-    /// front end, one sample per bit).
+    /// Creates a TX chain with the given frame layout (one sample per
+    /// bit).
     pub fn new(frame_cfg: FrameConfig) -> Self {
-        TxChain::with_oversampling(frame_cfg, 1)
-    }
-
-    /// Creates a TX chain whose front end emits `samples_per_symbol`
-    /// complex samples per bit (an oversampled radio).
-    ///
-    /// # Panics
-    /// Panics if `samples_per_symbol == 0`.
-    pub fn with_oversampling(frame_cfg: FrameConfig, samples_per_symbol: usize) -> Self {
         TxChain {
             frame_cfg,
-            modem: MskModem::new(MskConfig::oversampled(samples_per_symbol)),
+            modem: MskModem::default(),
         }
     }
 
     /// The frame configuration in use.
     pub fn frame_config(&self) -> &FrameConfig {
         &self.frame_cfg
-    }
-
-    /// On-air samples per bit-time — the unit conversion MAC delay
-    /// draws must use so staggering stays in sample units whatever the
-    /// front end's oversampling factor.
-    pub fn samples_per_bit(&self) -> usize {
-        self.modem.config().samples_per_symbol
     }
 
     /// Serializes and modulates a frame into baseband samples.
@@ -140,22 +124,13 @@ pub struct RxChain {
 }
 
 impl RxChain {
-    /// Creates an RX chain (symbol-rate, matching [`TxChain::new`]).
+    /// Creates an RX chain (one sample per bit, matching
+    /// [`TxChain::new`]).
     pub fn new(cfg: DecoderConfig) -> Self {
-        RxChain::with_oversampling(cfg, 1)
-    }
-
-    /// Creates an RX chain whose demodulator expects
-    /// `samples_per_symbol` samples per bit, matching an oversampled
-    /// [`TxChain::with_oversampling`] front end.
-    ///
-    /// # Panics
-    /// Panics if `samples_per_symbol == 0`.
-    pub fn with_oversampling(cfg: DecoderConfig, samples_per_symbol: usize) -> Self {
         RxChain {
             decoder: AncDecoder::new(cfg),
             frame_cfg: cfg.frame,
-            modem: MskModem::new(MskConfig::oversampled(samples_per_symbol)),
+            modem: MskModem::default(),
             scratch: DecoderScratch::default(),
             clean_bits: Vec::new(),
         }
@@ -204,15 +179,11 @@ impl RxChain {
     /// each bit from its own symbol interval, so only the two header
     /// spans are demodulated.
     pub fn peek_headers(&self, region: &[Cplx]) -> (Option<Header>, Option<Header>) {
-        let s = self.modem.config().samples_per_symbol;
-        // Bit k spans samples k·s ..= (k+1)·s.
-        let total = region.len().saturating_sub(1) / s;
+        // Bit k spans samples k ..= k + 1.
+        let total = region.len().saturating_sub(1);
         let span = self.header_span().min(total);
-        let end = |bits: usize| (bits * s + 1).min(region.len());
-        let head = self.modem.demodulate(&region[..end(span)]);
-        let mut tail = self
-            .modem
-            .demodulate(&region[(total - span) * s..end(total)]);
+        let head = self.modem.demodulate(&region[..region.len().min(span + 1)]);
+        let mut tail = self.modem.demodulate(&region[total - span..]);
         tail.reverse();
         (
             self.read_head_header(&head, total),
@@ -452,34 +423,28 @@ mod tests {
     fn peek_headers_matches_full_demodulation() {
         // Demodulating only the two header spans must read the same
         // headers as demodulating the whole region and reversing all of
-        // it, at every region length and oversampling factor.
+        // it, at every region length.
         let mut rng = DspRng::seed_from(9);
-        for sps in [1, 2, 3] {
-            let tx = TxChain::with_oversampling(FrameConfig::default(), sps);
-            let rxc = RxChain::with_oversampling(decoder_cfg(), sps);
-            let fa = make_frame(&mut rng, 1, 2, 3, 300);
-            let fb = make_frame(&mut rng, 2, 1, 5, 300);
-            let region = reception(
-                &mut rng,
-                &tx,
-                &[(&fa, 0, 1.0, 0.0), (&fb, 250 * sps, 0.9, 0.02)],
+        let tx = TxChain::new(FrameConfig::default());
+        let rxc = RxChain::new(decoder_cfg());
+        let fa = make_frame(&mut rng, 1, 2, 3, 300);
+        let fb = make_frame(&mut rng, 2, 1, 5, 300);
+        let region = reception(&mut rng, &tx, &[(&fa, 0, 1.0, 0.0), (&fb, 250, 0.9, 0.02)]);
+        let mut lens: Vec<usize> = (0..40).chain((0..region.len()).step_by(97)).collect();
+        lens.push(region.len());
+        for len in lens {
+            let r = &region[..len];
+            let bits = rxc.modem.demodulate(r);
+            let rev: Vec<bool> = bits.iter().rev().copied().collect();
+            let want = (
+                rxc.read_head_header(&bits, bits.len()),
+                rxc.read_head_header(&rev, rev.len()),
             );
-            let mut lens: Vec<usize> = (0..40).chain((0..region.len()).step_by(97)).collect();
-            lens.push(region.len());
-            for len in lens {
-                let r = &region[..len];
-                let bits = rxc.modem.demodulate(r);
-                let rev: Vec<bool> = bits.iter().rev().copied().collect();
-                let want = (
-                    rxc.read_head_header(&bits, bits.len()),
-                    rxc.read_head_header(&rev, rev.len()),
-                );
-                assert_eq!(rxc.peek_headers(r), want, "sps {sps}, len {len}");
-            }
-            let (head, tail) = rxc.peek_headers(&region);
-            assert_eq!(head.unwrap().key(), fa.header.key(), "sps {sps}");
-            assert_eq!(tail.unwrap().key(), fb.header.key(), "sps {sps}");
+            assert_eq!(rxc.peek_headers(r), want, "len {len}");
         }
+        let (head, tail) = rxc.peek_headers(&region);
+        assert_eq!(head.unwrap().key(), fa.header.key());
+        assert_eq!(tail.unwrap().key(), fb.header.key());
     }
 
     #[test]

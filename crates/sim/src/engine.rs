@@ -481,7 +481,6 @@ impl<'p> Engine<'p> {
             let mut ncfg = NodeConfig::new(id, role);
             ncfg.mac = cfg.mac;
             ncfg.decoder.detector.noise_floor = cfg.noise_power;
-            ncfg.samples_per_symbol = cfg.samples_per_symbol.max(1);
             let mut node = Node::new(ncfg, rng.fork(100 + i as u64));
             for &(f1, f2) in &program.flow_pairs {
                 node.policy.add_flow_pair(f1, f2);
@@ -766,7 +765,6 @@ impl<'p> Engine<'p> {
         let program = self.program;
         let arq = program.arq.ok_or(EngineError::ArqMissing)?;
         let nflows = program.flows.len();
-        let spb = self.cfg.samples_per_symbol.max(1);
         let cap = self.cfg.packets_per_flow;
         let seed = self.cfg.seed;
         // The full program is multi-sender only for coding schemes; an
@@ -871,9 +869,7 @@ impl<'p> Engine<'p> {
                 }
                 // Everyone idle or backing off: the medium sits silent
                 // for one MAC slot; fading keeps evolving.
-                self.metrics
-                    .account
-                    .tick((self.cfg.mac.slot_bits * spb) as f64);
+                self.metrics.account.tick(self.cfg.mac.slot_bits as f64);
                 self.exchange += 1;
                 period += 1;
                 continue;
@@ -917,7 +913,7 @@ impl<'p> Engine<'p> {
                     RoundMode::PerPacket => {
                         self.run_slots_once(drv, slots)?;
                         self.exchange += 1;
-                        self.settle_attempts(set, period, &arq, spb)?;
+                        self.settle_attempts(set, period, &arq)?;
                         if let Some(h) = health.as_mut() {
                             self.observe_health(set, period, h, &mut tracker)?;
                         }
@@ -952,7 +948,7 @@ impl<'p> Engine<'p> {
                                 }
                             }
                         }
-                        self.settle_chain(f, &injected, period, &arq, spb)?;
+                        self.settle_chain(f, &injected, period, &arq)?;
                     }
                 }
             }
@@ -1048,7 +1044,6 @@ impl<'p> Engine<'p> {
         set: &[usize],
         period: u64,
         arq: &ArqConfig,
-        spb: usize,
     ) -> Result<(), EngineError> {
         let now = self.metrics.account.time_samples;
         for &f in set {
@@ -1066,7 +1061,7 @@ impl<'p> Engine<'p> {
                 cl.ledger[f].record_latency(latency);
                 let implicit = cl.forwarded[f];
                 if !implicit {
-                    self.metrics.account.tick((arq.ack_bits * spb) as f64);
+                    self.metrics.account.tick(arq.ack_bits as f64);
                 }
             } else if cl.forwarded[f] {
                 // The relay's forward copy was overheard, so the
@@ -1108,7 +1103,6 @@ impl<'p> Engine<'p> {
         injected: &[PacketKey],
         period: u64,
         arq: &ArqConfig,
-        spb: usize,
     ) -> Result<(), EngineError> {
         let now = self.metrics.account.time_samples;
         let (mut explicit_acks, mut drops) = (0usize, 0usize);
@@ -1148,7 +1142,7 @@ impl<'p> Engine<'p> {
             }
         }
         for _ in 0..explicit_acks {
-            self.metrics.account.tick((arq.ack_bits * spb) as f64);
+            self.metrics.account.tick(arq.ack_bits as f64);
         }
         for _ in 0..drops {
             self.metrics.account.lose();
@@ -1320,14 +1314,8 @@ impl<'p> Engine<'p> {
         };
         let carrier_phase = self.carrier_rng.phase();
         let mut offset = match timing {
-            // The §7.2 stagger is drawn in bit-times; convert through
-            // the sender's actual front-end rate so MAC delays stay in
-            // sample units if oversampling ever diverges from 1.
-            SlotTiming::Triggered => {
-                let mut node = park.lock(sender)?;
-                let spb = node.samples_per_bit();
-                node.draw_delay(spb)
-            }
+            // The §7.2 stagger, drawn in bit-times (one sample each).
+            SlotTiming::Triggered => park.lock(sender)?.draw_delay(),
             SlotTiming::Scheduled => 0,
         };
         // Monte Carlo TX process: this exchange's residual CFO and
@@ -1867,53 +1855,18 @@ mod tests {
     use super::*;
     use crate::scenario::ScenarioSpec;
 
-    fn alice_bob_anc(
-        spb: usize,
-        impairments: Option<ImpairmentSpec>,
-        seed: u64,
-    ) -> (Program, RunConfig) {
+    fn alice_bob_anc(impairments: Option<ImpairmentSpec>, seed: u64) -> (Program, RunConfig) {
         let mut spec = ScenarioSpec::alice_bob();
         if let Some(imp) = impairments {
             spec = spec.with_impairments(imp);
         }
         let program = spec.compile(Scheme::Anc).expect("alice_bob compiles");
         let cfg = RunConfig {
-            samples_per_symbol: spb,
             packets_per_flow: 2,
             payload_bits: 512,
             ..RunConfig::quick(seed)
         };
         (program, cfg)
-    }
-
-    #[test]
-    fn triggered_stagger_scales_with_samples_per_bit() {
-        // Same seed, 1× vs 4× oversampled front ends: the MAC draws
-        // the same slot + jitter in bit-times, so the realized sample
-        // offsets of the triggered slot must scale by the oversampling
-        // factor (± the jitter rounding).
-        let (p1, c1) = alice_bob_anc(1, None, 9);
-        let (p4, c4) = alice_bob_anc(4, None, 9);
-        let mut e1 = Engine::new(&p1, &c1);
-        let mut e4 = Engine::new(&p4, &c4);
-        assert_eq!(p1.slots[0].timing, SlotTiming::Triggered);
-        for intent in &p1.slots[0].txs {
-            e1.fire_tx(intent, SlotTiming::Triggered).unwrap();
-        }
-        for intent in &p4.slots[0].txs {
-            e4.fire_tx(intent, SlotTiming::Triggered).unwrap();
-        }
-        assert_eq!(e1.events.len(), 2);
-        assert_eq!(e4.events.len(), 2);
-        for (a, b) in e1.events.iter().zip(&e4.events) {
-            assert!(
-                (b.offset as i64 - 4 * a.offset as i64).abs() <= 4,
-                "stagger must scale with samples-per-bit: {} vs {}",
-                a.offset,
-                b.offset
-            );
-            assert_eq!(b.wave.len(), 4 * (a.wave.len() - 1) + 1, "4× samples");
-        }
     }
 
     #[test]
@@ -1926,8 +1879,8 @@ mod tests {
         let spec_imp = ImpairmentSpec::default().with_jitter(48.0);
         let (mut saw_negative, mut saw_positive) = (false, false);
         for seed in 0..40u64 {
-            let (p_base, c_base) = alice_bob_anc(1, None, seed);
-            let (p_imp, c_imp) = alice_bob_anc(1, Some(spec_imp), seed);
+            let (p_base, c_base) = alice_bob_anc(None, seed);
+            let (p_imp, c_imp) = alice_bob_anc(Some(spec_imp), seed);
             let mut eb = Engine::new(&p_base, &c_base);
             let mut ei = Engine::new(&p_imp, &c_imp);
             let intent = &p_base.slots[0].txs[0];

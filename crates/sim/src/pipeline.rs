@@ -404,8 +404,7 @@ mod tests {
     fn park_of(n: usize) -> NodePark {
         let nodes = (0..n as NodeId)
             .map(|id| {
-                let mut cfg = NodeConfig::new(id, NodeRole::Endpoint);
-                cfg.samples_per_symbol = 1;
+                let cfg = NodeConfig::new(id, NodeRole::Endpoint);
                 (id, Node::new(cfg, DspRng::seed_from(id as u64)))
             })
             .collect();

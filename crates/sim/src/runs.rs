@@ -21,6 +21,11 @@ use anc_netcode::{ArqConfig, Scheme};
 use anc_node::MacConfig;
 use serde::{Deserialize, Serialize};
 
+/// The widest MAC stagger a run accepts, in samples: sixteen maximal
+/// frames (65,535-bit payloads), far past any overlap worth coding,
+/// and 16 MiB of samples in a reception window.
+const MAX_STAGGER_SAMPLES: f64 = (1u64 << 20) as f64;
+
 /// Parameters of one run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunConfig {
@@ -61,11 +66,6 @@ pub struct RunConfig {
     /// Per-node transmit amplitude overrides (node, amplitude); used
     /// by the Fig.-13 SIR sweep. Default none (unit amplitude).
     pub tx_amplitude_overrides: Vec<(NodeId, f64)>,
-    /// Front-end oversampling factor for every node (complex samples
-    /// per bit-time; 1 = the paper's symbol-rate processing). MAC
-    /// stagger draws scale by this so slot offsets stay in sample
-    /// units if the radio rate ever diverges from one sample per bit.
-    pub samples_per_symbol: usize,
 }
 
 impl Default for RunConfig {
@@ -82,7 +82,6 @@ impl Default for RunConfig {
             pad_samples: 96,
             turnaround_bits: 288,
             tx_amplitude_overrides: Vec::new(),
-            samples_per_symbol: 1,
         }
     }
 }
@@ -182,7 +181,7 @@ impl RunBuilder {
     }
 
     /// Selects how the run's block graph is scheduled (deterministic
-    /// reference executor or work-stealing threads; ring capacity).
+    /// reference executor or work-stealing threads).
     pub fn scheduler(mut self, sched: SchedulerSpec) -> RunBuilder {
         self.sched = sched;
         self
@@ -201,6 +200,35 @@ impl RunBuilder {
         if payload > usize::from(u16::MAX) {
             return Err(ScenarioError::Invalid(format!(
                 "payload_bits {payload} exceeds the header's 16-bit length field"
+            )));
+        }
+        let ch = &self.cfg.channel;
+        for (name, (lo, hi)) in [
+            ("gain", ch.gain),
+            ("overhear_gain", ch.overhear_gain),
+            ("weak_gain", ch.weak_gain),
+        ] {
+            if !(lo.is_finite() && hi.is_finite() && lo > 0.0 && hi > 0.0) {
+                return Err(ScenarioError::Invalid(format!(
+                    "channel.{name} bounds must be finite and positive, got ({lo}, {hi})"
+                )));
+            }
+        }
+        let mac = &self.cfg.mac;
+        if mac.delay_slots == 0 || mac.slot_bits == 0 {
+            return Err(ScenarioError::Invalid(format!(
+                "mac.delay_slots and mac.slot_bits must be at least 1, got {} and {}",
+                mac.delay_slots, mac.slot_bits
+            )));
+        }
+        // The widest stagger the MAC can draw, in samples: the last slot
+        // plus the Box–Muller tail (|z| < 9).
+        let stagger = mac.delay_slots as f64 * mac.slot_bits as f64 + 9.0 * mac.jitter_bits;
+        if !(mac.jitter_bits >= 0.0 && stagger <= MAX_STAGGER_SAMPLES) {
+            return Err(ScenarioError::Invalid(format!(
+                "mac.jitter_bits must be non-negative and the widest MAC stagger at most \
+                 {MAX_STAGGER_SAMPLES} samples, got jitter {} and stagger {stagger}",
+                mac.jitter_bits
             )));
         }
         let program = self.spec.compile(self.scheme)?;
@@ -444,6 +472,73 @@ mod tests {
                 "noise {noise}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn builder_rejects_configs_that_would_panic_at_execute() {
+        // Built, each of these would panic at execute: in
+        // `TriggerMac::new`, in `Link::new`, or on a stagger overflow.
+        let build = |edit: &dyn Fn(&mut RunConfig)| {
+            let mut cfg = RunConfig::quick(15);
+            edit(&mut cfg);
+            ScenarioSpec::alice_bob()
+                .builder(Scheme::Anc)
+                .config(cfg)
+                .build()
+        };
+        let rejected = |edit: &dyn Fn(&mut RunConfig), field: &str| {
+            let Err(err) = build(edit) else {
+                panic!("{field}: must not build");
+            };
+            assert!(
+                matches!(&err, ScenarioError::Invalid(s) if s.contains(field)),
+                "{field}: {err}"
+            );
+        };
+        rejected(&|c| c.mac.delay_slots = 0, "mac.delay_slots");
+        rejected(&|c| c.mac.slot_bits = 0, "mac.slot_bits");
+        for jitter in [-1.0, f64::NAN, f64::INFINITY, 1e300] {
+            rejected(&|c| c.mac.jitter_bits = jitter, "mac.jitter_bits");
+        }
+        rejected(&|c| c.mac.delay_slots = u64::MAX, "MAC stagger");
+        for bounds in [
+            (0.0, 0.0),
+            (-1.0, -0.5),
+            (f64::NAN, 1.0),
+            (0.5, f64::INFINITY),
+            (0.5, 0.0),
+        ] {
+            rejected(&|c| c.channel.gain = bounds, "channel.gain");
+            rejected(
+                &|c| c.channel.overhear_gain = bounds,
+                "channel.overhear_gain",
+            );
+            rejected(&|c| c.channel.weak_gain = bounds, "channel.weak_gain");
+        }
+        assert!(build(&|c| {
+            c.mac.delay_slots = 1;
+            c.mac.slot_bits = 1;
+        })
+        .is_ok());
+    }
+
+    #[test]
+    fn run_config_round_trips_through_json() {
+        let cfg = RunConfig {
+            tx_amplitude_overrides: vec![(2, 0.5)],
+            ..RunConfig::quick(16)
+        };
+        let json = serde_json::to_string(&cfg).unwrap();
+        let back: RunConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{cfg:?}"));
+        // A config saved while `RunConfig` still carried the removed
+        // oversampling factor (its last field, always 1) loads to the
+        // same config: unknown keys are ignored.
+        let removed_key = concat!("samples_per", "_symbol");
+        let body = json.strip_suffix('}').expect("RunConfig is a JSON object");
+        let saved = format!("{body},\"{removed_key}\":1}}");
+        let old: RunConfig = serde_json::from_str(&saved).unwrap();
+        assert_eq!(format!("{old:?}"), format!("{cfg:?}"));
     }
 
     #[test]

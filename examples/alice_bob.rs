@@ -82,8 +82,8 @@ pub fn run(payload_bits: usize) {
     let fb = bob.enqueue_packet(1, rng.bits(payload_bits));
     let (_, wave_a) = alice.transmit_next().expect("queued");
     let (_, wave_b) = bob.transmit_next().expect("queued");
-    let da = alice.draw_delay(1);
-    let db = bob.draw_delay(1);
+    let da = alice.draw_delay();
+    let db = bob.draw_delay();
     println!("Alice delays {da} samples, Bob {db} (random trigger slots, §7.2)");
 
     let mut medium_r = Medium::new(NOISE, 99);
@@ -104,7 +104,7 @@ pub fn run(payload_bits: usize) {
         end,
         head,
         tail,
-    } = router.receive(&at_router)
+    } = router.poll(&at_router)
     else {
         panic!("router should classify this as the amplify case");
     };
@@ -125,7 +125,7 @@ pub fn run(payload_bits: usize) {
         let mut medium = Medium::new(NOISE, 7 + theirs.header.src as u64);
         let rtx = [Transmission::new(amplified.clone(), 64, link)];
         let rx = medium.receive(&rtx, Medium::span(&rtx, 64));
-        match node.receive(&rx) {
+        match node.poll(&rx) {
             RxEvent::AncDecoded {
                 frame,
                 crc_ok,

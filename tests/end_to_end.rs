@@ -57,7 +57,7 @@ fn alice_bob_full_exchange() {
         end,
         head,
         tail,
-    } = router.receive(&at_router)
+    } = router.poll(&at_router)
     else {
         panic!("router must classify as relay case");
     };
@@ -70,7 +70,7 @@ fn alice_bob_full_exchange() {
         let mut m = Medium::new(NOISE, seed);
         let down = [Transmission::new(amp.clone(), 64, Link::new(0.9, 0.3, 0.0))];
         let rx = m.receive(&down, Medium::span(&down, 64));
-        match me.receive(&rx) {
+        match me.poll(&rx) {
             RxEvent::AncDecoded { frame, .. } => {
                 assert_eq!(frame.header.key(), theirs.header.key());
                 assert!(
@@ -114,7 +114,7 @@ fn chain_relay_survives_collision() {
     ];
     let rx = medium.receive(&txs, Medium::span(&txs, 64));
 
-    match n2.receive(&rx) {
+    match n2.poll(&rx) {
         RxEvent::AncDecoded { frame, known, .. } => {
             assert_eq!(known, forwarded.header.key());
             assert_eq!(frame.header.key(), fresh.header.key());
@@ -141,7 +141,7 @@ fn cope_roundtrip_over_the_air() {
     let txs = [Transmission::new(wave, 64, Link::new(0.9, 1.0, 0.0))];
     let rx = medium.receive(&txs, Medium::span(&txs, 64));
 
-    match alice.receive(&rx) {
+    match alice.poll(&rx) {
         RxEvent::Clean { frame, crc_ok } => {
             assert!(crc_ok);
             assert!(frame.header.is_xor());
@@ -171,7 +171,7 @@ fn bystander_drops_unknown_interference() {
         Transmission::new(s2, 64 + 300, Link::new(0.8, 1.0, 0.0)),
     ];
     let rx = medium.receive(&txs, Medium::span(&txs, 64));
-    match bystander.receive(&rx) {
+    match bystander.poll(&rx) {
         RxEvent::Dropped(_) => {}
         other => panic!("bystander must drop, got {other:?}"),
     }
@@ -215,7 +215,7 @@ fn overhear_then_cancel() {
     let mut medium_d = Medium::new(NOISE, 97);
     let down = [Transmission::new(amp, 0, Link::new(0.9, -0.4, 0.0))];
     let rx = medium_d.receive(&down, Medium::span(&down, 64));
-    match x2.receive(&rx) {
+    match x2.poll(&rx) {
         RxEvent::AncDecoded { frame, known, .. } => {
             assert_eq!(known, f1.header.key());
             assert_eq!(frame.header.key(), f3.header.key());
