@@ -110,18 +110,15 @@ impl RunningStats {
 /// Streaming quantile estimator (Jain & Chlamtac's P² algorithm).
 ///
 /// Five markers track the running estimate of one quantile `q` in
-/// O(1) memory and O(1) work per observation — the streaming-metrics
-/// pillar: a city-scale run pushes millions of ACK latencies through
-/// a [`P2Quantile`] instead of growing an unbounded ledger. The first
-/// five observations are kept exactly (the estimate is then the exact
-/// percentile); afterwards markers move by parabolic (fallback:
-/// linear) interpolation.
+/// O(1) memory and O(1) work per observation, so a city-scale run can
+/// push millions of ACK latencies through a [`P2Quantile`] instead of
+/// growing an unbounded ledger. The first five observations are kept
+/// exactly (the estimate is then the exact percentile); afterwards
+/// markers move by parabolic (fallback: linear) interpolation.
 ///
 /// NaN observations are skipped and an empty estimator reports NaN —
 /// the same sentinel conventions as [`RunningStats`]/[`percentile`].
-/// All internal state is finite, so the estimator serializes through
-/// JSON (which cannot carry NaN) without a lossy detour.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct P2Quantile {
     q: f64,
     count: u64,
@@ -536,20 +533,6 @@ mod tests {
         }
         let v = est.value();
         assert!(v >= min && v <= max, "estimate {v} outside [{min}, {max}]");
-    }
-
-    #[test]
-    fn p2_serde_roundtrip_preserves_state() {
-        use serde::{Deserialize as _, Serialize as _};
-        let mut est = P2Quantile::new(0.9);
-        (0..100).for_each(|i| est.push((i as f64).sin() * 5.0));
-        let v = est.to_value();
-        let mut back = P2Quantile::from_value(&v).unwrap();
-        assert_eq!(back.value().to_bits(), est.value().to_bits());
-        // The restored estimator keeps streaming identically.
-        est.push(2.5);
-        back.push(2.5);
-        assert_eq!(back.value().to_bits(), est.value().to_bits());
     }
 
     #[test]

@@ -331,11 +331,6 @@ pub struct Program {
     /// contender uses when the trigger protocol is carrier-sense-gated
     /// because the other flow is idle or backing off.
     pub solo_slots: Vec<Vec<SlotSpec>>,
-    /// Streaming metrics: when set, [`RunMetrics`]/[`FlowMetrics`] run
-    /// in O(1)-memory digest mode instead of growing exact per-packet
-    /// ledgers. Off by default — exact ledgers feed the golden
-    /// fingerprints.
-    pub streaming_metrics: bool,
 }
 
 /// A transmission scheduled into the engine's event queue: the
@@ -538,18 +533,13 @@ impl<'p> Engine<'p> {
                     ledger: (0..n)
                         .map(|flow| FlowMetrics {
                             flow,
-                            streaming: program.streaming_metrics,
                             ..FlowMetrics::default()
                         })
                         .collect(),
                 }
             }),
             faults: program.faults.as_ref().filter(|f| !f.is_passive()),
-            metrics: if program.streaming_metrics {
-                RunMetrics::new_streaming(program.scheme)
-            } else {
-                RunMetrics::new(program.scheme)
-            },
+            metrics: RunMetrics::new(program.scheme),
         }
     }
 

@@ -15,24 +15,18 @@ use anc_frame::fec::ideal_redundancy_for_ber;
 use anc_netcode::Scheme;
 use serde::{Deserialize, Serialize};
 
-/// O(1) streaming summary of one sample stream: Welford
-/// count/mean/M2, min/max, and fixed-size P² estimators for the
-/// median and the 99th percentile. This is the streaming-metrics
-/// pillar's storage unit — a city-scale run pushes millions of ACK
-/// latencies (or BERs) through a digest instead of growing an
-/// unbounded `Vec<f64>` ledger.
+/// O(1) streaming summary of one sample stream: Welford count and
+/// mean, and fixed-size P² estimators for the median and the 99th
+/// percentile. A city run pushes millions of ACK latencies and BERs
+/// through one of these instead of growing a `Vec<f64>` ledger
+/// ([`crate::city::CityOutcome`]).
 ///
 /// NaN observations are skipped (the ledger NaN-sentinel convention);
-/// quantile accessors report NaN when empty, `mean()` reports NaN
-/// when empty (matching [`FlowMetrics::mean_latency`] on an empty
-/// exact ledger).
+/// `mean()` and the quantile accessors report NaN when empty.
 #[derive(Debug, Clone)]
 pub struct StatDigest {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
     p50: P2Quantile,
     p99: P2Quantile,
 }
@@ -42,9 +36,6 @@ impl Default for StatDigest {
         StatDigest {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
             p50: P2Quantile::new(0.5),
             p99: P2Quantile::new(0.99),
         }
@@ -63,11 +54,7 @@ impl StatDigest {
             return;
         }
         self.count += 1;
-        let d = x - self.mean;
-        self.mean += d / self.count as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
+        self.mean += (x - self.mean) / self.count as f64;
         self.p50.push(x);
         self.p99.push(x);
     }
@@ -86,42 +73,6 @@ impl StatDigest {
         }
     }
 
-    /// Sum of observations (count × mean); 0 when empty.
-    pub fn sum(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean * self.count as f64
-        }
-    }
-
-    /// Population variance; 0 with fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Minimum observation; NaN when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum observation; NaN when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
     /// Streaming median estimate; NaN when empty, exact below five
     /// observations.
     pub fn p50(&self) -> f64 {
@@ -131,52 +82,6 @@ impl StatDigest {
     /// Streaming 99th-percentile estimate; NaN when empty.
     pub fn p99(&self) -> f64 {
         self.p99.value()
-    }
-}
-
-// Hand-written serde: an *empty* digest holds ±infinity min/max
-// sentinels, and JSON cannot carry non-finite numbers — so min/max
-// are only written when observations exist, and a missing pair reads
-// back as the empty-state sentinels. Every other field is finite by
-// construction.
-impl Serialize for StatDigest {
-    fn to_value(&self) -> serde::Value {
-        let mut obj = std::collections::BTreeMap::new();
-        obj.insert("count".to_string(), self.count.to_value());
-        obj.insert("mean".to_string(), self.mean.to_value());
-        obj.insert("m2".to_string(), self.m2.to_value());
-        if self.count > 0 {
-            obj.insert("min".to_string(), self.min.to_value());
-            obj.insert("max".to_string(), self.max.to_value());
-        }
-        obj.insert("p50".to_string(), self.p50.to_value());
-        obj.insert("p99".to_string(), self.p99.to_value());
-        serde::Value::Object(obj)
-    }
-}
-
-impl Deserialize for StatDigest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = v else {
-            return Err(serde::Error::type_mismatch("object", v));
-        };
-        let get = |key: &str| obj.get(key).ok_or_else(|| serde::Error::missing_field(key));
-        let count: u64 = Deserialize::from_value(get("count")?)?;
-        let opt = |key: &str, empty: f64| -> Result<f64, serde::Error> {
-            match obj.get(key) {
-                Some(v) => Deserialize::from_value(v),
-                None => Ok(empty),
-            }
-        };
-        Ok(StatDigest {
-            count,
-            mean: Deserialize::from_value(get("mean")?)?,
-            m2: Deserialize::from_value(get("m2")?)?,
-            min: opt("min", f64::INFINITY)?,
-            max: opt("max", f64::NEG_INFINITY)?,
-            p50: Deserialize::from_value(get("p50")?)?,
-            p99: Deserialize::from_value(get("p99")?)?,
-        })
     }
 }
 
@@ -249,7 +154,7 @@ impl ThroughputAccount {
 /// vs dropped packets, retransmission spend, FEC-discounted goodput,
 /// and per-packet latency samples (enqueue → acknowledgment, in
 /// medium samples).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FlowMetrics {
     /// Flow index within the program.
     pub flow: usize,
@@ -278,58 +183,14 @@ pub struct FlowMetrics {
     /// policy (`FaultSpec::drop_queue_on_crash`) — losses attributable
     /// to node churn rather than the channel. Subset of `dropped`.
     pub lost_to_churn: usize,
-    /// Streaming mode: when set, per-packet latencies feed only the
-    /// O(1) [`StatDigest`] and `latency_samples` stays empty — the
-    /// city-scale memory contract. Off by default (exact ledgers are
-    /// the reference behavior; goldens and small paper runs keep
-    /// them).
-    pub streaming: bool,
-    /// O(1) streaming summary of ACK latencies. Always fed (the cost
-    /// is constant), so run-level summaries work in either mode.
-    pub latency_stats: StatDigest,
-}
-
-// Hand-written so metrics captured before the streaming-metrics layer
-// (no `streaming` / `latency_stats` keys) still load — the same
-// compatibility convention as `ScenarioSpec`.
-impl Deserialize for FlowMetrics {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = v else {
-            return Err(serde::Error::type_mismatch("object", v));
-        };
-        let get = |key: &str| obj.get(key).ok_or_else(|| serde::Error::missing_field(key));
-        Ok(FlowMetrics {
-            flow: Deserialize::from_value(get("flow")?)?,
-            offered: Deserialize::from_value(get("offered")?)?,
-            delivered: Deserialize::from_value(get("delivered")?)?,
-            dropped: Deserialize::from_value(get("dropped")?)?,
-            lost_after_ack: Deserialize::from_value(get("lost_after_ack")?)?,
-            retransmissions: Deserialize::from_value(get("retransmissions")?)?,
-            goodput_bits: Deserialize::from_value(get("goodput_bits")?)?,
-            latency_samples: Deserialize::from_value(get("latency_samples")?)?,
-            in_flight: Deserialize::from_value(get("in_flight")?)?,
-            lost_to_churn: Deserialize::from_value(get("lost_to_churn")?)?,
-            streaming: match obj.get("streaming") {
-                None => false,
-                Some(v) => Deserialize::from_value(v)?,
-            },
-            latency_stats: match obj.get("latency_stats") {
-                None => StatDigest::new(),
-                Some(v) => Deserialize::from_value(v)?,
-            },
-        })
-    }
 }
 
 impl FlowMetrics {
-    /// Records one ACK latency observation: the digest always
-    /// advances; the exact ledger grows only outside streaming mode.
+    /// Records one ACK latency observation.
     pub fn record_latency(&mut self, latency: f64) {
-        self.latency_stats.push(latency);
-        if !self.streaming {
-            self.latency_samples.push(latency);
-        }
+        self.latency_samples.push(latency);
     }
+
     /// Fraction of offered packets acknowledged (0 when none offered).
     pub fn delivery_rate(&self) -> f64 {
         if self.offered == 0 {
@@ -340,36 +201,19 @@ impl FlowMetrics {
     }
 
     /// Mean ACK latency in samples (NaN when nothing was delivered).
-    /// Exact-ledger samples win when present (bit-compatible with the
-    /// pre-streaming behavior); streaming flows answer from the
-    /// digest.
     pub fn mean_latency(&self) -> f64 {
-        if !self.latency_samples.is_empty() {
-            self.latency_samples.iter().sum::<f64>() / self.latency_samples.len() as f64
-        } else {
-            self.latency_stats.mean()
-        }
+        self.latency_samples.iter().sum::<f64>() / self.latency_samples.len() as f64
     }
 
-    /// p99 ACK latency: exact percentile over the ledger when present,
-    /// the P² streaming estimate otherwise. NaN when nothing was
-    /// delivered.
+    /// p99 ACK latency, the exact percentile over the ledger (NaN when
+    /// nothing was delivered).
     pub fn p99_latency(&self) -> f64 {
-        if !self.latency_samples.is_empty() {
-            anc_dsp::stats::percentile(&self.latency_samples, 99.0)
-        } else {
-            self.latency_stats.p99()
-        }
+        anc_dsp::stats::percentile(&self.latency_samples, 99.0)
     }
 
-    /// Median ACK latency, with the same exact-first convention as
-    /// [`Self::p99_latency`].
+    /// Median ACK latency (NaN when nothing was delivered).
     pub fn p50_latency(&self) -> f64 {
-        if !self.latency_samples.is_empty() {
-            anc_dsp::stats::percentile(&self.latency_samples, 50.0)
-        } else {
-            self.latency_stats.p50()
-        }
+        anc_dsp::stats::percentile(&self.latency_samples, 50.0)
     }
 
     /// Mean retransmissions per completed packet (delivered, dropped,
@@ -434,7 +278,7 @@ impl OutageRecord {
 
 /// Everything measured in one run of one scheme on one topology
 /// realization.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunMetrics {
     /// Which scheme ran.
     pub scheme: String,
@@ -456,59 +300,10 @@ pub struct RunMetrics {
     /// closed-loop runs only; always empty — and outside the golden
     /// fingerprints — when faults are off).
     pub outages: Vec<OutageRecord>,
-    /// Streaming mode: when set, the unbounded per-packet ledgers
-    /// (`packet_bers`, `ber_by_receiver`, `overlaps`) stay empty and
-    /// only the O(1) digests below grow. Off by default — exact
-    /// ledgers feed the golden fingerprints and remain bit-identical
-    /// to the pre-streaming behavior.
-    pub streaming: bool,
-    /// O(1) streaming summary of all packet BERs (fed in both modes).
-    pub ber_stats: StatDigest,
-    /// Per-receiver BER digests, in first-decode order.
-    pub receiver_ber_stats: Vec<(u8, StatDigest)>,
-    /// O(1) streaming summary of overlap fractions (fed in both
-    /// modes).
-    pub overlap_stats: StatDigest,
-}
-
-// Hand-written so metrics captured before the streaming-metrics layer
-// still load (missing keys read as the exact-mode defaults).
-impl Deserialize for RunMetrics {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = v else {
-            return Err(serde::Error::type_mismatch("object", v));
-        };
-        let get = |key: &str| obj.get(key).ok_or_else(|| serde::Error::missing_field(key));
-        Ok(RunMetrics {
-            scheme: Deserialize::from_value(get("scheme")?)?,
-            account: Deserialize::from_value(get("account")?)?,
-            packet_bers: Deserialize::from_value(get("packet_bers")?)?,
-            ber_by_receiver: Deserialize::from_value(get("ber_by_receiver")?)?,
-            overlaps: Deserialize::from_value(get("overlaps")?)?,
-            flows: Deserialize::from_value(get("flows")?)?,
-            outages: Deserialize::from_value(get("outages")?)?,
-            streaming: match obj.get("streaming") {
-                None => false,
-                Some(v) => Deserialize::from_value(v)?,
-            },
-            ber_stats: match obj.get("ber_stats") {
-                None => StatDigest::new(),
-                Some(v) => Deserialize::from_value(v)?,
-            },
-            receiver_ber_stats: match obj.get("receiver_ber_stats") {
-                None => Vec::new(),
-                Some(v) => Deserialize::from_value(v)?,
-            },
-            overlap_stats: match obj.get("overlap_stats") {
-                None => StatDigest::new(),
-                Some(v) => Deserialize::from_value(v)?,
-            },
-        })
-    }
 }
 
 impl RunMetrics {
-    /// Creates an empty record for a scheme (exact-ledger mode).
+    /// Creates an empty record for a scheme.
     pub fn new(scheme: Scheme) -> Self {
         RunMetrics {
             scheme: scheme.name().to_string(),
@@ -518,60 +313,25 @@ impl RunMetrics {
             overlaps: Vec::new(),
             flows: Vec::new(),
             outages: Vec::new(),
-            streaming: false,
-            ber_stats: StatDigest::new(),
-            receiver_ber_stats: Vec::new(),
-            overlap_stats: StatDigest::new(),
-        }
-    }
-
-    /// Creates an empty record in streaming mode: per-packet ledgers
-    /// stay empty, digests carry the summaries, memory is O(1) in
-    /// delivered-packet count.
-    pub fn new_streaming(scheme: Scheme) -> Self {
-        RunMetrics {
-            streaming: true,
-            ..RunMetrics::new(scheme)
         }
     }
 
     /// Records a decoded packet's BER at a given receiver.
     pub fn record_ber(&mut self, receiver: u8, ber: f64) {
-        self.ber_stats.push(ber);
-        match self
-            .receiver_ber_stats
-            .iter_mut()
-            .find(|(r, _)| *r == receiver)
-        {
-            Some((_, digest)) => digest.push(ber),
-            None => {
-                let mut digest = StatDigest::new();
-                digest.push(ber);
-                self.receiver_ber_stats.push((receiver, digest));
-            }
-        }
-        if !self.streaming {
-            self.packet_bers.push(ber);
-            self.ber_by_receiver.push((receiver, ber));
-        }
+        self.packet_bers.push(ber);
+        self.ber_by_receiver.push((receiver, ber));
     }
 
     /// Records a decoded packet's BER without a receiver tag (the
-    /// untagged-traditional accounting path): feeds the pooled ledger
-    /// and digest, never the per-receiver table.
+    /// untagged-traditional accounting path): feeds the pooled ledger,
+    /// never the per-receiver one.
     pub fn record_untagged_ber(&mut self, ber: f64) {
-        self.ber_stats.push(ber);
-        if !self.streaming {
-            self.packet_bers.push(ber);
-        }
+        self.packet_bers.push(ber);
     }
 
     /// Records an interfered pair's overlap fraction.
     pub fn record_overlap(&mut self, overlap: f64) {
-        self.overlap_stats.push(overlap);
-        if !self.streaming {
-            self.overlaps.push(overlap);
-        }
+        self.overlaps.push(overlap);
     }
 
     /// BERs observed at one receiver, in decode order. Borrows the
@@ -584,28 +344,54 @@ impl RunMetrics {
             .map(|(_, b)| *b)
     }
 
-    /// Mean packet BER (0 when none recorded). Exact-ledger samples
-    /// win when present; streaming runs answer from the digest.
+    /// Mean packet BER (0 when none recorded).
     pub fn mean_ber(&self) -> f64 {
-        if !self.packet_bers.is_empty() {
-            self.packet_bers.iter().sum::<f64>() / self.packet_bers.len() as f64
-        } else if self.ber_stats.count() > 0 {
-            self.ber_stats.mean()
-        } else {
-            0.0
-        }
+        mean_or_zero(&self.packet_bers)
     }
 
-    /// Mean overlap fraction (0 when none recorded), with the same
-    /// exact-first convention as [`Self::mean_ber`].
+    /// Mean overlap fraction (0 when none recorded).
     pub fn mean_overlap(&self) -> f64 {
-        if !self.overlaps.is_empty() {
-            self.overlaps.iter().sum::<f64>() / self.overlaps.len() as f64
-        } else if self.overlap_stats.count() > 0 {
-            self.overlap_stats.mean()
-        } else {
-            0.0
+        mean_or_zero(&self.overlaps)
+    }
+
+    /// FNV-1a over the metric words that define a run's identity:
+    /// delivery counts, the goodput and medium-clock floats, and every
+    /// per-packet BER, overlap fraction and receiver tag. The golden,
+    /// fault-injection and scheduler/gating equivalence suites compare
+    /// runs by this value. Flow ledgers and outage records are left
+    /// out, so open-loop and closed-loop runs share one definition.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |w: u64| {
+            h ^= w;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        };
+        eat(self.account.delivered as u64);
+        eat(self.account.lost as u64);
+        eat(self.account.goodput_bits.to_bits());
+        eat(self.account.time_samples.to_bits());
+        eat(self.packet_bers.len() as u64);
+        for b in &self.packet_bers {
+            eat(b.to_bits());
         }
+        eat(self.overlaps.len() as u64);
+        for o in &self.overlaps {
+            eat(o.to_bits());
+        }
+        eat(self.ber_by_receiver.len() as u64);
+        for (r, b) in &self.ber_by_receiver {
+            eat(u64::from(*r));
+            eat(b.to_bits());
+        }
+        h
+    }
+}
+
+fn mean_or_zero(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        0.0
+    } else {
+        xs.iter().sum::<f64>() / xs.len() as f64
     }
 }
 
@@ -723,6 +509,54 @@ mod tests {
         };
         assert_eq!(open.time_to_failover(), None);
         assert_eq!(open.time_to_recover(), None);
+    }
+
+    #[test]
+    fn run_metrics_json_with_retired_digest_keys_still_loads() {
+        use serde::Value;
+        let mut m = RunMetrics::new(Scheme::Anc);
+        m.record_ber(1, 0.02);
+        m.record_untagged_ber(0.01);
+        m.record_overlap(0.8);
+        m.account.deliver(1024, 0.02);
+        m.account.tick(3000.0);
+        let mut flow = FlowMetrics {
+            flow: 0,
+            offered: 2,
+            delivered: 1,
+            ..FlowMetrics::default()
+        };
+        flow.record_latency(250.0);
+        m.flows.push(flow);
+        let plain = m.to_value();
+        // Metrics saved while `RunMetrics` and `FlowMetrics` still
+        // carried streaming digests beside the exact ledgers.
+        let digest = || Value::Object(Default::default());
+        let mut saved = plain.clone();
+        let Value::Object(obj) = &mut saved else {
+            panic!("RunMetrics is a JSON object");
+        };
+        obj.insert("streaming".to_string(), Value::Bool(false));
+        obj.insert(concat!("ber", "_stats").to_string(), digest());
+        obj.insert(
+            concat!("receiver_ber", "_stats").to_string(),
+            Value::Array(Vec::new()),
+        );
+        obj.insert(concat!("overlap", "_stats").to_string(), digest());
+        let Some(Value::Array(flows)) = obj.get_mut("flows") else {
+            panic!("flows is a JSON array");
+        };
+        for f in flows {
+            let Value::Object(f) = f else {
+                panic!("FlowMetrics is a JSON object");
+            };
+            f.insert("streaming".to_string(), Value::Bool(false));
+            f.insert(concat!("latency", "_stats").to_string(), digest());
+        }
+        let old = RunMetrics::from_value(&saved).unwrap();
+        let new = RunMetrics::from_value(&plain).unwrap();
+        assert_eq!(format!("{old:?}"), format!("{new:?}"));
+        assert_eq!(format!("{new:?}"), format!("{m:?}"));
     }
 
     #[test]

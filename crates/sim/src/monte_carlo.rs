@@ -241,10 +241,7 @@ pub fn aggregate(scenario: &str, trials: &[RunMetrics]) -> MonteCarloResult {
             }
             out_goodput.push(o.goodput_bits);
         }
-        if !m.packet_bers.is_empty() || m.ber_stats.count() > 0 {
-            // `mean_ber` answers from the exact ledger when present and
-            // falls back to the streaming digest, so streaming trials
-            // pool into the same confidence interval.
+        if !m.packet_bers.is_empty() {
             per_trial_ber.push(m.mean_ber());
         }
         per_trial_throughput.push(m.account.throughput());
@@ -269,15 +266,6 @@ pub fn aggregate(scenario: &str, trials: &[RunMetrics]) -> MonteCarloResult {
                 .collect();
             if !lats.is_empty() {
                 arq_latency.push(lats.iter().sum::<f64>() / lats.len() as f64);
-            } else {
-                // Streaming trials keep no exact ledger; the per-flow
-                // digests still carry exact counts and Welford means,
-                // so pool them by count-weighting each flow's mean.
-                let n: u64 = m.flows.iter().map(|f| f.latency_stats.count()).sum();
-                if n > 0 {
-                    let sum: f64 = m.flows.iter().map(|f| f.latency_stats.sum()).sum();
-                    arq_latency.push(sum / n as f64);
-                }
             }
             if completed > 0 {
                 arq_retx.push(retx as f64 / completed as f64);

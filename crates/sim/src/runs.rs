@@ -23,7 +23,8 @@ use serde::{Deserialize, Serialize};
 
 /// The widest MAC stagger a run accepts, in samples: sixteen maximal
 /// frames (65,535-bit payloads), far past any overlap worth coding,
-/// and 16 MiB of samples in a reception window.
+/// and 16 MiB of samples in a reception window. It bounds the noise
+/// padding on each side of a window too.
 const MAX_STAGGER_SAMPLES: f64 = (1u64 << 20) as f64;
 
 /// Parameters of one run.
@@ -174,12 +175,6 @@ impl RunBuilder {
         self
     }
 
-    /// Switches compiled programs to O(1) streaming-digest metrics.
-    pub fn streaming_metrics(mut self) -> RunBuilder {
-        self.spec.streaming_metrics = true;
-        self
-    }
-
     /// Selects how the run's block graph is scheduled (deterministic
     /// reference executor or work-stealing threads).
     pub fn scheduler(mut self, sched: SchedulerSpec) -> RunBuilder {
@@ -229,6 +224,12 @@ impl RunBuilder {
                 "mac.jitter_bits must be non-negative and the widest MAC stagger at most \
                  {MAX_STAGGER_SAMPLES} samples, got jitter {} and stagger {stagger}",
                 mac.jitter_bits
+            )));
+        }
+        let pad = self.cfg.pad_samples;
+        if pad as f64 > MAX_STAGGER_SAMPLES {
+            return Err(ScenarioError::Invalid(format!(
+                "pad_samples must be at most {MAX_STAGGER_SAMPLES}, got {pad}"
             )));
         }
         let program = self.spec.compile(self.scheme)?;
@@ -477,7 +478,8 @@ mod tests {
     #[test]
     fn builder_rejects_configs_that_would_panic_at_execute() {
         // Built, each of these would panic at execute: in
-        // `TriggerMac::new`, in `Link::new`, or on a stagger overflow.
+        // `TriggerMac::new`, in `Link::new`, on a stagger overflow, or
+        // on a reception window too large to allocate.
         let build = |edit: &dyn Fn(&mut RunConfig)| {
             let mut cfg = RunConfig::quick(15);
             edit(&mut cfg);
@@ -515,11 +517,17 @@ mod tests {
             );
             rejected(&|c| c.channel.weak_gain = bounds, "channel.weak_gain");
         }
+        for pad in [(1 << 20) + 1, 1 << 40, usize::MAX] {
+            rejected(&|c| c.pad_samples = pad, "pad_samples");
+        }
         assert!(build(&|c| {
             c.mac.delay_slots = 1;
             c.mac.slot_bits = 1;
         })
         .is_ok());
+        for pad in [96, 1 << 20] {
+            assert!(build(&|c| c.pad_samples = pad).is_ok(), "pad {pad}");
+        }
     }
 
     #[test]

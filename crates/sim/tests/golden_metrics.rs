@@ -13,33 +13,6 @@ use anc_netcode::Scheme;
 use anc_sim::runs::{run_alice_bob, run_chain, run_x, RunConfig};
 use anc_sim::RunMetrics;
 
-/// FNV-1a over the metric words that must stay bit-identical.
-fn fingerprint(m: &RunMetrics) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |w: u64| {
-        h ^= w;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    eat(m.account.delivered as u64);
-    eat(m.account.lost as u64);
-    eat(m.account.goodput_bits.to_bits());
-    eat(m.account.time_samples.to_bits());
-    eat(m.packet_bers.len() as u64);
-    for b in &m.packet_bers {
-        eat(b.to_bits());
-    }
-    eat(m.overlaps.len() as u64);
-    for o in &m.overlaps {
-        eat(o.to_bits());
-    }
-    eat(m.ber_by_receiver.len() as u64);
-    for (r, b) in &m.ber_by_receiver {
-        eat(*r as u64);
-        eat(b.to_bits());
-    }
-    h
-}
-
 fn cfg(seed: u64) -> RunConfig {
     RunConfig {
         packets_per_flow: 10,
@@ -168,7 +141,7 @@ fn print_goldens() {
             m.account.lost,
             m.account.goodput_bits.to_bits(),
             m.account.time_samples.to_bits(),
-            fingerprint(&m),
+            m.fingerprint(),
         );
     }
 }
@@ -206,7 +179,7 @@ fn gated_paper_runs_match_goldens() {
         spec.graph = spec.graph.with_canonical_positions();
         let m = run_spec(&spec, g.scheme, &cfg(g.seed)).expect("positioned spec compiles");
         assert_eq!(
-            fingerprint(&m),
+            m.fingerprint(),
             g.fingerprint,
             "{} {:?}: spatial gating changed the metrics",
             g.name,
@@ -245,7 +218,7 @@ fn paper_runs_match_goldens() {
             g.scheme
         );
         assert_eq!(
-            fingerprint(&m),
+            m.fingerprint(),
             g.fingerprint,
             "{} {:?}: metric fingerprint drifted",
             g.name,

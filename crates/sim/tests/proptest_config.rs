@@ -4,12 +4,15 @@
 //! `RunBuilder::build` rejects it with a typed error, or `execute`
 //! returns `Ok` or a typed `Err`, under both executors. The inputs
 //! reach past the valid ranges on purpose — zero MAC slots and slot
-//! lengths, zero, negative, NaN, infinite and extreme gains, noise
-//! powers and jitters, and payloads past the header's length field.
+//! lengths; zero, negative, NaN, infinite and extreme gains, noise
+//! powers, jitters, oscillator offsets and transmit amplitudes;
+//! payloads past the header's length field; and guard, turnaround and
+//! padding lengths up to `usize::MAX`.
 
 use anc_netcode::Scheme;
 use anc_sim::runs::RunConfig;
 use anc_sim::scenario::ScenarioSpec;
+use anc_sim::topology::nodes::{ALICE, BOB, ROUTER};
 use anc_sim::topology::ChannelDraw;
 use anc_sim::SchedulerSpec;
 use proptest::prelude::*;
@@ -39,6 +42,27 @@ fn pick(w: u64, lo: f64, hi: f64) -> f64 {
     }
 }
 
+/// Lengths where a run goes wrong: zero, at and just past the padding
+/// bound, and far past anything allocatable.
+const SIZE_EDGES: [usize; 6] = [
+    0,
+    1 << 20,
+    (1 << 20) + 1,
+    1 << 40,
+    usize::MAX / 2,
+    usize::MAX,
+];
+
+/// One length from a random word: a [`SIZE_EDGES`] value one time in
+/// eight, otherwise an ordinary length below 512.
+fn pick_size(w: u64) -> usize {
+    if w % 8 == 0 {
+        SIZE_EDGES[((w >> 3) % SIZE_EDGES.len() as u64) as usize]
+    } else {
+        ((w >> 3) % 512) as usize
+    }
+}
+
 /// A gain range from two random words (its bounds may come out
 /// inverted, which is a valid draw range).
 fn pick_range(w: u64) -> (f64, f64) {
@@ -61,6 +85,11 @@ proptest! {
         delay_slots in 0u64..40,
         slot_bits in 0usize..400,
         jitter_word in any::<u64>(),
+        osc_word in any::<u64>(),
+        guard_word in any::<u64>(),
+        turnaround_word in any::<u64>(),
+        pad_word in any::<u64>(),
+        amplitude_words in proptest::collection::vec(any::<u64>(), 0..3),
     ) {
         let mut cfg = RunConfig {
             packets_per_flow: packets,
@@ -77,6 +106,14 @@ proptest! {
                 overhear_gain: pick_range(overhear_word),
                 weak_gain: pick_range(weak_word),
             },
+            osc_offset_max: pick(osc_word, 0.0, 0.1),
+            guard_samples: pick_size(guard_word),
+            turnaround_bits: pick_size(turnaround_word),
+            pad_samples: pick_size(pad_word),
+            tx_amplitude_overrides: amplitude_words
+                .iter()
+                .map(|&w| ([ALICE, BOB, ROUTER][(w >> 60) as usize % 3], pick(w, 0.1, 2.0)))
+                .collect(),
             ..RunConfig::quick(seed)
         };
         cfg.mac.delay_slots = delay_slots;

@@ -15,35 +15,6 @@ use anc_sim::scenario::ScenarioSpec;
 use anc_sim::{Engine, RunCtx, RunMetrics, SchedulerSpec};
 use proptest::prelude::*;
 
-/// FNV-1a over every metric word that must stay bit-identical
-/// (delivery counts, goodput/clock floats, per-packet BERs, overlap
-/// fractions, per-receiver BER tags).
-fn fingerprint(m: &RunMetrics) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |w: u64| {
-        h ^= w;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    eat(m.account.delivered as u64);
-    eat(m.account.lost as u64);
-    eat(m.account.goodput_bits.to_bits());
-    eat(m.account.time_samples.to_bits());
-    eat(m.packet_bers.len() as u64);
-    for b in &m.packet_bers {
-        eat(b.to_bits());
-    }
-    eat(m.overlaps.len() as u64);
-    for o in &m.overlaps {
-        eat(o.to_bits());
-    }
-    eat(m.ber_by_receiver.len() as u64);
-    for (r, b) in &m.ber_by_receiver {
-        eat(*r as u64);
-        eat(b.to_bits());
-    }
-    h
-}
-
 fn spec_for(topology: u8) -> ScenarioSpec {
     match topology % 4 {
         0 => ScenarioSpec::alice_bob(),
@@ -86,8 +57,8 @@ proptest! {
         let reference = run_with(&spec, scheme, &rc, &SchedulerSpec::deterministic());
         let stolen = run_with(&spec, scheme, &rc, &SchedulerSpec::work_stealing(workers));
         prop_assert_eq!(
-            fingerprint(&reference),
-            fingerprint(&stolen),
+            reference.fingerprint(),
+            stolen.fingerprint(),
             "work-stealing run diverged (topology={} seed={} workers={} {:?})",
             topology, seed, workers, scheme
         );

@@ -12,37 +12,7 @@
 use anc_netcode::Scheme;
 use anc_sim::runs::{run_spec, RunConfig};
 use anc_sim::scenario::{MeshConfig, ScenarioSpec};
-use anc_sim::RunMetrics;
 use proptest::prelude::*;
-
-/// FNV-1a over every metric word that must stay bit-identical
-/// (delivery counts, goodput/clock floats, per-packet BERs, overlap
-/// fractions, per-receiver BER tags).
-fn fingerprint(m: &RunMetrics) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |w: u64| {
-        h ^= w;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    eat(m.account.delivered as u64);
-    eat(m.account.lost as u64);
-    eat(m.account.goodput_bits.to_bits());
-    eat(m.account.time_samples.to_bits());
-    eat(m.packet_bers.len() as u64);
-    for b in &m.packet_bers {
-        eat(b.to_bits());
-    }
-    eat(m.overlaps.len() as u64);
-    for o in &m.overlaps {
-        eat(o.to_bits());
-    }
-    eat(m.ber_by_receiver.len() as u64);
-    for (r, b) in &m.ber_by_receiver {
-        eat(*r as u64);
-        eat(b.to_bits());
-    }
-    h
-}
 
 fn cfg(seed: u64) -> RunConfig {
     RunConfig {
@@ -85,8 +55,8 @@ proptest! {
         let gated_m = run_spec(&positioned, scheme, &rc).expect("positioned mesh runs");
         let dense_m = run_spec(&dense, scheme, &rc).expect("dense mesh runs");
         prop_assert_eq!(
-            fingerprint(&gated_m),
-            fingerprint(&dense_m),
+            gated_m.fingerprint(),
+            dense_m.fingerprint(),
             "spatial gating changed mesh metrics (n={} r={} ps={} rs={} {:?})",
             nodes, mesh.radius, placement_seed, run_seed, scheme
         );
@@ -146,8 +116,8 @@ fn sub_gate_link_dropped_by_grid_changes_no_decoded_bit() {
             let gated_m = run_spec(&spec, scheme, &rc).expect("gated x runs");
             let dense_m = run_spec(&dense, scheme, &rc).expect("dense x runs");
             assert_eq!(
-                fingerprint(&gated_m),
-                fingerprint(&dense_m),
+                gated_m.fingerprint(),
+                dense_m.fingerprint(),
                 "dropping the sub-gate link changed metrics ({scheme:?}, seed {seed})"
             );
         }

@@ -1,93 +1,44 @@
-//! The city-scale memory contract, at city scale: a streaming run fed
-//! over a million packets must hold **zero** per-packet state — every
-//! unbounded ledger stays not just empty but unallocated — while the
-//! O(1) digests keep exact counts/means and accurate quantiles.
+//! The city's metric digest at city scale: a [`StatDigest`] fed a
+//! million samples keeps an exact count, a mean that matches the exact
+//! one, and p50/p99 estimates within 1 % of the analytic quantiles, in
+//! a footprint that does not grow with the sample count.
 //!
-//! This is the satellite check behind `CityOutcome` and
-//! `city_sweep`: the flash-crowd sweep trusts these digests for its
-//! p99 latency claims, so their accuracy is pinned here against a
-//! known distribution at the 1M-sample scale the city actually
-//! produces.
+//! `CityOutcome` summarizes ACK latencies and BERs through these
+//! digests, and `city_sweep` reports their p99 latencies, so their
+//! accuracy is pinned here against a known distribution at the
+//! 1M-sample scale a city run produces.
 
 use anc_dsp::DspRng;
-use anc_netcode::Scheme;
-use anc_sim::{FlowMetrics, RunMetrics, StatDigest};
+use anc_sim::StatDigest;
 
-const PACKETS: usize = 1_000_000;
+const SAMPLES: usize = 1_000_000;
 
 #[test]
-fn streaming_run_holds_no_per_packet_state_at_1m_packets() {
-    let mut m = RunMetrics::new_streaming(Scheme::Anc);
-    let mut flow = FlowMetrics {
-        streaming: true,
-        ..FlowMetrics::default()
-    };
+fn digest_tracks_a_million_uniform_draws() {
+    let mut digest = StatDigest::new();
+    let mut sum = 0.0;
     let mut rng = DspRng::seed_from(0xC17F);
-    for i in 0..PACKETS {
-        // Round-robin over 4 receivers with uniform BERs and uniform
-        // latencies on [0, 100) — distributions whose quantiles are
-        // known in closed form.
-        let receiver = (i % 4) as u8;
-        m.record_ber(receiver, rng.uniform() * 0.1);
-        m.record_overlap(rng.uniform());
-        m.account.deliver(128, 0.0);
-        flow.offered += 1;
-        flow.delivered += 1;
-        flow.record_latency(rng.uniform() * 100.0);
+    for _ in 0..SAMPLES {
+        // Uniform on [0, 100): the p-quantile is 100·p.
+        let x = rng.uniform() * 100.0;
+        sum += x;
+        digest.push(x);
     }
 
-    // The memory contract: every per-packet ledger is *unallocated* —
-    // a push that slipped through would show up as nonzero capacity
-    // even after a clear().
-    assert_eq!(m.packet_bers.capacity(), 0, "packet_bers allocated");
-    assert_eq!(m.ber_by_receiver.capacity(), 0, "ber_by_receiver allocated");
-    assert_eq!(m.overlaps.capacity(), 0, "overlaps allocated");
-    assert_eq!(
-        flow.latency_samples.capacity(),
-        0,
-        "latency_samples allocated"
+    assert_eq!(digest.count(), SAMPLES as u64);
+    let exact_mean = sum / SAMPLES as f64;
+    assert!(
+        (digest.mean() - exact_mean).abs() < 1e-9 * exact_mean,
+        "Welford mean {} vs exact {exact_mean}",
+        digest.mean()
     );
-    // Receiver digests grow with distinct receivers, not packets.
-    assert_eq!(m.receiver_ber_stats.len(), 4);
-
-    // Exact bookkeeping survives the digest route.
-    assert_eq!(m.ber_stats.count(), PACKETS as u64);
-    assert_eq!(m.overlap_stats.count(), PACKETS as u64);
-    assert_eq!(flow.latency_stats.count(), PACKETS as u64);
-    assert_eq!(flow.delivered, PACKETS);
-    for (r, d) in &m.receiver_ber_stats {
-        assert_eq!(d.count(), PACKETS as u64 / 4, "receiver {r} digest count");
+    assert!((digest.mean() - 50.0).abs() < 0.1, "mean {}", digest.mean());
+    for (estimate, analytic) in [(digest.p50(), 50.0), (digest.p99(), 99.0)] {
+        assert!(
+            (estimate - analytic).abs() < 0.01 * analytic,
+            "estimate {estimate} vs analytic quantile {analytic}"
+        );
     }
-
-    // Accuracy at scale: Welford means are exact up to rounding, the
-    // P² quantile estimates must land within 1% of the analytic
-    // quantiles of the uniform distributions fed above.
-    assert!(
-        (m.mean_ber() - 0.05).abs() < 1e-3,
-        "ber mean {}",
-        m.mean_ber()
-    );
-    assert!(
-        (m.mean_overlap() - 0.5).abs() < 1e-2,
-        "overlap mean {}",
-        m.mean_overlap()
-    );
-    assert!(
-        (flow.mean_latency() - 50.0).abs() < 0.1,
-        "latency mean {}",
-        flow.mean_latency()
-    );
-    assert!(
-        (flow.p50_latency() - 50.0).abs() < 1.0,
-        "p50 {}",
-        flow.p50_latency()
-    );
-    assert!(
-        (flow.p99_latency() - 99.0).abs() < 1.0,
-        "p99 {}",
-        flow.p99_latency()
-    );
-    assert!(flow.latency_stats.min() >= 0.0 && flow.latency_stats.max() < 100.0);
 }
 
 #[test]
