@@ -57,7 +57,7 @@ impl Transmission {
 
 /// A [`Transmission`] that borrows its waveform. One slot's waveform
 /// reaches several receivers; borrowing lets each receiver's window be
-/// built without copying the samples (the engine's RX loop sends the
+/// built without copying the samples (the engine's RX stage lends the
 /// same `ScheduledTx` waves to every receiver in range).
 #[derive(Debug, Clone, Copy)]
 pub struct TransmissionRef<'a> {

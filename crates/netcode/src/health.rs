@@ -52,25 +52,22 @@ impl Default for HealthConfig {
 }
 
 impl HealthConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    /// If `alpha` is outside `(0, 1]`, a threshold is outside `[0, 1]`,
-    /// or the hysteresis band is inverted.
-    pub fn validate(&self) {
-        assert!(
-            self.alpha > 0.0 && self.alpha <= 1.0,
-            "EWMA alpha must be in (0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.unhealthy_threshold)
-                && (0.0..=1.0).contains(&self.healthy_threshold),
-            "health thresholds must be in [0, 1]"
-        );
-        assert!(
-            self.healthy_threshold < self.unhealthy_threshold,
-            "hysteresis band inverted: healthy threshold must sit below unhealthy"
-        );
+    /// Checks the configuration: `alpha` in `(0, 1]`, both thresholds
+    /// in `[0, 1]`, and the healthy threshold below the unhealthy one.
+    /// The error names the first violated condition.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
+            return Err("EWMA alpha must be in (0, 1]");
+        }
+        if !((0.0..=1.0).contains(&self.unhealthy_threshold)
+            && (0.0..=1.0).contains(&self.healthy_threshold))
+        {
+            return Err("health thresholds must be in [0, 1]");
+        }
+        if self.healthy_threshold >= self.unhealthy_threshold {
+            return Err("hysteresis band inverted: healthy threshold must sit below unhealthy");
+        }
+        Ok(())
     }
 }
 
@@ -101,9 +98,11 @@ impl HealthMonitor {
     /// Creates a monitor that starts healthy with a zero failure score.
     ///
     /// # Panics
-    /// Propagates [`HealthConfig::validate`] panics.
+    /// If [`HealthConfig::check`] fails.
     pub fn new(cfg: HealthConfig) -> HealthMonitor {
-        cfg.validate();
+        if let Err(e) = cfg.check() {
+            panic!("{e}");
+        }
         HealthMonitor {
             cfg,
             score: 0.0,

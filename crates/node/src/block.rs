@@ -1,8 +1,8 @@
 //! The node front end as a pure synthesis job.
 //!
 //! [`synthesize`] is the pure half of a transmission, lifted out of
-//! the engine's slot loop so the block-graph runtime can run it on the
-//! sending node's block: modulation, the §5.3 front-end rotation, the
+//! the engine's slot loop so its TX stage can run it on any worker:
+//! modulation, the §5.3 front-end rotation, the
 //! §7.5 amplify-forward normalization, and the Monte-Carlo CFO
 //! rotation are all functions of the job alone. Everything stateful
 //! about a transmission (frame sourcing, buffer bookkeeping,
@@ -51,7 +51,7 @@ pub struct SynthJob {
 
 /// Synthesizes one job into an on-air waveform. This is the exact
 /// per-transmission math of the engine's serial path, factored out so
-/// the inline and block-graph routes share one implementation.
+/// the inline and staged routes share one implementation.
 pub fn synthesize(chain: &TxChain, front_end: &FrontEnd, job: SynthJob) -> Vec<Cplx> {
     let mut wave = match job.source {
         SynthSource::Frame(frame) => chain.modulate_frame(&frame),

@@ -8,7 +8,7 @@
 //!
 //! * [`phy::TxChain`] / [`phy::RxChain`] — the Fig. 8 pipelines.
 //! * [`block::synthesize`] — one transmission's pure synthesis job,
-//!   run on the sender's block in the simulator's block graph.
+//!   run in the simulator's TX stage on the sender's borrowed node.
 //! * [`mac::TriggerMac`] — the §7.6 random-delay draw: triggered
 //!   neighbours transmit after the §7.2 random delay (slots + user-space
 //!   jitter), which is what limits packet overlap to ≈ 80 % in the

@@ -82,7 +82,7 @@ impl FrontEnd {
     /// amplitude scaling plus the carrier rotation `phase0 + Δω·k`
     /// (§5.3's per-transmission phase `γ` and the oscillator drift the
     /// §6 amplitude tracker absorbs). Pure in `(self, wave, phase)` —
-    /// the block-graph TX stage calls it off the engine thread.
+    /// the simulator's TX stage calls it off the engine thread.
     pub fn apply(&self, wave: &mut [Cplx], carrier_phase: f64) {
         let FrontEnd {
             osc_offset,

@@ -1,10 +1,10 @@
 //! Block-graph streaming runtime.
 //!
-//! The simulation engine runs each node's TX synthesis → medium
-//! superposition → decode chain (the paper's Fig. 8) as a block of a
-//! dataflow graph, and the city engine runs each street as one. This
-//! crate provides the graph substrate, kept deliberately free of
-//! simulation types:
+//! No simulation runs on this crate any more: the engine and the city
+//! run their stages on `anc-sim`'s ordered fork-join pool. Its only
+//! user is perfbench's replay, which times the ring handoff and the
+//! idle block poll for its `runtime.*` metrics. The crate provides a
+//! graph substrate, free of simulation types:
 //!
 //! * [`ring`] — fixed-capacity single-producer/single-consumer ring
 //!   buffers (the only inter-block channel; bounded, allocation-free
@@ -24,10 +24,8 @@
 //! inputs* (all shared mutable state partitioned per block, all
 //! cross-block traffic through rings) computes the same values under
 //! every scheduler: rings are FIFO, so each block sees the same input
-//! sequence regardless of interleaving. The engine's golden
-//! fingerprints rely on exactly this — the work-stealing executor must
-//! be bit-identical to the deterministic one, and
-//! `anc-sim`'s scheduler-equivalence proptest pins it.
+//! sequence regardless of interleaving, so the work-stealing executor
+//! is bit-identical to the deterministic one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

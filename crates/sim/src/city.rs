@@ -1,5 +1,5 @@
 //! City-scale ANC engine: 10k–100k-node meshes of crossing relay
-//! cells, run as a first-class client of the block-graph runtime.
+//! cells, run on the same stage executor as the topology engine.
 //!
 //! The packet-level [`crate::engine`] addresses nodes by `NodeId`
 //! (`u8`), which caps it at 256 nodes — plenty for the paper
@@ -8,17 +8,16 @@
 //! [`anc_core::decoder::AncDecoder`], §7.3–§7.5 amplify-and-forward
 //! relays) at city scale through five mechanisms:
 //!
-//! 1. **Regions as blocks.** The city is partitioned into spatial
-//!    regions (street rows); each region compiles to one
-//!    [`anc_runtime`] block that runs every stage of an exchange —
-//!    TX synthesis, relay amplify-forward, endpoint decode — one job
-//!    at a time, connected to the controller by a pair of SPSC rings
-//!    and executed by whatever
-//!    [`crate::pipeline::SchedulerSpec`] selects. Because every block
-//!    is a pure function of its ring inputs and a read-only snapshot
-//!    of the shared board, the deterministic executor and the
-//!    work-stealing executor produce bit-identical
-//!    [`CityOutcome::fingerprint`]s.
+//! 1. **Streets as stage jobs.** The city is partitioned into spatial
+//!    regions (street rows). Each stage of an exchange — TX
+//!    synthesis, relay amplify-forward, endpoint decode — runs as one
+//!    ordered fork-join stage ([`crate::pool`]) with one job per
+//!    street, on whatever [`crate::pipeline::SchedulerSpec`] selects.
+//!    Jobs share the board read-only; the controller changes it only
+//!    between stages. Because every job is a pure function of
+//!    its street's slice of the board and results come back in street
+//!    order, the deterministic executor and the work-stealing
+//!    executor produce bit-identical [`CityOutcome::fingerprint`]s.
 //!
 //! 2. **Spatially-gated superposition.** Nodes carry real
 //!    coordinates; link gain follows a distance power law, and any
@@ -73,12 +72,13 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::ops::Range;
-use std::sync::RwLock;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::faults::FaultSpec;
 use crate::metrics::StatDigest;
-use crate::pipeline::{ring, wait_pop, wait_push, SchedulerSpec, Stalled};
+use crate::pipeline::SchedulerSpec;
+use crate::pool::{Pool, StageFailed};
 use anc_channel::{within_range, AmplifyForward, Link, Medium, SpatialGrid, TransmissionRef};
 use anc_core::decoder::{AncDecoder, DecoderConfig, DecoderScratch};
 use anc_core::detect::DetectorConfig;
@@ -89,7 +89,6 @@ use anc_modem::ber::ber;
 use anc_netcode::{contention_rotation, derive_plan, FlowSpec, Scheme, SlotPlan, SlotStep};
 use anc_node::phy::TxChain;
 use anc_node::CsmaConfig;
-use anc_runtime::{Block, BlockStatus, Consumer, Producer, Pump};
 use serde::{Deserialize, Serialize};
 
 /// Root of every [`DspRng::from_path`] stream this module draws
@@ -117,11 +116,13 @@ pub enum CityError {
         /// calendar index).
         served: u32,
     },
-    /// The block graph stopped making progress while the controller
-    /// still waited on a ring — a wired-graph deadlock, surfaced as a
-    /// typed error instead of a hang (deterministic executor only;
-    /// the work-stealing pump cannot prove a stall).
-    PipelineStalled,
+    /// A job of one of the exchange's stages panicked; the pool
+    /// caught it and finished the other streets' jobs (see
+    /// [`crate::pool`]).
+    StageFailed {
+        /// The stage's name (`city.anc_tx`, `city.trad_decode`, …).
+        stage: &'static str,
+    },
 }
 
 impl std::fmt::Display for CityError {
@@ -138,10 +139,14 @@ impl std::fmt::Display for CityError {
                 f,
                 "chain at cell {cell}: service cursor {served} ran past its arrival calendar"
             ),
-            CityError::PipelineStalled => {
-                write!(f, "city block graph stalled (wired-graph deadlock)")
-            }
+            CityError::StageFailed { stage } => write!(f, "stage {stage}: a job panicked"),
         }
+    }
+}
+
+impl From<StageFailed> for CityError {
+    fn from(e: StageFailed) -> Self {
+        CityError::StageFailed { stage: e.stage }
     }
 }
 
@@ -841,6 +846,7 @@ fn compile_exchange(scheme: Scheme) -> Result<(SlotPlan, CompiledExchange), City
 }
 
 /// One slot's transmitter: node index, in-slot sample offset, wave.
+#[derive(Clone)]
 struct SlotTx {
     node: u32,
     offset: usize,
@@ -850,6 +856,7 @@ struct SlotTx {
 /// One cell's exchange in the current sub-round: both directional
 /// payloads (filler bits on a passive side of a multi-cell chain) and
 /// which decoded directions the controller actually wants back.
+#[derive(Clone)]
 struct Exchange {
     cell: u32,
     pay_a: Vec<bool>,
@@ -861,18 +868,20 @@ struct Exchange {
 /// The endpoint-side decode context an ANC uplink stage hands to the
 /// decode stage: each endpoint's own transmitted frame bits (the
 /// known signal it cancels, §3.2) and who transmitted first.
+#[derive(Clone)]
 struct DecodeCtx {
     bits_a: Vec<bool>,
     bits_b: Vec<bool>,
     a_first: bool,
 }
 
-/// The shared state every region block reads while computing a stage.
-/// The controller is the only writer, and it writes only between
-/// stages (all jobs of the previous stage folded back first), so
-/// blocks take the read lock for pure snapshots — the determinism
-/// contract holds because the board content at each job is a pure
-/// function of the controller's sequential round loop.
+/// The shared state every street's stage job reads. Each job holds a
+/// clone of the driver's `Arc<Board>` while a stage runs and drops it
+/// before the stage returns; the controller changes the board only
+/// between stages, so the board content at each job is a pure
+/// function of the controller's sequential round loop — the
+/// determinism contract.
+#[derive(Clone)]
 struct Board {
     positions: Vec<(f64, f64)>,
     /// Persistent all-node spatial index at the gate radius; mobility
@@ -922,8 +931,8 @@ impl Board {
 }
 
 /// Buffers [`CityPhy::window`] builds a window in. One set serves every
-/// window of a stage job and is dropped with the job, so no region
-/// block keeps a window buffer resident between jobs.
+/// window of a stage job and is dropped with the job, so no street
+/// keeps a window buffer resident between stages.
 #[derive(Default)]
 struct WindowBufs<'b> {
     cands: Vec<u32>,
@@ -932,7 +941,7 @@ struct WindowBufs<'b> {
 }
 
 /// The PHY shared by every round: frame layout, modulator, decoder,
-/// and the pure per-stage computations the region blocks execute.
+/// and the pure per-stage computations each street's jobs run.
 struct CityPhy<'a> {
     cfg: &'a CityConfig,
     gate: f64,
@@ -1234,123 +1243,6 @@ impl<'a> CityPhy<'a> {
     }
 }
 
-/// A stage job the controller hands a region's block.
-#[derive(Debug, Clone, Copy)]
-enum RegionJob {
-    AncTx,
-    AncRelay,
-    AncDecode,
-    TradModulate,
-    TradDecode,
-}
-
-/// A region block's stage result.
-enum RegionOut {
-    Tx(Vec<(DecodeCtx, [SlotTx; 2])>),
-    Relay(Vec<SlotTx>),
-    Decode(Vec<[Option<Vec<bool>>; 2]>),
-    Modulated(Vec<SlotTx>),
-    HopDecoded(Vec<Option<Frame>>),
-}
-
-/// One region's worker block: pops a stage job, computes that stage
-/// over the region's slice of the board's exchanges (a pure function
-/// of the board snapshot), and pushes the result. The staged-output
-/// slot makes backpressure safe: a result that doesn't fit its ring
-/// is retried before the next job is popped.
-struct RegionBlock<'env> {
-    name: String,
-    region: usize,
-    phy: &'env CityPhy<'env>,
-    board: &'env RwLock<Board>,
-    job: Consumer<RegionJob>,
-    out: Producer<RegionOut>,
-    staged: Option<RegionOut>,
-    scratch: DecoderScratch,
-}
-
-impl Block for RegionBlock<'_> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn poll(&mut self) -> BlockStatus {
-        let mut progressed = false;
-        loop {
-            if let Some(out) = self.staged.take() {
-                if let Err(out) = self.out.try_push(out) {
-                    self.staged = Some(out);
-                    break;
-                }
-                progressed = true;
-            }
-            let Some(job) = self.job.try_pop() else {
-                break;
-            };
-            let board = self.board.read().expect("board lock");
-            let range = board.seg[self.region].clone();
-            self.staged = Some(match job {
-                RegionJob::AncTx => RegionOut::Tx(self.phy.anc_tx(&board, range)),
-                RegionJob::AncRelay => RegionOut::Relay(self.phy.anc_relay(&board, range)),
-                RegionJob::AncDecode => {
-                    RegionOut::Decode(self.phy.anc_decode(&board, range, &mut self.scratch))
-                }
-                RegionJob::TradModulate => {
-                    RegionOut::Modulated(self.phy.trad_modulate(&board, range))
-                }
-                RegionJob::TradDecode => RegionOut::HopDecoded(self.phy.trad_decode(&board, range)),
-            });
-        }
-        if progressed {
-            BlockStatus::Progress
-        } else {
-            BlockStatus::Idle
-        }
-    }
-}
-
-/// The controller's handle on one region's block.
-struct RegionPorts {
-    job: Producer<RegionJob>,
-    out: Consumer<RegionOut>,
-}
-
-/// Builds the city's block graph: one [`RegionBlock`] per region
-/// (street row), in row order, named `city-r{row}`. The controller
-/// runs one stage at a time across all regions (every result popped
-/// before the next stage is pushed), so a single block per region
-/// serves the TX, relay and decode stages alike.
-fn build_city_graph<'env>(
-    phy: &'env CityPhy<'env>,
-    board: &'env RwLock<Board>,
-    regions: usize,
-) -> (Vec<Box<dyn Block + 'env>>, Vec<RegionPorts>) {
-    let mut blocks: Vec<Box<dyn Block + 'env>> = Vec::with_capacity(regions);
-    let mut ports = Vec::with_capacity(regions);
-    for region in 0..regions {
-        let (job, job_rx) = ring();
-        let (out_tx, out) = ring();
-        blocks.push(Box::new(RegionBlock {
-            name: format!("city-r{region}"),
-            region,
-            phy,
-            board,
-            job: job_rx,
-            out: out_tx,
-            staged: None,
-            scratch: DecoderScratch::default(),
-        }));
-        ports.push(RegionPorts { job, out });
-    }
-    (blocks, ports)
-}
-
-impl From<Stalled> for CityError {
-    fn from(_: Stalled) -> Self {
-        CityError::PipelineStalled
-    }
-}
-
 /// Mutable state threaded through the advance loop.
 struct RunState {
     arr_idx: Vec<u32>,
@@ -1434,12 +1326,11 @@ fn filler(cfg: &CityConfig, cell: u32, e: u64, dir: u64) -> Vec<bool> {
     .bits(cfg.payload_bits)
 }
 
-/// The sequential brain of a city run: the controller closure's
-/// state. It owns the round loop (the sparse advance), resolves
-/// all stateful decisions — faults, contention, mobility, queue
-/// cursors — in deterministic order, and feeds pure stage jobs into
-/// the region blocks through their rings.
-struct CityDriver<'a> {
+/// The sequential brain of a city run. It owns the round loop (the
+/// sparse advance), resolves all stateful decisions — faults,
+/// contention, mobility, queue cursors — in deterministic order, and
+/// runs each exchange stage as one job per street.
+struct CityDriver<'a, 'env> {
     cfg: &'a CityConfig,
     compiled: &'a CompiledExchange,
     /// Slots per exchange sub-round (2 = ANC, 4 = traditional).
@@ -1450,16 +1341,20 @@ struct CityDriver<'a> {
     slots_per_round: u64,
     chains: &'a [Chain],
     cal: &'a [Vec<u32>],
-    phy: &'a CityPhy<'a>,
-    board: &'a RwLock<Board>,
-    ports: &'a mut [RegionPorts],
-    pump: &'a mut dyn Pump,
+    phy: &'env CityPhy<'env>,
+    pool: &'a Pool<'a, 'env>,
+    /// Shared with each stage's jobs; the controller changes it only
+    /// between stages, when no job holds a clone.
+    board: Arc<Board>,
+    /// One decoder scratch per street (region), moved into its decode
+    /// job for the stage.
+    scratch: Vec<DecoderScratch>,
     waypoints: &'a mut [Option<Waypoint>],
     st: &'a mut RunState,
     profile: &'a mut CityProfile,
 }
 
-impl CityDriver<'_> {
+impl<'env> CityDriver<'_, 'env> {
     /// Reference advance and test oracle: every round touches every
     /// chain. [`Self::advance_sparse`] must reproduce it bit for bit.
     #[cfg(test)]
@@ -1718,7 +1613,7 @@ impl CityDriver<'_> {
         if live.len() <= 1 {
             return live;
         }
-        let board = self.board.read().expect("board lock");
+        let board = &self.board;
         let sense = self.cfg.csma.sense_radius(self.phy.gate);
         let mut owner: HashMap<u32, usize> = HashMap::new();
         for (li, &ch) in live.iter().enumerate() {
@@ -1794,8 +1689,7 @@ impl CityDriver<'_> {
             return;
         }
         let t0 = Instant::now();
-        let mut board = self.board.write().expect("board lock");
-        let b = &mut *board;
+        let b = Arc::make_mut(&mut self.board);
         for &ch in live {
             for cell in self.chains[ch as usize].cells.clone() {
                 let c = cell as usize;
@@ -1817,36 +1711,59 @@ impl CityDriver<'_> {
                 }
             }
         }
-        drop(board);
         self.profile.mobility_ns += elapsed_ns(t0);
     }
 
-    /// Runs one stage on every region in `active`: pushes `job` to each
-    /// region's block, then pops their results in region order.
-    fn run_stage(&mut self, active: &[usize], job: RegionJob) -> Result<Vec<RegionOut>, CityError> {
-        for &r in active {
-            wait_push(&mut self.ports[r].job, job, &mut *self.pump)?;
-        }
-        active
+    /// Runs one stage as one job per street with exchanges on the
+    /// board: `f` computes the stage over that street's slice of the
+    /// exchanges, with the street's decoder scratch. The streets'
+    /// results come back concatenated in street order.
+    fn run_stage<R, F>(&mut self, name: &'static str, f: F) -> Result<Vec<R>, CityError>
+    where
+        R: Send + 'env,
+        F: Fn(&CityPhy<'_>, &Board, Range<usize>, &mut DecoderScratch) -> Vec<R>
+            + Send
+            + Sync
+            + 'env,
+    {
+        let phy = self.phy;
+        let items: Vec<_> = self
+            .board
+            .seg
             .iter()
-            .map(|&r| Ok(wait_pop(&mut self.ports[r].out, &mut *self.pump)?))
-            .collect()
+            .enumerate()
+            .filter(|(_, seg)| !seg.is_empty())
+            .map(|(r, seg)| {
+                let scratch = std::mem::take(&mut self.scratch[r]);
+                (r, seg.clone(), scratch, Arc::clone(&self.board))
+            })
+            .collect();
+        let parts = self
+            .pool
+            .stage(name, items, move |(r, range, mut scratch, board)| {
+                let out = f(phy, &board, range, &mut scratch);
+                (r, out, scratch)
+            })?;
+        let mut results = Vec::new();
+        for (r, out, scratch) in parts {
+            self.scratch[r] = scratch;
+            results.extend(out);
+        }
+        Ok(results)
     }
 
-    /// Runs one exchange sub-round `e` over `exch` (cell-ascending)
-    /// through the region blocks: install board state, fan a stage
-    /// job out to every involved region, fold stage results back in
-    /// region order. The controller write-locks the board only
-    /// between stages (every previous job folded back first), so
-    /// blocks only ever read a settled snapshot.
+    /// Runs one exchange sub-round `e` over `exch` (cell-ascending):
+    /// install board state, run each stage as one job per involved
+    /// street, fold stage results back in street order. The board
+    /// changes only between stages, so every job reads a settled
+    /// snapshot.
     fn run_exchanges(
         &mut self,
         e: u64,
         exch: Vec<Exchange>,
     ) -> Result<Vec<[Option<Vec<bool>>; 2]>, CityError> {
         let n = exch.len();
-        let regions = self.ports.len();
-        let mut seg = vec![0..0; regions];
+        let mut seg = vec![0..0; self.scratch.len()];
         {
             let cells_x = self.cfg.cells_x;
             let mut i = 0;
@@ -1859,57 +1776,35 @@ impl CityDriver<'_> {
                 seg[r] = start..i;
             }
         }
-        let active: Vec<usize> = (0..regions).filter(|&r| !seg[r].is_empty()).collect();
         match self.compiled {
             CompiledExchange::Anc => {
                 let t0 = Instant::now();
-                {
-                    let mut b = self.board.write().expect("board lock");
-                    b.exch = exch;
-                    b.seg = seg;
-                    b.eround = e;
-                }
+                let b = Arc::make_mut(&mut self.board);
+                b.exch = exch;
+                b.seg = seg;
+                b.eround = e;
+                let tx = self.run_stage("city.anc_tx", |phy, b, r, _| phy.anc_tx(b, r))?;
                 let mut dctx = Vec::with_capacity(n);
                 let mut uplink = Vec::with_capacity(2 * n);
-                for out in self.run_stage(&active, RegionJob::AncTx)? {
-                    // A mismatched variant would mean the rings broke
-                    // FIFO — surfaced as a stall, not a panic.
-                    let RegionOut::Tx(v) = out else {
-                        return Err(CityError::PipelineStalled);
-                    };
-                    for (ctx, [ta, tb]) in v {
-                        dctx.push(ctx);
-                        uplink.push(ta);
-                        uplink.push(tb);
-                    }
+                for (ctx, [ta, tb]) in tx {
+                    dctx.push(ctx);
+                    uplink.push(ta);
+                    uplink.push(tb);
                 }
-                {
-                    let mut b = self.board.write().expect("board lock");
-                    b.dctx = dctx;
-                    b.txs = uplink;
-                    b.slot = e * self.spr;
-                }
-                let mut downlink = Vec::with_capacity(n);
-                for out in self.run_stage(&active, RegionJob::AncRelay)? {
-                    let RegionOut::Relay(v) = out else {
-                        return Err(CityError::PipelineStalled);
-                    };
-                    downlink.extend(v);
-                }
+                let b = Arc::make_mut(&mut self.board);
+                b.dctx = dctx;
+                b.txs = uplink;
+                b.slot = e * self.spr;
+                let downlink =
+                    self.run_stage("city.anc_relay", |phy, b, r, _| phy.anc_relay(b, r))?;
                 self.profile.window_assembly_ns += elapsed_ns(t0);
-                {
-                    let mut b = self.board.write().expect("board lock");
-                    b.txs = downlink;
-                    b.slot = e * self.spr + 1;
-                }
+                let b = Arc::make_mut(&mut self.board);
+                b.txs = downlink;
+                b.slot = e * self.spr + 1;
                 let t1 = Instant::now();
-                let mut results = Vec::with_capacity(n);
-                for out in self.run_stage(&active, RegionJob::AncDecode)? {
-                    let RegionOut::Decode(v) = out else {
-                        return Err(CityError::PipelineStalled);
-                    };
-                    results.extend(v);
-                }
+                let results = self.run_stage("city.anc_decode", |phy, b, r, scratch| {
+                    phy.anc_decode(b, r, scratch)
+                })?;
                 self.profile.decode_ns += elapsed_ns(t1);
                 Ok(results)
             }
@@ -1924,46 +1819,30 @@ impl CityDriver<'_> {
                     fwd_fr.push(Some(fa));
                     rev_fr.push(Some(fb));
                 }
-                {
-                    let mut b = self.board.write().expect("board lock");
-                    b.exch = exch;
-                    b.seg = seg;
-                    b.eround = e;
-                }
+                let b = Arc::make_mut(&mut self.board);
+                b.exch = exch;
+                b.seg = seg;
+                b.eround = e;
                 for (j, hop) in hops.iter().enumerate() {
                     let input = if hop.forward {
                         std::mem::take(&mut fwd_fr)
                     } else {
                         std::mem::take(&mut rev_fr)
                     };
-                    {
-                        let mut b = self.board.write().expect("board lock");
-                        b.hop_frames = input;
-                        b.hop_from = hop.from;
-                        b.hop_to = hop.to;
-                    }
+                    let b = Arc::make_mut(&mut self.board);
+                    b.hop_frames = input;
+                    b.hop_from = hop.from;
+                    b.hop_to = hop.to;
                     let t0 = Instant::now();
-                    let mut txs = Vec::with_capacity(n);
-                    for out in self.run_stage(&active, RegionJob::TradModulate)? {
-                        let RegionOut::Modulated(v) = out else {
-                            return Err(CityError::PipelineStalled);
-                        };
-                        txs.extend(v);
-                    }
+                    let txs = self
+                        .run_stage("city.trad_modulate", |phy, b, r, _| phy.trad_modulate(b, r))?;
                     self.profile.window_assembly_ns += elapsed_ns(t0);
-                    {
-                        let mut b = self.board.write().expect("board lock");
-                        b.txs = txs;
-                        b.slot = e * self.spr + j as u64;
-                    }
+                    let b = Arc::make_mut(&mut self.board);
+                    b.txs = txs;
+                    b.slot = e * self.spr + j as u64;
                     let t1 = Instant::now();
-                    let mut decoded = Vec::with_capacity(n);
-                    for out in self.run_stage(&active, RegionJob::TradDecode)? {
-                        let RegionOut::HopDecoded(v) = out else {
-                            return Err(CityError::PipelineStalled);
-                        };
-                        decoded.extend(v);
-                    }
+                    let decoded =
+                        self.run_stage("city.trad_decode", |phy, b, r, _| phy.trad_decode(b, r))?;
                     self.profile.decode_ns += elapsed_ns(t1);
                     if hop.forward {
                         fwd_fr = decoded;
@@ -2010,8 +1889,8 @@ impl CityRunBuilder {
 
     /// Selects the executor (deterministic by default). The
     /// work-stealing executor is bit-identical to the deterministic
-    /// one — blocks are pure functions of ring traffic and board
-    /// snapshots.
+    /// one — every stage job is a pure function of its street's slice
+    /// of the board.
     pub fn scheduler(mut self, sched: SchedulerSpec) -> Self {
         self.sched = sched;
         self
@@ -2101,6 +1980,9 @@ impl CityRunBuilder {
                 cfg.csma.sense_factor
             )));
         }
+        if let Some(faults) = &cfg.faults {
+            faults.check().map_err(CityError::InvalidConfig)?;
+        }
         let spr = u64::try_from(plan.slots()).expect("plan slots fit u64");
         Ok(CityRun {
             cfg: self.cfg,
@@ -2137,7 +2019,7 @@ impl CityRun {
     /// advance in production, the dense oracle in the unit tests).
     fn run_with(
         &self,
-        advance: impl FnOnce(&mut CityDriver<'_>) -> Result<(), CityError>,
+        advance: impl FnOnce(&mut CityDriver<'_, '_>) -> Result<(), CityError>,
     ) -> Result<(CityOutcome, CityProfile), CityError> {
         let cfg = &self.cfg;
         let span = cfg.flow_span.max(1);
@@ -2147,33 +2029,26 @@ impl CityRun {
         let cal = calendars(cfg, &positions, &chains);
         let mut waypoints = build_waypoints(cfg, &positions);
         let phy = CityPhy::new(cfg);
-        let board = RwLock::new(Board::new(positions, phy.gate, cfg.rows));
-        let (blocks, mut ports) = build_city_graph(&phy, &board, cfg.rows);
         let mut st = RunState::new(chains.len());
         let mut profile = CityProfile::default();
-        let result: Result<(), CityError> = self.sched.run_blocks(
-            blocks,
-            Box::new(|pump: &mut dyn Pump| {
-                let mut drv = CityDriver {
-                    cfg,
-                    compiled: &self.compiled,
-                    spr: self.spr,
-                    span,
-                    slots_per_round,
-                    chains: &chains,
-                    cal: &cal,
-                    phy: &phy,
-                    board: &board,
-                    ports: &mut ports,
-                    pump,
-                    waypoints: &mut waypoints,
-                    st: &mut st,
-                    profile: &mut profile,
-                };
-                advance(&mut drv)
-            }),
-        );
-        result?;
+        self.sched.with_pool(|pool| {
+            advance(&mut CityDriver {
+                cfg,
+                compiled: &self.compiled,
+                spr: self.spr,
+                span,
+                slots_per_round,
+                chains: &chains,
+                cal: &cal,
+                phy: &phy,
+                pool,
+                board: Arc::new(Board::new(positions, phy.gate, cfg.rows)),
+                scratch: (0..cfg.rows).map(|_| DecoderScratch::default()).collect(),
+                waypoints: &mut waypoints,
+                st: &mut st,
+                profile: &mut profile,
+            })
+        })?;
         Ok((
             CityOutcome {
                 nodes: cfg.nodes(),
@@ -2420,6 +2295,35 @@ mod tests {
                 "noise {noise}: {err}"
             );
         }
+        // `region_down` divides by the crash burst window even at rate
+        // 0, so a zero window is a build error whatever the rate; so
+        // are the engine's crash cases, checked by the same spec check.
+        let rejected = |edit: fn(&mut FaultSpec), field: &str| {
+            let mut faults = FaultSpec::none();
+            edit(&mut faults);
+            let mut cfg = small(1);
+            cfg.faults = Some(faults);
+            let err = build(&cfg, Scheme::Anc).unwrap_err();
+            assert!(
+                matches!(&err, CityError::InvalidConfig(s) if s.contains(field)),
+                "{field}: {err}"
+            );
+        };
+        rejected(|f| f.crash_burst_periods = 0, "crash_burst_periods");
+        rejected(
+            |f| {
+                f.jammer_rate = 0.3;
+                f.jammer_burst_periods = 0;
+            },
+            "jammer_burst_periods",
+        );
+        rejected(
+            |f| {
+                f.crash_rate = 0.3;
+                f.health.alpha = 0.0;
+            },
+            "alpha",
+        );
         let mut cfg = small(1);
         cfg.flow_span = 0;
         assert!(build(&cfg, Scheme::Anc)
@@ -2481,14 +2385,34 @@ mod tests {
     }
 
     #[test]
-    fn city_graph_has_one_block_per_street() {
-        let cfg = small(1);
-        let phy = CityPhy::new(&cfg);
-        let board = RwLock::new(Board::new(place(&cfg), phy.gate, cfg.rows));
-        let (blocks, ports) = build_city_graph(&phy, &board, cfg.rows);
-        let names: Vec<&str> = blocks.iter().map(|b| b.name()).collect();
-        assert_eq!(names, ["city-r0", "city-r1"]);
-        assert_eq!(ports.len(), cfg.rows);
+    fn a_panicking_stage_job_is_a_typed_city_error() {
+        for sched in [
+            SchedulerSpec::deterministic(),
+            SchedulerSpec::work_stealing(2),
+        ] {
+            let run = CityConfig::builder(Scheme::Anc)
+                .config(small(1))
+                .scheduler(sched)
+                .build()
+                .expect("valid config");
+            let err = run
+                .run_with(|drv| {
+                    // Exchanges on both streets: the stage has two jobs.
+                    Arc::make_mut(&mut drv.board).seg = vec![0..1, 1..2];
+                    drv.run_stage("city.probe", |_, _, range, _| -> Vec<()> {
+                        assert!(range.start != 0, "street job fails on purpose");
+                        Vec::new()
+                    })
+                    .map(|_| ())
+                })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                CityError::StageFailed {
+                    stage: "city.probe"
+                }
+            );
+        }
     }
 
     #[test]

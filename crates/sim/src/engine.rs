@@ -42,14 +42,11 @@
 
 use crate::faults::FaultSpec;
 use crate::metrics::{FlowMetrics, OutageRecord, RunMetrics};
-use crate::pipeline::{
-    build_graph, wait_pop, wait_push, NodeJob, NodeOut, NodePark, RunCtx, RxDone, RxWork,
-    SchedulerSpec, SlotDriver,
-};
+use crate::pipeline::{NodePark, RunCtx, RxJob, SchedulerSpec};
+use crate::pool::{Pool, StageFailed};
 use crate::runs::RunConfig;
 use crate::topology::{Topology, TopologyGraph};
-use anc_channel::{ImpairmentSpec, Link, NodeMask, WindowJob};
-use anc_core::DecoderScratch;
+use anc_channel::{ImpairmentSpec, Link, NodeMask};
 use anc_dsp::cast::round_to_i64;
 use anc_dsp::{Cplx, DspRng};
 use anc_frame::{Frame, Header, NodeId, PacketKey};
@@ -92,20 +89,11 @@ pub enum EngineError {
     /// A relay expectation referenced a sender that put no frame on
     /// the air this slot.
     SlotFrameMissing(NodeId),
-    /// The block graph could not advance while the controller was
-    /// still waiting on a ring — a wired-graph deadlock, detectable
-    /// only under the deterministic scheduler (which is therefore the
-    /// oracle for work-stealing runs of the same program).
-    PipelineStalled,
-    /// A node block's output came back with the wrong correlation tag
-    /// or kind: a decode outcome for another receive intent, the wrong
-    /// outcome kind, or an outcome where a waveform was due.
-    PipelineDesync {
-        /// The intent index the fold expected (for a waveform, the
-        /// sender's position in the slot's fired order).
-        expected: u64,
-        /// The tag that actually arrived (`u64::MAX` for a waveform).
-        got: u64,
+    /// A job of one of the slot's stages panicked; the pool caught
+    /// it and finished the stage's other jobs (see [`crate::pool`]).
+    StageFailed {
+        /// The stage's name (`engine.tx` or `engine.rx`).
+        stage: &'static str,
     },
 }
 
@@ -126,20 +114,18 @@ impl std::fmt::Display for EngineError {
             EngineError::SlotFrameMissing(id) => {
                 write!(f, "sender {id} put no frame on the air this slot")
             }
-            EngineError::PipelineStalled => {
-                write!(f, "block graph stalled while the controller was waiting")
-            }
-            EngineError::PipelineDesync { expected, got } => {
-                write!(
-                    f,
-                    "decode outcome desynchronized: expected intent {expected}, got tag {got}"
-                )
-            }
+            EngineError::StageFailed { stage } => write!(f, "stage {stage}: a job panicked"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
+
+impl From<StageFailed> for EngineError {
+    fn from(e: StageFailed) -> Self {
+        EngineError::StageFailed { stage: e.stage }
+    }
+}
 
 /// Stream-path domain tag of the closed-loop traffic-arrival RNG —
 /// derived via [`DspRng::from_path`] so enabling ARQ consumes nothing
@@ -341,9 +327,9 @@ pub struct ScheduledTx {
     /// Transmitting node.
     pub sender: NodeId,
     /// Waveform after the sender's front end (amplitude, oscillator,
-    /// carrier phase). Shared: one slot's wave fans out to every
-    /// receiver's superposition job without being copied.
-    pub wave: Arc<Vec<Cplx>>,
+    /// carrier phase). Every receiver's window sums it by reference,
+    /// so one slot's wave fans out without being copied.
+    pub wave: Vec<Cplx>,
     /// Start offset within the slot (MAC stagger; 0 when scheduled).
     pub offset: usize,
 }
@@ -363,9 +349,7 @@ pub struct Engine<'p> {
     program: &'p Program,
     cfg: RunConfig,
     topo: Topology,
-    /// The nodes, parked in lockable cells (in `node_ids` order) so
-    /// the block graph's decode stages can run them off-thread while
-    /// the controller keeps the rest of the engine.
+    /// The nodes (in `node_ids` order), lent to the slot's stages.
     park: NodePark,
     noise: HashMap<NodeId, DspRng>,
     carrier_rng: DspRng,
@@ -383,8 +367,9 @@ pub struct Engine<'p> {
     heard: HashMap<NodeId, bool>,
     /// What each sender transmitted this slot (relay expectations).
     slot_frames: HashMap<NodeId, Frame>,
-    /// The slot's scheduled-transmission event queue.
-    events: Vec<ScheduledTx>,
+    /// The slot's scheduled-transmission event queue, shared with the
+    /// slot's RX stages.
+    events: Arc<Vec<ScheduledTx>>,
     /// Reused audibility-mask scratch for spatially-gated receptions
     /// (positioned topologies; see [`Topology::audible_mask`]).
     mask_scratch: NodeMask,
@@ -515,7 +500,7 @@ impl<'p> Engine<'p> {
             cope_seq: HashMap::new(),
             heard: HashMap::new(),
             slot_frames: HashMap::new(),
-            events: Vec::new(),
+            events: Arc::default(),
             mask_scratch: NodeMask::new(256),
             link_impairments: program.graph.link_impairments(program.impairments),
             tx_impairments: program.impairments.filter(|s| s.affects_tx()),
@@ -586,65 +571,35 @@ impl<'p> Engine<'p> {
         ctx: &mut RunCtx,
     ) -> Result<RunMetrics, EngineError> {
         let mut engine = Engine::new(program, cfg);
-        let n = engine.park.len();
-        if ctx.scratches.len() < n {
-            ctx.scratches.resize_with(n, DecoderScratch::default);
-        }
-        for (i, slot) in ctx.scratches.iter_mut().enumerate().take(n) {
-            engine.park.lock_at(i).swap_rx_scratch(slot);
-        }
-        let outcome = engine.execute(sched);
+        engine.park.swap_scratches(&mut ctx.scratches);
+        let outcome = sched.with_pool(|pool| engine.drive(pool));
         // Hand the scratch buffers back even when the run errored, so
         // a failed trial cannot strand the context's warmed memory.
-        for (i, slot) in ctx.scratches.iter_mut().enumerate().take(n) {
-            engine.park.lock_at(i).swap_rx_scratch(slot);
-        }
+        engine.park.swap_scratches(&mut ctx.scratches);
         outcome?;
         Ok(engine.metrics)
     }
 
-    /// Builds the block graph over the parked nodes and runs the slot
-    /// loop as the scheduler's controller. The park is taken out of
-    /// the engine for the duration so the blocks can borrow it while
-    /// the controller closure holds `&mut self`.
-    fn execute(&mut self, sched: &SchedulerSpec) -> Result<(), EngineError> {
-        let park = std::mem::take(&mut self.park);
-        let (blocks, mut ports) = build_graph(&park);
-        let result = sched.run_blocks(
-            blocks,
-            Box::new(|pump| {
-                let mut drv = SlotDriver {
-                    park: &park,
-                    ports: &mut ports,
-                    pump,
-                };
-                self.drive(&mut drv)
-            }),
-        );
-        self.park = park;
-        result
-    }
-
     /// The sequential controller: closed-loop driver or open-loop
-    /// period replay, with the block graph's ports in hand.
-    fn drive(&mut self, drv: &mut SlotDriver<'_, '_>) -> Result<(), EngineError> {
+    /// period replay.
+    fn drive(&mut self, pool: &Pool<'_, '_>) -> Result<(), EngineError> {
         if self.cl.is_some() {
-            return self.execute_closed_loop(drv);
+            return self.execute_closed_loop(pool);
         }
         match self.program.rounds {
             RoundMode::PerPacket => {
                 for _ in 0..self.cfg.packets_per_flow {
-                    self.run_period(drv)?;
+                    self.run_period(pool)?;
                 }
             }
-            RoundMode::UntilIdle => while self.run_period(drv)? {},
+            RoundMode::UntilIdle => while self.run_period(pool)? {},
         }
         Ok(())
     }
 
     /// Executes one period of the slot sequence; `true` if anything
     /// transmitted.
-    fn run_period(&mut self, drv: &mut SlotDriver<'_, '_>) -> Result<bool, EngineError> {
+    fn run_period(&mut self, pool: &Pool<'_, '_>) -> Result<bool, EngineError> {
         for f in &mut self.flows {
             f.round_frame = None;
         }
@@ -652,7 +607,7 @@ impl<'p> Engine<'p> {
         let program = self.program;
         let mut any = false;
         for slot in &program.slots {
-            any |= self.run_slot(drv, slot)?;
+            any |= self.run_slot(pool, slot)?;
         }
         self.exchange += 1;
         Ok(any)
@@ -662,36 +617,30 @@ impl<'p> Engine<'p> {
     /// anything transmitted.
     fn run_slots_once(
         &mut self,
-        drv: &mut SlotDriver<'_, '_>,
+        pool: &Pool<'_, '_>,
         slots: &'p [SlotSpec],
     ) -> Result<bool, EngineError> {
         let mut any = false;
         for slot in slots {
-            any |= self.run_slot(drv, slot)?;
+            any |= self.run_slot(pool, slot)?;
         }
         Ok(any)
     }
 
-    /// Executes one slot through the block graph: resolve the transmit
+    /// Executes one slot as ordered stages: resolve the transmit
     /// intents into synthesis jobs (all RNG draws happen here, in
-    /// intent order), barrier on the finished waveforms (fired order),
-    /// advance the clock by the slot span, then stream each receive
-    /// intent's superposition window through the receiver's block and
-    /// fold the outcomes back in intent order.
-    fn run_slot(
-        &mut self,
-        drv: &mut SlotDriver<'_, '_>,
-        slot: &'p SlotSpec,
-    ) -> Result<bool, EngineError> {
+    /// intent order), run them as one TX stage (waveforms in fired
+    /// order), advance the clock by the slot span, then run the receive
+    /// intents' windows as RX stages and fold the outcomes back in
+    /// intent order.
+    fn run_slot(&mut self, pool: &Pool<'_, '_>, slot: &'p SlotSpec) -> Result<bool, EngineError> {
         self.slot_frames.clear();
-        self.events.clear();
         let timing = slot.timing;
-        let park = drv.park;
         let mut fired: Vec<(NodeId, usize)> = Vec::with_capacity(slot.txs.len());
+        let mut jobs: Vec<(usize, SynthJob)> = Vec::with_capacity(slot.txs.len());
         for intent in &slot.txs {
-            if let Some((job, offset)) = self.resolve_tx(park, intent, timing)? {
-                let idx = park.index_of(intent.sender)?;
-                wait_push(&mut drv.ports[idx].jobs, NodeJob::Tx(job), &mut *drv.pump)?;
+            if let Some((job, offset)) = self.resolve_tx(intent, timing)? {
+                jobs.push((self.park.index_of(intent.sender)?, job));
                 fired.push((intent.sender, offset));
             }
         }
@@ -700,26 +649,20 @@ impl<'p> Engine<'p> {
             // the medium and receivers never open a window.
             return Ok(false);
         }
-        // TX barrier: collect the synthesized waveforms in fired order
-        // (per-sender rings are FIFO, so order within a sender holds
-        // too). The event queue's order fixes superposition summation.
-        for (i, (sender, offset)) in fired.into_iter().enumerate() {
-            let idx = park.index_of(sender)?;
-            let wave = match wait_pop(&mut drv.ports[idx].out, &mut *drv.pump)? {
-                NodeOut::Wave(wave) => wave,
-                NodeOut::Rx(tag, _) => {
-                    return Err(EngineError::PipelineDesync {
-                        expected: i as u64,
-                        got: tag,
-                    })
-                }
-            };
-            self.events.push(ScheduledTx {
-                sender,
-                wave: Arc::new(wave),
-                offset,
-            });
-        }
+        // The event queue's order (fired order) fixes superposition
+        // summation.
+        let waves = self.park.synthesize(pool, jobs)?;
+        self.events = Arc::new(
+            fired
+                .into_iter()
+                .zip(waves)
+                .map(|((sender, offset), wave)| ScheduledTx {
+                    sender,
+                    wave,
+                    offset,
+                })
+                .collect(),
+        );
         let span = self
             .events
             .iter()
@@ -732,7 +675,7 @@ impl<'p> Engine<'p> {
             SlotTiming::Scheduled => span as f64 + guard + self.cfg.turnaround_bits as f64,
         };
         self.metrics.account.tick(tick);
-        self.run_rx_phase(drv, slot, span)?;
+        self.run_rx_phase(pool, slot, span)?;
         Ok(true)
     }
 
@@ -751,7 +694,7 @@ impl<'p> Engine<'p> {
     /// contender serves through its serialized store-and-forward
     /// fallback (graceful degradation) until sustained recovery flips
     /// the monitor back.
-    fn execute_closed_loop(&mut self, drv: &mut SlotDriver<'_, '_>) -> Result<(), EngineError> {
+    fn execute_closed_loop(&mut self, pool: &Pool<'_, '_>) -> Result<(), EngineError> {
         let program = self.program;
         let arq = program.arq.ok_or(EngineError::ArqMissing)?;
         let nflows = program.flows.len();
@@ -901,7 +844,7 @@ impl<'p> Engine<'p> {
                 self.heard.clear();
                 match program.rounds {
                     RoundMode::PerPacket => {
-                        self.run_slots_once(drv, slots)?;
+                        self.run_slots_once(pool, slots)?;
                         self.exchange += 1;
                         self.settle_attempts(set, period, &arq)?;
                         if let Some(h) = health.as_mut() {
@@ -925,7 +868,7 @@ impl<'p> Engine<'p> {
                                 .key()]
                         };
                         loop {
-                            let fired = self.run_slots_once(drv, slots)?;
+                            let fired = self.run_slots_once(pool, slots)?;
                             self.exchange += 1;
                             if !fired {
                                 break;
@@ -1198,10 +1141,9 @@ impl<'p> Engine<'p> {
     /// phase draw, the §7.2 MAC delay draw, and the Monte Carlo TX
     /// process — so every RNG stream's draw order is exactly the
     /// serial engine's. The pure half (modulation, front end, CFO)
-    /// runs in the sender's TX block.
+    /// runs in the slot's TX stage.
     fn resolve_tx(
         &mut self,
-        park: &NodePark,
         intent: &TxIntent,
         timing: SlotTiming,
     ) -> Result<Option<(SynthJob, usize)>, EngineError> {
@@ -1228,7 +1170,7 @@ impl<'p> Engine<'p> {
                         if track && !state.history.iter().any(|h| h.header.key() == key) {
                             state.history.push(frame.clone());
                         }
-                        park.lock(sender)?.buffer.insert(frame.clone());
+                        self.park.get_mut(sender)?.buffer.insert(frame.clone());
                         Some((SynthSource::Frame(frame.clone()), Some(frame)))
                     }
                     None => None,
@@ -1246,13 +1188,13 @@ impl<'p> Engine<'p> {
                     if self.program.track_history[*flow] {
                         state.history.push(frame.clone());
                     }
-                    park.lock(sender)?.buffer.insert(frame.clone());
+                    self.park.get_mut(sender)?.buffer.insert(frame.clone());
                     Some((SynthSource::Frame(frame.clone()), Some(frame)))
                 }
             }
             TxSource::Forward => match self.held.remove(&sender) {
                 Some(frame) => {
-                    park.lock(sender)?.buffer.insert(frame.clone());
+                    self.park.get_mut(sender)?.buffer.insert(frame.clone());
                     Some((SynthSource::Frame(frame.clone()), Some(frame)))
                 }
                 None => None,
@@ -1270,7 +1212,7 @@ impl<'p> Engine<'p> {
                         let s = *seq;
                         *seq = seq.wrapping_add(1);
                         let coded = CopeCoder.encode(&ra, &rb, sender, s);
-                        park.lock(sender)?.buffer.insert(coded.clone());
+                        self.park.get_mut(sender)?.buffer.insert(coded.clone());
                         Some((SynthSource::Frame(coded.clone()), Some(coded)))
                     }
                     _ => {
@@ -1305,7 +1247,7 @@ impl<'p> Engine<'p> {
         let carrier_phase = self.carrier_rng.phase();
         let mut offset = match timing {
             // The §7.2 stagger, drawn in bit-times (one sample each).
-            SlotTiming::Triggered => park.lock(sender)?.draw_delay(),
+            SlotTiming::Triggered => self.park.get_mut(sender)?.draw_delay(),
             SlotTiming::Scheduled => 0,
         };
         // Monte Carlo TX process: this exchange's residual CFO and
@@ -1345,109 +1287,68 @@ impl<'p> Engine<'p> {
         )))
     }
 
-    /// Test-only inline transmit: resolves one intent and synthesizes
-    /// its waveform immediately (no block graph), pushing it onto the
-    /// event queue exactly as `run_slot`'s TX barrier would.
-    #[cfg(test)]
-    fn fire_tx(&mut self, intent: &TxIntent, timing: SlotTiming) -> Result<(), EngineError> {
-        let park = std::mem::take(&mut self.park);
-        let result = (|| -> Result<(), EngineError> {
-            if let Some((job, offset)) = self.resolve_tx(&park, intent, timing)? {
-                let (chain, front_end) = {
-                    let node = park.lock(intent.sender)?;
-                    (node.tx_chain().clone(), node.front_end)
-                };
-                let wave = anc_node::synthesize(&chain, &front_end, job);
-                self.events.push(ScheduledTx {
-                    sender: intent.sender,
-                    wave: Arc::new(wave),
-                    offset,
-                });
-            }
-            Ok(())
-        })();
-        self.park = park;
-        result
-    }
-
-    /// Streams a slot's receive intents through the block graph: each
-    /// intent is resolved in order (gates, audibility, noise fork) and
-    /// its pure superposition job shipped to the receiver's block,
-    /// while outcomes are folded back strictly in intent order — so
-    /// several receivers' windows mix and decode concurrently under a
-    /// parallel scheduler, yet every engine-state and metric mutation
-    /// keeps the serial order.
+    /// Runs a slot's receive intents as RX stages: each intent is
+    /// resolved in order (gates, audibility, noise fork) into a window
+    /// job or a skip, a batch of jobs runs as one stage, and the
+    /// batch's outcomes are folded back strictly in intent order — so
+    /// several receivers' windows mix and decode concurrently under the
+    /// work-stealing executor, yet every engine-state and metric
+    /// mutation keeps the serial order.
     fn run_rx_phase(
         &mut self,
-        drv: &mut SlotDriver<'_, '_>,
+        pool: &Pool<'_, '_>,
         slot: &'p SlotSpec,
         span: usize,
     ) -> Result<(), EngineError> {
-        let mut plan: Vec<Pending> = Vec::with_capacity(slot.rxs.len());
-        let mut folded = 0usize;
+        // Per intent of the batch, in order: why its window never
+        // opened, or `None` when its job is in `jobs`.
+        let mut plan: Vec<Option<RxSkip>> = Vec::with_capacity(slot.rxs.len());
+        let mut jobs: Vec<RxJob> = Vec::with_capacity(slot.rxs.len());
+        let mut first = 0usize;
         for (i, intent) in slot.rxs.iter().enumerate() {
-            // An overhearing gate reads `heard`, which same-slot
-            // Overhear intents write at fold — drain everything
-            // earlier before resolving the gate.
+            // A batch ends before an overhearing gate, which reads
+            // `heard` as same-slot Overhear intents write it at fold,
+            // and before a receiver that already has a window in the
+            // batch (a stage moves each node into one job).
             let needs_heard = matches!(
                 intent.action,
                 RxAction::DeliverAnc { gated: true, .. }
                     | RxAction::DeliverCope { gated: true, .. }
             );
-            if needs_heard {
-                self.fold_until(drv, slot, &plan, &mut folded, i)?;
-            } else if let Ok(idx) = drv.park.index_of(intent.receiver) {
-                // One outstanding window per receiver: a second window
-                // for the same node could wedge its depth-1 rings
-                // while the controller is blocked pushing, so fold
-                // first. (Per-node FIFO order is unaffected.)
-                if plan[folded..]
-                    .iter()
-                    .any(|p| matches!(p, Pending::Window(j) if *j == idx))
-                {
-                    self.fold_until(drv, slot, &plan, &mut folded, i)?;
-                }
+            let repeat = jobs.iter().any(|j| j.receiver == intent.receiver);
+            if needs_heard || repeat {
+                self.run_rx_batch(pool, slot, first, &mut plan, &mut jobs)?;
+                first = i;
             }
-            let pending = self.resolve_rx(drv, intent, i as u64, span)?;
-            plan.push(pending);
+            plan.push(self.resolve_rx(intent, span, &mut jobs)?);
         }
-        self.fold_until(drv, slot, &plan, &mut folded, slot.rxs.len())
+        self.run_rx_batch(pool, slot, first, &mut plan, &mut jobs)
     }
 
-    /// Applies plan entries `folded..upto` in intent order: skipped
-    /// windows' accounting and in-flight windows' outcomes (popped
-    /// from the receiver's done ring, tag-checked). All RX-phase
-    /// mutation of engine state funnels through here.
-    fn fold_until(
+    /// Runs the batch's window jobs as one RX stage, then applies the
+    /// plan — intents `first..` — in intent order: skipped windows'
+    /// accounting and decoded windows' outcomes. All RX-phase mutation
+    /// of engine state funnels through here.
+    fn run_rx_batch(
         &mut self,
-        drv: &mut SlotDriver<'_, '_>,
+        pool: &Pool<'_, '_>,
         slot: &SlotSpec,
-        plan: &[Pending],
-        folded: &mut usize,
-        upto: usize,
+        first: usize,
+        plan: &mut Vec<Option<RxSkip>>,
+        jobs: &mut Vec<RxJob>,
     ) -> Result<(), EngineError> {
-        while *folded < upto {
-            let j = *folded;
-            match &plan[j] {
-                Pending::Skip(skip) => self.apply_skip(&slot.rxs[j], skip),
-                Pending::Window(idx) => {
-                    let expected = j as u64;
-                    let (tag, done) = match wait_pop(&mut drv.ports[*idx].out, &mut *drv.pump)? {
-                        NodeOut::Rx(tag, done) if tag == expected => (tag, done),
-                        NodeOut::Rx(got, _) => {
-                            return Err(EngineError::PipelineDesync { expected, got })
-                        }
-                        NodeOut::Wave(_) => {
-                            return Err(EngineError::PipelineDesync {
-                                expected,
-                                got: u64::MAX,
-                            })
-                        }
-                    };
-                    self.apply_outcome(&slot.rxs[j], done, tag)?;
+        let (jobs, noise_power) = (std::mem::take(jobs), self.cfg.noise_power);
+        let received = self.park.receive(pool, &self.events, noise_power, jobs)?;
+        let mut outcomes = received.into_iter();
+        for (k, skip) in plan.drain(..).enumerate() {
+            let intent = &slot.rxs[first + k];
+            match skip {
+                Some(skip) => self.apply_skip(intent, &skip),
+                None => {
+                    let evt = outcomes.next().expect("one outcome per window job");
+                    self.apply_outcome(intent, evt)?;
                 }
             }
-            *folded += 1;
         }
         Ok(())
     }
@@ -1480,23 +1381,22 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Resolves a receive intent up to its pure superposition job:
-    /// fault and overhearing gates, audibility, link realizations,
-    /// and the window's noise fork all happen here, in intent order (a
-    /// skipped window forks nothing, exactly as the serial path). The
-    /// job and its work meta are streamed to the receiver's chain; all
-    /// accounting is deferred to fold position.
+    /// Resolves a receive intent up to its pure window job: fault and
+    /// overhearing gates, audibility, link realizations, and the
+    /// window's noise fork all happen here, in intent order (a skipped
+    /// window forks nothing, exactly as the serial path). The job joins
+    /// the batch in `jobs` (`None`), or the skip says why the window
+    /// never opened; all accounting is deferred to fold position.
     fn resolve_rx(
         &mut self,
-        drv: &mut SlotDriver<'_, '_>,
         intent: &RxIntent,
-        tag: u64,
         span: usize,
-    ) -> Result<Pending, EngineError> {
+        jobs: &mut Vec<RxJob>,
+    ) -> Result<Option<RxSkip>, EngineError> {
         let recv = intent.receiver;
         // No noise fork for a down receiver — the window never opens.
         if self.node_down(recv) {
-            return Ok(Pending::Skip(RxSkip::Down));
+            return Ok(Some(RxSkip::Down));
         }
         // Gates that close the window before it opens (no noise fork).
         match &intent.action {
@@ -1504,10 +1404,10 @@ impl<'p> Engine<'p> {
             | RxAction::DeliverCope { gated: true, .. }
                 if !self.heard.get(&recv).copied().unwrap_or(false) =>
             {
-                return Ok(Pending::Skip(RxSkip::GateLost));
+                return Ok(Some(RxSkip::GateLost));
             }
             RxAction::HoldRelay { from } if !self.slot_frames.contains_key(from) => {
-                return Ok(Pending::Skip(RxSkip::Silent));
+                return Ok(Some(RxSkip::Silent));
             }
             _ => {}
         }
@@ -1543,14 +1443,14 @@ impl<'p> Engine<'p> {
         });
         if !audible && tones.is_empty() {
             self.mask_scratch = mask;
-            return Ok(Pending::Skip(RxSkip::Silent));
+            return Ok(Some(RxSkip::Silent));
         }
         // The window covers the whole slot plus noise padding on both
-        // sides, so detectors see a floor (§7.1). Waveforms are shared
-        // `Arc`s from the event queue — one slot's wave fans out to
-        // every receiver in range without being copied.
-        let mut transmissions: Vec<(Arc<Vec<Cplx>>, usize, Link)> = Vec::new();
-        for e in &self.events {
+        // sides, so detectors see a floor (§7.1). The job names heard
+        // waves by event-queue index; the stage shares the queue, so
+        // one slot's wave fans out to every receiver in range uncopied.
+        let mut heard: Vec<(usize, usize, Link)> = Vec::new();
+        for (k, e) in self.events.iter().enumerate() {
             if e.sender == recv || !hears(e.sender) {
                 continue; // half-duplex, or spatially gated out
             }
@@ -1580,13 +1480,13 @@ impl<'p> Engine<'p> {
                         link.gain *= g;
                     }
                 }
-                transmissions.push((Arc::clone(&e.wave), pad + e.offset, link));
+                heard.push((k, pad + e.offset, link));
             }
         }
         self.mask_scratch = mask;
         // The window's noise fork happens here, in intent order, so
         // the per-receiver noise stream advances exactly as it does on
-        // the serial path; the blocks only *consume* the forked rng.
+        // the serial path; the stage only *consumes* the forked rng.
         let noise = self
             .noise
             .get_mut(&recv)
@@ -1605,52 +1505,33 @@ impl<'p> Engine<'p> {
                     )
                 })
         });
-        let work = match &intent.action {
-            RxAction::CaptureMixture { .. } => RxWork::Capture,
-            RxAction::DeliverCope { .. } => RxWork::Cope,
-            RxAction::Overhear => RxWork::Overhear,
-            _ => RxWork::Poll,
-        };
-        let idx = drv.park.index_of(recv)?;
-        let window = WindowJob {
+        jobs.push(RxJob {
+            receiver: recv,
+            overhear: matches!(intent.action, RxAction::Overhear),
             duration,
-            noise_power: self.cfg.noise_power,
             noise,
-            transmissions,
+            heard,
             tones,
             jammer,
-        };
-        wait_push(
-            &mut drv.ports[idx].jobs,
-            NodeJob::Rx { tag, work, window },
-            &mut *drv.pump,
-        )?;
-        Ok(Pending::Window(idx))
+        });
+        Ok(None)
     }
 
-    /// Applies a decode outcome — computed off the controller by the
-    /// receiver's block — to the engine's accounting. Runs at
-    /// fold position, so every metric and engine-state mutation keeps
-    /// the serial intent order. A done value of the wrong kind for the
-    /// intent's action means the rings desynchronized (`at` is the
-    /// intent index both sides should agree on).
-    fn apply_outcome(
-        &mut self,
-        intent: &RxIntent,
-        done: RxDone,
-        at: u64,
-    ) -> Result<(), EngineError> {
+    /// Applies a receive event — decoded in an RX stage on the
+    /// intent's receiver — to the engine's accounting. Runs at fold
+    /// position, so every metric and engine-state mutation keeps the
+    /// serial intent order.
+    fn apply_outcome(&mut self, intent: &RxIntent, evt: RxEvent) -> Result<(), EngineError> {
         let recv = intent.receiver;
-        let desync = || EngineError::PipelineDesync {
-            expected: at,
-            got: at,
-        };
         match &intent.action {
-            RxAction::CaptureMixture { flows } => match done {
-                RxDone::Capture(Some((window, start, end))) => {
+            RxAction::CaptureMixture { flows } => match evt {
+                RxEvent::Relay { start, end, .. } => {
+                    // The receiver's buffer still holds the window
+                    // the relay detection ran on.
+                    let window = self.park.take_window(recv)?;
                     self.mixture.insert(recv, (window, start, end));
                 }
-                RxDone::Capture(None) => {
+                _ => {
                     // Near-total overlap: neither header readable;
                     // every packet inside the mixture is lost
                     // (closed loop: every rider's attempt fails).
@@ -1658,28 +1539,19 @@ impl<'p> Engine<'p> {
                         self.lose_open();
                     }
                 }
-                _ => return Err(desync()),
             },
-            RxAction::HoldClean => {
-                let RxDone::Evt(evt) = done else {
-                    return Err(desync());
-                };
-                match clean_frame(evt) {
-                    Some(frame) => {
-                        self.held.insert(recv, frame);
-                    }
-                    None => self.lose_open(),
+            RxAction::HoldClean => match clean_frame(evt) {
+                Some(frame) => {
+                    self.held.insert(recv, frame);
                 }
-            }
+                None => self.lose_open(),
+            },
             RxAction::HoldRelay { from } => {
                 let expected = self
                     .slot_frames
                     .get(from)
                     .ok_or(EngineError::SlotFrameMissing(*from))?
                     .clone();
-                let RxDone::Evt(evt) = done else {
-                    return Err(desync());
-                };
                 match evt {
                     RxEvent::Clean {
                         frame,
@@ -1701,9 +1573,6 @@ impl<'p> Engine<'p> {
                 }
             }
             RxAction::DeliverAnc { flow, .. } => {
-                let RxDone::Evt(evt) = done else {
-                    return Err(desync());
-                };
                 let Some(theirs) = self.flows[*flow].round_frame.clone() else {
                     self.lose_open();
                     return Ok(());
@@ -1722,9 +1591,6 @@ impl<'p> Engine<'p> {
                 }
             }
             RxAction::DeliverClean { flow, tag_receiver } => {
-                let RxDone::Evt(evt) = done else {
-                    return Err(desync());
-                };
                 let Some(theirs) = self.flows[*flow].round_frame.clone() else {
                     self.lose_open();
                     return Ok(());
@@ -1744,8 +1610,13 @@ impl<'p> Engine<'p> {
                 }
             }
             RxAction::DeliverCope { flow, .. } => {
-                let RxDone::Cope(decoded) = done else {
-                    return Err(desync());
+                // COPE downlink: XOR-decode a clean coded frame against
+                // the receiver's own sent-packet buffer.
+                let decoded = match evt {
+                    RxEvent::Clean { frame, .. } if frame.header.is_xor() => CopeCoder
+                        .decode(&frame, &self.park.get_mut(recv)?.buffer)
+                        .ok(),
+                    _ => None,
                 };
                 let Some(theirs) = self.flows[*flow].round_frame.clone() else {
                     self.lose_open();
@@ -1761,37 +1632,28 @@ impl<'p> Engine<'p> {
                     _ => self.lose_open(),
                 }
             }
-            RxAction::DeliverByKey { flow } => {
-                let RxDone::Evt(evt) = done else {
-                    return Err(desync());
-                };
-                match evt {
-                    RxEvent::Clean { frame, .. } => {
-                        let truth = self.flows[*flow]
-                            .history
-                            .iter()
-                            .find(|s| s.header.key() == frame.header.key())
-                            .cloned();
-                        match truth {
-                            Some(t) => {
-                                let b = ber(&frame.payload, &t.payload);
-                                let goodput =
-                                    self.metrics.account.deliver(self.cfg.payload_bits, b);
-                                self.mark_cl_delivered(*flow, goodput);
-                                if let Some(cl) = self.cl.as_mut() {
-                                    cl.delivered_keys.push(frame.header.key());
-                                }
+            RxAction::DeliverByKey { flow } => match evt {
+                RxEvent::Clean { frame, .. } => {
+                    let truth = self.flows[*flow]
+                        .history
+                        .iter()
+                        .find(|s| s.header.key() == frame.header.key())
+                        .cloned();
+                    match truth {
+                        Some(t) => {
+                            let b = ber(&frame.payload, &t.payload);
+                            let goodput = self.metrics.account.deliver(self.cfg.payload_bits, b);
+                            self.mark_cl_delivered(*flow, goodput);
+                            if let Some(cl) = self.cl.as_mut() {
+                                cl.delivered_keys.push(frame.header.key());
                             }
-                            None => self.lose_open(),
                         }
+                        None => self.lose_open(),
                     }
-                    _ => self.lose_open(),
                 }
-            }
+                _ => self.lose_open(),
+            },
             RxAction::CopeCapture { flow } => {
-                let RxDone::Evt(evt) = done else {
-                    return Err(desync());
-                };
                 if let Some(frame) = clean_frame(evt) {
                     self.cope_pending[*flow] = Some(frame);
                 }
@@ -1799,9 +1661,7 @@ impl<'p> Engine<'p> {
                 // the capture missing (both coded packets are lost).
             }
             RxAction::Overhear => {
-                let RxDone::Heard(got) = done else {
-                    return Err(desync());
-                };
+                let got = matches!(evt, RxEvent::Clean { .. });
                 self.heard.insert(recv, got);
             }
         }
@@ -1809,16 +1669,8 @@ impl<'p> Engine<'p> {
     }
 }
 
-/// A receive intent's fate within a slot, recorded in intent order so
-/// outcomes can be folded back in exactly that order.
-enum Pending {
-    /// The window never opened; its accounting applies at fold position.
-    Skip(RxSkip),
-    /// A window is in flight through the block of node `idx`.
-    Window(usize),
-}
-
-/// Why a receive window never opened (mirrors the serial early returns).
+/// Why a receive window never opened (mirrors the serial early returns);
+/// its accounting applies at fold position.
 enum RxSkip {
     /// Fault layer: the receiver is crashed or babbling.
     Down,
@@ -1879,13 +1731,19 @@ mod tests {
                     .tx_process(seed, intent.sender as u64, 0)
                     .jitter_samples,
             );
-            eb.fire_tx(intent, SlotTiming::Triggered).unwrap();
-            ei.fire_tx(&p_imp.slots[0].txs[0], SlotTiming::Triggered)
-                .unwrap();
-            let base_off = eb.events[0].offset as i64;
+            // The offset `run_slot` queues the transmission at.
+            let offset = |e: &mut Engine<'_>, intent| {
+                let (_, offset) = e
+                    .resolve_tx(intent, SlotTiming::Triggered)
+                    .unwrap()
+                    .unwrap();
+                offset as i64
+            };
+            let base_off = offset(&mut eb, intent);
             let expected = (base_off + slip).max(0);
             assert_eq!(
-                ei.events[0].offset as i64, expected,
+                offset(&mut ei, &p_imp.slots[0].txs[0]),
+                expected,
                 "seed {seed}: slip {slip} from base {base_off}"
             );
             if slip < 0 && base_off + slip >= 0 {

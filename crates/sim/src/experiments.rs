@@ -521,10 +521,12 @@ pub fn chaos_sweep(
     spec: &ScenarioSpec,
     cfg: &ChaosSweepConfig,
 ) -> Result<Vec<ChaosPoint>, ScenarioError> {
-    // Compile both schemes once up front so an unschedulable spec
-    // fails before the fan-out.
+    // Compile both schemes once up front so an unschedulable spec or
+    // a fault template that fails `FaultSpec::check` fails before the
+    // fan-out (scaling keeps a valid template valid).
     let mut armed = spec.clone();
     armed.arq = Some(cfg.arq);
+    armed.faults = Some(cfg.faults.clone());
     armed.clone().compile(Scheme::Anc)?;
     armed.compile(Scheme::Traditional)?;
     Ok(parallel_map_indexed(
@@ -690,6 +692,16 @@ pub fn sir_sweep(cfg: &SirSweepConfig) -> Vec<SirPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn chaos_sweep_rejects_a_bad_fault_template() {
+        let mut cfg = ChaosSweepConfig::default();
+        cfg.faults.crash_burst_periods = 0;
+        assert!(matches!(
+            chaos_sweep(&ScenarioSpec::alice_bob(), &cfg),
+            Err(ScenarioError::Invalid(s)) if s.contains("crash_burst_periods")
+        ));
+    }
 
     #[test]
     fn alice_bob_experiment_shape() {

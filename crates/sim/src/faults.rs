@@ -164,6 +164,61 @@ impl FaultSpec {
             && self.stuck_rate == 0.0
     }
 
+    /// Checks every field against the conditions the `with_*`
+    /// builders assert, plus finite magnitudes: rates in `[0, 1]`,
+    /// every burst window positive, shadow depth, jammer power and
+    /// stuck amplitude finite and non-negative, every scripted outage
+    /// non-empty, and a valid [`HealthConfig`]. A spec that passes
+    /// cannot panic a run; the error names the offending field.
+    pub fn check(&self) -> Result<(), String> {
+        for (name, rate) in [
+            ("crash_rate", self.crash_rate),
+            ("blackout_rate", self.blackout_rate),
+            ("shadow_rate", self.shadow_rate),
+            ("jammer_rate", self.jammer_rate),
+            ("stuck_rate", self.stuck_rate),
+        ] {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(format!("faults.{name} must be in [0, 1], got {rate}"));
+            }
+        }
+        for (name, periods) in [
+            ("crash_burst_periods", self.crash_burst_periods),
+            ("blackout_burst_periods", self.blackout_burst_periods),
+            ("shadow_burst_periods", self.shadow_burst_periods),
+            ("jammer_burst_periods", self.jammer_burst_periods),
+            ("stuck_burst_periods", self.stuck_burst_periods),
+        ] {
+            if periods == 0 {
+                return Err(format!("faults.{name} must be positive"));
+            }
+        }
+        for (name, v) in [
+            ("shadow_db", self.shadow_db),
+            ("jammer_power", self.jammer_power),
+            ("stuck_amplitude", self.stuck_amplitude),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!(
+                    "faults.{name} must be finite and non-negative, got {v}"
+                ));
+            }
+        }
+        if let Some(o) = self
+            .scripted
+            .iter()
+            .find(|o| o.from_period >= o.until_period)
+        {
+            return Err(format!(
+                "faults.scripted outage of node {} must be non-empty, got [{}, {})",
+                o.node, o.from_period, o.until_period
+            ));
+        }
+        self.health
+            .check()
+            .map_err(|e| format!("faults.health: {e}"))
+    }
+
     /// Enable stochastic crash-and-recover churn.
     ///
     /// # Panics

@@ -49,8 +49,12 @@
 //!   §11.4.
 //! * [`report`] — JSON + fixed-width text rendering of each figure's
 //!   series (CDFs, sweeps) for EXPERIMENTS.md.
-//! * [`pool`] — the scoped worker pool the repeated-realization sweeps
-//!   fan out on; results are bit-identical to serial execution.
+//! * [`pool`] — ordered fork-join stages: the one executor the
+//!   engine's slots, the city's streets and the repeated-realization
+//!   sweeps all run on; results come back in job order, bit-identical
+//!   to serial execution.
+//! * [`pipeline`] — the engine's TX/RX stages over its nodes and the
+//!   [`SchedulerSpec`] that picks their executor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,70 +1,55 @@
-//! The block-graph streaming runtime behind the engine.
+//! The engine's per-slot stages and the executor that runs them.
 //!
-//! DESIGN.md §14: one run is executed as a small dataflow graph with
-//! one block per node (`NodeBlock`), each wired to the controller by
-//! one job ring and one output ring of depth 1, and driven by a
-//! pluggable [`anc_runtime::Scheduler`]. A node block runs the Fig. 8
-//! chain of its node: TX synthesis ([`anc_node::synthesize`]), the
-//! receive window's superposition ([`anc_channel::mix_window`]) and
-//! the RX decode. The engine's slot loop stays the sequential
-//! *controller*: it resolves everything stateful (RNG draws, queue
-//! state, metric mutations) in intent order, ships pure jobs into the
-//! rings, and folds outcomes back in intent order. Because every block
-//! computes a pure function of its ring traffic and per-node rings are
-//! FIFO, the deterministic and work-stealing executors produce
-//! bit-identical [`RunMetrics`] (pinned by the golden suites and a
+//! DESIGN.md §14: a slot is a barrier, and within it every node's
+//! Fig. 8 work is independent of every other node's. So the engine
+//! runs a slot as ordered fork-join stages on the run's
+//! [`Pool`]: one TX stage synthesizes every fired transmission
+//! ([`anc_node::synthesize`] on the sender's chain and front end),
+//! then RX stages superpose each receiver's window through [`Medium`]
+//! and run its decode, each job owning its receiver's [`Node`] for the
+//! stage. The engine's slot loop stays the sequential *controller*: it
+//! resolves
+//! everything stateful (RNG draws, queue state, metric mutations) in
+//! intent order before a stage and folds the stage's results back in
+//! intent order after it. Because every job is a pure function of its
+//! inputs and its own node, and results come back in job order, the
+//! deterministic and work-stealing executors produce bit-identical
+//! [`RunMetrics`] (pinned by the golden suites and a
 //! scheduler-equivalence proptest).
 //!
 //! [`RunMetrics`]: crate::metrics::RunMetrics
 
-use crate::engine::EngineError;
-use anc_channel::{mix_window, WindowJob};
+use crate::engine::{EngineError, ScheduledTx};
+use crate::pool::{self, Pool, StageFailed};
+use anc_channel::{Link, Medium, TransmissionRef};
 use anc_core::DecoderScratch;
-use anc_dsp::Cplx;
-use anc_frame::{Frame, NodeId};
-use anc_netcode::CopeCoder;
-use anc_node::phy::{RxEvent, TxChain};
+use anc_dsp::{Cplx, DspRng};
+use anc_frame::NodeId;
+use anc_node::phy::{DropReason, RxEvent, TxChain};
 use anc_node::{synthesize, FrontEnd, Node, SynthJob};
-use anc_runtime::{
-    channel, Block, BlockStatus, Consumer, Controller, DeterministicScheduler, Producer, Pump,
-    Scheduler, WorkStealingScheduler,
-};
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Arc;
 
-/// Depth of every ring between the controller and a block. The
-/// controller collects a slot's waveforms before it opens any window,
-/// and folds a receiver's window before it opens another, so a deeper
-/// ring would buy no overlap; on a full ring the controller pumps the
-/// graph until it drains.
-const RING_DEPTH: usize = 1;
-
-/// A controller-to-block ring pair at [`RING_DEPTH`].
-pub(crate) fn ring<T>() -> (Producer<T>, Consumer<T>) {
-    channel(RING_DEPTH)
-}
-
-/// Which executor runs the block graph.
+/// Which executor runs a run's stages.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedMode {
-    /// Everything inline on the calling thread, blocks polled in
-    /// insertion order — the bit-reproducible reference executor (and
-    /// the right choice inside an already-parallel Monte Carlo pool).
-    /// Also the deadlock oracle: a wired-graph stall surfaces as
-    /// [`EngineError::PipelineStalled`] instead of a hang.
+    /// Every job inline on the calling thread, in job order — the
+    /// bit-reproducible reference executor (and the right choice
+    /// inside an already-parallel Monte Carlo pool).
     #[default]
     Deterministic,
-    /// Scoped worker threads steal block polls so one run pipelines
-    /// across cores. Produces bit-identical metrics (blocks are pure
-    /// functions of FIFO ring traffic).
+    /// Each stage spreads its jobs over scoped worker threads, the
+    /// calling thread included, so one run uses several cores.
+    /// Produces bit-identical metrics (jobs are independent and their
+    /// results come back in job order).
     WorkStealing {
-        /// Total threads, including the controller's; clamped to ≥ 1.
+        /// Total threads, including the caller's; clamped to ≥ 1.
         workers: usize,
     },
 }
 
-/// How the engine executes a run: which scheduler drives the block
-/// graph.
+/// How a run executes its stages: how many workers
+/// [`Self::with_pool`] gives it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerSpec {
     /// The executor.
@@ -84,21 +69,16 @@ impl SchedulerSpec {
         }
     }
 
-    /// Runs `controller` alongside `blocks` on the executor this spec
-    /// selects — the one dispatch point shared by every block-graph
-    /// client (the engine's node blocks, the city engine's region
-    /// blocks), so mode matching lives in exactly one place.
-    pub fn run_blocks<'env, R>(
-        &self,
-        blocks: Vec<Box<dyn Block + 'env>>,
-        controller: Controller<'env, R>,
-    ) -> R {
-        match self.mode {
-            SchedMode::Deterministic => DeterministicScheduler.run(blocks, controller),
-            SchedMode::WorkStealing { workers } => {
-                WorkStealingScheduler::new(workers).run(blocks, controller)
-            }
-        }
+    /// Runs `body` with a stage pool for the executor this spec
+    /// selects ([`pool::with_pool`]) — the one dispatch point shared by
+    /// the engine and the city, so mode matching lives in exactly one
+    /// place.
+    pub fn with_pool<'env, R>(&self, body: impl FnOnce(&Pool<'_, 'env>) -> R) -> R {
+        let workers = match self.mode {
+            SchedMode::Deterministic => 1,
+            SchedMode::WorkStealing { workers } => workers,
+        };
+        pool::with_pool(workers, body)
     }
 }
 
@@ -115,13 +95,80 @@ pub struct RunCtx {
     pub(crate) scratches: Vec<DecoderScratch>,
 }
 
-/// The engine's nodes, parked in `Mutex` cells so node blocks can
-/// borrow them from worker threads while the controller keeps mutable
-/// access to everything else. Per-node access is exclusive; the
-/// slot-end fold barrier orders cross-thread handoffs.
+/// One fully resolved reception window for the RX stage. All RNG
+/// forks already happened on the controller; the job is pure data
+/// plus indices into the slot's event queue.
+#[derive(Debug)]
+pub(crate) struct RxJob {
+    /// The receiver.
+    pub(crate) receiver: NodeId,
+    /// Promiscuous overhearing (§11.5) instead of a receiver poll.
+    pub(crate) overhear: bool,
+    /// Window length in samples.
+    pub(crate) duration: usize,
+    /// The receiver's forked noise stream for this window.
+    pub(crate) noise: DspRng,
+    /// Audible transmissions: event-queue index, start sample,
+    /// resolved link (impairments and fault gains folded in). Summed
+    /// in slice order — the engine lists them in fired order.
+    pub(crate) heard: Vec<(usize, usize, Link)>,
+    /// Fault-injected stuck-carrier tones, superposed after the real
+    /// transmissions, each starting at sample 0.
+    pub(crate) tones: Vec<(Vec<Cplx>, Link)>,
+    /// Optional jammer burst: power and its coordinate-keyed stream,
+    /// injected on top of the finished mixture.
+    pub(crate) jammer: Option<(f64, DspRng)>,
+}
+
+/// Superposes one job's window into `window` (Eq. 2: the heard
+/// transmissions, then the tones, then noise, plus the jammer) and
+/// runs the receiver on it.
+fn receive(
+    node: &mut Node,
+    window: &mut Vec<Cplx>,
+    job: RxJob,
+    events: &[ScheduledTx],
+    noise_power: f64,
+) -> RxEvent {
+    let refs: Vec<TransmissionRef<'_>> = job
+        .heard
+        .iter()
+        .map(|&(e, start, link)| TransmissionRef {
+            samples: &events[e].wave,
+            start,
+            link,
+        })
+        .chain(job.tones.iter().map(|(tone, link)| TransmissionRef {
+            samples: tone,
+            start: 0,
+            link: *link,
+        }))
+        .collect();
+    Medium::from_rng(noise_power, job.noise).receive_refs_into(&refs, job.duration, window);
+    if let Some((power, rng)) = job.jammer {
+        Medium::inject_jammer(window, power, rng);
+    }
+    if !job.overhear {
+        return node.poll(window);
+    }
+    // An overheard frame is a clean decode; the fold only asks
+    // whether one landed.
+    match node.try_overhear(window) {
+        Some((frame, crc_ok)) => RxEvent::Clean { frame, crc_ok },
+        None => RxEvent::Dropped(DropReason::ParseFailed),
+    }
+}
+
+/// The engine's nodes (in `node_ids` order), each with one reused
+/// reception-window buffer, plus the TX chain and front end of each,
+/// which no stage changes. An RX stage moves each receiver's node and
+/// buffer into its one job and puts them back when the stage returns;
+/// between stages every node is home.
 #[derive(Debug, Default)]
 pub(crate) struct NodePark {
-    cells: Vec<Mutex<Node>>,
+    nodes: Vec<Option<Node>>,
+    windows: Vec<Vec<Cplx>>,
+    tx: Arc<[(TxChain, FrontEnd)]>,
     index: HashMap<NodeId, usize>,
 }
 
@@ -133,13 +180,14 @@ impl NodePark {
             .map(|(i, (id, _))| (*id, i))
             .collect();
         NodePark {
-            cells: nodes.into_iter().map(|(_, n)| Mutex::new(n)).collect(),
+            windows: vec![Vec::new(); nodes.len()],
+            tx: nodes
+                .iter()
+                .map(|(_, n)| (n.tx_chain().clone(), n.front_end))
+                .collect(),
+            nodes: nodes.into_iter().map(|(_, n)| Some(n)).collect(),
             index,
         }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.cells.len()
     }
 
     pub(crate) fn index_of(&self, id: NodeId) -> Result<usize, EngineError> {
@@ -149,248 +197,80 @@ impl NodePark {
             .ok_or(EngineError::NodeMissing(id))
     }
 
-    /// Locks a node cell by index. Poisoning cannot leave node state
-    /// half-written (poll panics unwind out of the engine anyway), so
-    /// a poisoned lock is recovered rather than propagated.
-    pub(crate) fn lock_at(&self, i: usize) -> MutexGuard<'_, Node> {
-        self.cells[i]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Node `id`; missing if it is not in the topology, or was lost
+    /// with a stage that failed.
+    pub(crate) fn get_mut(&mut self, id: NodeId) -> Result<&mut Node, EngineError> {
+        let i = self.index_of(id)?;
+        self.nodes[i].as_mut().ok_or(EngineError::NodeMissing(id))
     }
 
-    pub(crate) fn lock(&self, id: NodeId) -> Result<MutexGuard<'_, Node>, EngineError> {
-        Ok(self.lock_at(self.index_of(id)?))
-    }
-}
-
-/// What a node block should do with a reception window — resolved by
-/// the engine in intent order and shipped with the window's job.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RxWork {
-    /// Standard receiver poll; the outcome is folded by the engine.
-    Poll,
-    /// Router mixture capture: on a relay detection, hand back the
-    /// window copy and packet region (§7.5).
-    Capture,
-    /// COPE downlink: poll, and XOR-decode against the node's own
-    /// sent-packet buffer when a clean XOR frame lands.
-    Cope,
-    /// Promiscuous overhearing (§11.5): decode leniently, buffer the
-    /// frame, report success.
-    Overhear,
-}
-
-/// A node block's decode outcome, matched one-to-one with the
-/// [`RxWork`] kind that requested it.
-#[derive(Debug)]
-pub(crate) enum RxDone {
-    /// The receiver's poll event, for the engine to account.
-    Evt(RxEvent),
-    /// Captured mixture window and packet region, if the relay
-    /// detection succeeded.
-    Capture(Option<(Vec<Cplx>, usize, usize)>),
-    /// The XOR-decoded native frame, if any.
-    Cope(Option<Frame>),
-    /// Whether the overhear decoded a frame.
-    Heard(bool),
-}
-
-/// Runs one unit of RX work against a locked node — the exact decode
-/// calls of the engine's serial path, minus the accounting (which the
-/// engine folds in intent order).
-fn run_rx_work(node: &mut Node, work: RxWork, window: &[Cplx]) -> RxDone {
-    match work {
-        RxWork::Poll => RxDone::Evt(node.poll(window)),
-        RxWork::Capture => match node.poll(window) {
-            RxEvent::Relay { start, end, .. } => {
-                RxDone::Capture(Some((window.to_vec(), start, end)))
-            }
-            _ => RxDone::Capture(None),
-        },
-        RxWork::Cope => {
-            let decoded = match node.poll(window) {
-                RxEvent::Clean { frame, .. } if frame.header.is_xor() => {
-                    CopeCoder.decode(&frame, &node.buffer).ok()
-                }
-                _ => None,
-            };
-            RxDone::Cope(decoded)
+    /// Swaps each node's decoder scratch with the matching entry of
+    /// `scratches`, which grows to one entry per node (see [`RunCtx`]).
+    pub(crate) fn swap_scratches(&mut self, scratches: &mut Vec<DecoderScratch>) {
+        if scratches.len() < self.nodes.len() {
+            scratches.resize_with(self.nodes.len(), DecoderScratch::default);
         }
-        RxWork::Overhear => RxDone::Heard(node.try_overhear(window).is_some()),
-    }
-}
-
-/// One job for a node's block, resolved by the engine in intent order.
-#[derive(Debug)]
-pub(crate) enum NodeJob {
-    /// Synthesize one transmission; answered by [`NodeOut::Wave`].
-    Tx(SynthJob),
-    /// Mix one reception window and run `work` on it; answered by
-    /// [`NodeOut::Rx`] carrying the same `tag`.
-    Rx {
-        /// The receive intent's index within its slot.
-        tag: u64,
-        /// What the decode does with the mixed window.
-        work: RxWork,
-        /// The window's pure superposition job.
-        window: WindowJob,
-    },
-}
-
-/// A node block's answer to one [`NodeJob`], in job order.
-#[derive(Debug)]
-pub(crate) enum NodeOut {
-    /// The on-air waveform of a [`NodeJob::Tx`].
-    Wave(Vec<Cplx>),
-    /// The tagged outcome of a [`NodeJob::Rx`].
-    Rx(u64, RxDone),
-}
-
-/// One node's Fig. 8 chain as a block: synthesizes its transmissions
-/// with a clone of its TX chain and front end, and mixes its reception
-/// windows into one reused buffer before decoding them under the park
-/// lock. The staged output makes backpressure safe: an answer that
-/// does not fit its ring is retried before the next job is popped.
-pub(crate) struct NodeBlock<'env> {
-    park: &'env NodePark,
-    node_idx: usize,
-    chain: TxChain,
-    front_end: FrontEnd,
-    window: Vec<Cplx>,
-    jobs: Consumer<NodeJob>,
-    out: Producer<NodeOut>,
-    staged: Option<NodeOut>,
-}
-
-impl NodeBlock<'_> {
-    fn run(&mut self, job: NodeJob) -> NodeOut {
-        match job {
-            NodeJob::Tx(job) => NodeOut::Wave(synthesize(&self.chain, &self.front_end, job)),
-            NodeJob::Rx { tag, work, window } => {
-                mix_window(window, &mut self.window);
-                let mut node = self.park.lock_at(self.node_idx);
-                NodeOut::Rx(tag, run_rx_work(&mut node, work, &self.window))
+        for (node, scratch) in self.nodes.iter_mut().zip(scratches) {
+            if let Some(node) = node {
+                node.swap_rx_scratch(scratch);
             }
         }
     }
-}
 
-impl Block for NodeBlock<'_> {
-    fn name(&self) -> &str {
-        "node"
+    /// Takes node `id`'s last reception window out of its buffer (the
+    /// relay's captured mixture, §7.5).
+    pub(crate) fn take_window(&mut self, id: NodeId) -> Result<Vec<Cplx>, EngineError> {
+        let i = self.index_of(id)?;
+        Ok(std::mem::take(&mut self.windows[i]))
     }
 
-    fn poll(&mut self) -> BlockStatus {
-        let mut progressed = false;
-        loop {
-            if let Some(out) = self.staged.take() {
-                if let Err(out) = self.out.try_push(out) {
-                    self.staged = Some(out);
-                    break;
-                }
-                progressed = true;
-            }
-            let Some(job) = self.jobs.try_pop() else {
-                break;
-            };
-            self.staged = Some(self.run(job));
-        }
-        if progressed {
-            BlockStatus::Progress
-        } else {
-            BlockStatus::Idle
-        }
+    /// The TX stage: synthesizes each `(sender index, job)` on its
+    /// sender's chain and front end; waveforms come back in job order.
+    pub(crate) fn synthesize(
+        &self,
+        pool: &Pool<'_, '_>,
+        jobs: Vec<(usize, SynthJob)>,
+    ) -> Result<Vec<Vec<Cplx>>, StageFailed> {
+        let tx = Arc::clone(&self.tx);
+        pool.stage("engine.tx", jobs, move |(i, job)| {
+            let (chain, front_end) = &tx[i];
+            synthesize(chain, front_end, job)
+        })
     }
-}
 
-/// The controller's handle on one node's block.
-pub(crate) struct NodePort {
-    pub(crate) jobs: Producer<NodeJob>,
-    pub(crate) out: Consumer<NodeOut>,
-}
-
-/// The controller-side context threaded through the engine's slot
-/// loop: the parked nodes, one port per node (park order), and the
-/// scheduler's pump for driving progress while a ring blocks.
-pub(crate) struct SlotDriver<'a, 'env> {
-    pub(crate) park: &'env NodePark,
-    pub(crate) ports: &'a mut [NodePort],
-    pub(crate) pump: &'a mut dyn Pump,
-}
-
-/// Builds the block graph over parked nodes: one [`NodeBlock`] per
-/// node, in park order, each owning clones of its node's TX chain and
-/// front end and borrowing the park for decodes.
-pub(crate) fn build_graph(park: &NodePark) -> (Vec<Box<dyn Block + '_>>, Vec<NodePort>) {
-    let n = park.len();
-    let mut blocks: Vec<Box<dyn Block + '_>> = Vec::with_capacity(n);
-    let mut ports = Vec::with_capacity(n);
-    for node_idx in 0..n {
-        let (chain, front_end) = {
-            let node = park.lock_at(node_idx);
-            (node.tx_chain().clone(), node.front_end)
-        };
-        let (jobs, jobs_in) = ring();
-        let (out_tx, out) = ring();
-        blocks.push(Box::new(NodeBlock {
-            park,
-            node_idx,
-            chain,
-            front_end,
-            window: Vec::new(),
-            jobs: jobs_in,
-            out: out_tx,
-            staged: None,
-        }));
-        ports.push(NodePort { jobs, out });
-    }
-    (blocks, ports)
-}
-
-/// The block graph could not advance while the controller waited on a
-/// ring: a wired-graph deadlock, which each graph client reports as its
-/// own `PipelineStalled` error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Stalled;
-
-impl From<Stalled> for EngineError {
-    fn from(_: Stalled) -> Self {
-        EngineError::PipelineStalled
-    }
-}
-
-/// Pushes into a ring, pumping the graph while it is full. A
-/// deterministic pump reporting no possible progress is a wired-graph
-/// deadlock, surfaced as [`Stalled`] (after one final retry, since the
-/// controller itself may have freed space).
-pub(crate) fn wait_push<T>(
-    ring: &mut Producer<T>,
-    mut value: T,
-    pump: &mut dyn Pump,
-) -> Result<(), Stalled> {
-    loop {
-        match ring.try_push(value) {
-            Ok(()) => return Ok(()),
-            Err(back) => {
-                value = back;
-                if !pump.pump() {
-                    return ring.try_push(value).map_err(|_| Stalled);
-                }
-            }
+    /// An RX stage: superposes and decodes each job's window on its
+    /// receiver, whose node and window buffer the job owns for the
+    /// stage; receive events come back in job order. The receivers of
+    /// one stage must be distinct.
+    pub(crate) fn receive(
+        &mut self,
+        pool: &Pool<'_, '_>,
+        events: &Arc<Vec<ScheduledTx>>,
+        noise_power: f64,
+        jobs: Vec<RxJob>,
+    ) -> Result<Vec<RxEvent>, EngineError> {
+        let mut items = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            let i = self.index_of(job.receiver)?;
+            let node = self.nodes[i]
+                .take()
+                .ok_or(EngineError::NodeMissing(job.receiver))?;
+            let window = std::mem::take(&mut self.windows[i]);
+            items.push((i, node, window, job));
         }
-    }
-}
-
-/// Pops from a ring, pumping the graph while it is empty. See
-/// [`wait_push`] for the stall contract.
-pub(crate) fn wait_pop<T>(ring: &mut Consumer<T>, pump: &mut dyn Pump) -> Result<T, Stalled> {
-    loop {
-        if let Some(v) = ring.try_pop() {
-            return Ok(v);
-        }
-        if !pump.pump() {
-            return ring.try_pop().ok_or(Stalled);
-        }
+        let events = Arc::clone(events);
+        let done = pool.stage("engine.rx", items, move |(i, mut node, mut window, job)| {
+            let evt = receive(&mut node, &mut window, job, &events, noise_power);
+            (i, node, window, evt)
+        })?;
+        Ok(done
+            .into_iter()
+            .map(|(i, node, window, evt)| {
+                self.nodes[i] = Some(node);
+                self.windows[i] = window;
+                evt
+            })
+            .collect())
     }
 }
 
@@ -398,8 +278,7 @@ pub(crate) fn wait_pop<T>(ring: &mut Consumer<T>, pump: &mut dyn Pump) -> Result
 mod tests {
     use super::*;
     use anc_dsp::DspRng;
-    use anc_frame::Header;
-    use anc_node::{NodeConfig, NodeRole, SynthSource};
+    use anc_node::{NodeConfig, NodeRole};
 
     fn park_of(n: usize) -> NodePark {
         let nodes = (0..n as NodeId)
@@ -413,86 +292,40 @@ mod tests {
 
     #[test]
     fn park_indexes_by_node_id() {
-        let park = park_of(3);
-        assert_eq!(park.len(), 3);
+        let mut park = park_of(3);
         assert_eq!(park.index_of(2).unwrap(), 2);
         assert!(matches!(park.index_of(9), Err(EngineError::NodeMissing(9))));
-        assert_eq!(park.lock(1).unwrap().id, 1);
+        assert_eq!(park.get_mut(1).unwrap().id, 1);
     }
 
     #[test]
-    fn graph_has_one_block_per_node() {
-        let park = park_of(3);
-        let (blocks, ports) = build_graph(&park);
-        assert_eq!(blocks.len(), 3);
-        assert_eq!(ports.len(), 3);
-        assert!(blocks.iter().all(|b| b.name() == "node"));
-    }
-
-    #[test]
-    fn node_block_stages_behind_a_full_output_ring() {
-        let park = park_of(1);
-        let (mut blocks, mut ports) = build_graph(&park);
-        let (block, port) = (&mut blocks[0], &mut ports[0]);
-        let (chain, front_end) = {
-            let node = park.lock_at(0);
-            (node.tx_chain().clone(), node.front_end)
-        };
-        let tx = |phase: f64| SynthJob {
-            source: SynthSource::Frame(Frame::new(Header::new(0, 1, 3, 0), vec![true, false])),
-            carrier_phase: phase,
-            cfo: 0.0,
-        };
-        let rx = NodeJob::Rx {
-            tag: 5,
-            work: RxWork::Poll,
-            window: WindowJob {
-                duration: 32,
-                noise_power: 1e-3,
-                noise: DspRng::seed_from(9),
-                transmissions: Vec::new(),
-                tones: Vec::new(),
-                jammer: None,
-            },
-        };
-
-        port.jobs.try_push(NodeJob::Tx(tx(0.1))).unwrap();
-        assert_eq!(block.poll(), BlockStatus::Progress);
-        // The output ring (depth 1) is full: the next answer is
-        // computed and staged, freeing the job ring for one more job,
-        // which then waits behind the staged answer.
-        port.jobs.try_push(NodeJob::Tx(tx(0.2))).unwrap();
-        assert_eq!(block.poll(), BlockStatus::Idle);
-        port.jobs.try_push(rx).unwrap();
-        assert_eq!(block.poll(), BlockStatus::Idle);
-
-        for phase in [0.1, 0.2] {
-            let Some(NodeOut::Wave(wave)) = port.out.try_pop() else {
-                panic!("waveform expected");
-            };
-            assert_eq!(wave, synthesize(&chain, &front_end, tx(phase)));
-            assert_eq!(block.poll(), BlockStatus::Progress);
+    fn a_panicking_job_reaches_the_engine_as_a_typed_error() {
+        // An RX job naming an event the slot never queued panics in its
+        // stage; under either executor the caller gets a typed error.
+        for sched in [
+            SchedulerSpec::deterministic(),
+            SchedulerSpec::work_stealing(2),
+        ] {
+            let mut park = park_of(3);
+            let jobs = (0..3)
+                .map(|receiver| RxJob {
+                    receiver,
+                    overhear: false,
+                    duration: 16,
+                    noise: DspRng::seed_from(1),
+                    heard: vec![(7, 0, Link::new(1.0, 0.0, 0.0)); usize::from(receiver == 1)],
+                    tones: Vec::new(),
+                    jammer: None,
+                })
+                .collect();
+            let err = sched.with_pool(|pool| park.receive(pool, &Arc::default(), 1e-3, jobs));
+            assert_eq!(
+                err.unwrap_err(),
+                EngineError::StageFailed { stage: "engine.rx" }
+            );
+            // The failed stage lost its receivers: a typed error, not
+            // a panic, if the run asked for them again.
+            assert!(matches!(park.get_mut(1), Err(EngineError::NodeMissing(1))));
         }
-        assert!(matches!(
-            port.out.try_pop(),
-            Some(NodeOut::Rx(5, RxDone::Evt(_)))
-        ));
-        assert_eq!(block.poll(), BlockStatus::Idle);
-        assert!(port.out.try_pop().is_none());
-    }
-
-    #[test]
-    fn wait_helpers_surface_stalls() {
-        struct DeadPump;
-        impl Pump for DeadPump {
-            fn pump(&mut self) -> bool {
-                false
-            }
-        }
-        let (mut p, mut c) = channel::<u32>(1);
-        p.try_push(1).unwrap();
-        assert_eq!(wait_push(&mut p, 2, &mut DeadPump), Err(Stalled));
-        assert_eq!(wait_pop(&mut c, &mut DeadPump), Ok(1));
-        assert_eq!(wait_pop(&mut c, &mut DeadPump), Err(Stalled));
     }
 }

@@ -175,7 +175,7 @@ impl RunBuilder {
         self
     }
 
-    /// Selects how the run's block graph is scheduled (deterministic
+    /// Selects the executor of the run's stages (deterministic
     /// reference executor or work-stealing threads).
     pub fn scheduler(mut self, sched: SchedulerSpec) -> RunBuilder {
         self.sched = sched;
@@ -528,6 +528,48 @@ mod tests {
         for pad in [96, 1 << 20] {
             assert!(build(&|c| c.pad_samples = pad).is_ok(), "pad {pad}");
         }
+        // Fault timelines that would divide by a zero burst window, or
+        // trip `HealthMonitor::new`'s alpha assert in a closed-loop
+        // multi-flow ANC run.
+        let build_faults = |faults: FaultSpec| {
+            ScenarioSpec::alice_bob()
+                .builder(Scheme::Anc)
+                .config(RunConfig::quick(15))
+                .faults(faults)
+                .build()
+        };
+        let active = FaultSpec::none()
+            .with_crashes(0.3, 4)
+            .with_blackouts(0.3, 4)
+            .with_shadowing(0.3, 30.0, 4)
+            .with_jammer(0.3, 1.0, 4)
+            .with_stuck_carrier(0.3, 1.0, 4);
+        for (k, kind) in ["crash", "blackout", "shadow", "jammer", "stuck"]
+            .into_iter()
+            .enumerate()
+        {
+            let mut faults = active.clone();
+            *[
+                &mut faults.crash_burst_periods,
+                &mut faults.blackout_burst_periods,
+                &mut faults.shadow_burst_periods,
+                &mut faults.jammer_burst_periods,
+                &mut faults.stuck_burst_periods,
+            ][k] = 0;
+            let field = format!("{kind}_burst_periods");
+            let err = build_faults(faults).expect_err(&field);
+            assert!(
+                matches!(&err, ScenarioError::Invalid(s) if s.contains(&field)),
+                "{field}: {err}"
+            );
+        }
+        let mut faults = active.clone();
+        faults.health.alpha = 0.0;
+        assert!(matches!(
+            build_faults(faults),
+            Err(ScenarioError::Invalid(s)) if s.contains("alpha")
+        ));
+        assert!(build_faults(active).is_ok());
     }
 
     #[test]

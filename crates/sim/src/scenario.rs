@@ -196,9 +196,14 @@ impl ScenarioSpec {
     /// derivation; this compiler only *decorates* the derived plan
     /// with flow bookkeeping (who sources, who holds, who delivers,
     /// who must overhear), so the documented/tested `SlotPlan`s and
-    /// the slots the engine executes can never disagree.
+    /// the slots the engine executes can never disagree. A fault
+    /// timeline that fails [`FaultSpec::check`] is
+    /// [`ScenarioError::Invalid`].
     pub fn compile(&self, scheme: Scheme) -> Result<Program, ScenarioError> {
         self.check_routes()?;
+        if let Some(faults) = &self.faults {
+            faults.check().map_err(ScenarioError::Invalid)?;
+        }
         let plan = derive_plan(&self.flows, scheme)?;
         let pair = crossing_router(&self.flows);
         let slots = match scheme {

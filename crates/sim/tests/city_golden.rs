@@ -3,14 +3,14 @@
 //! Two contracts guard the regions-as-block-groups rewrite:
 //!
 //! 1. **Golden fingerprints** — for static layouts (mobility off,
-//!    single-cell flows, no contention) the block-graph city is
+//!    single-cell flows, no contention) the street-staged city is
 //!    bit-identical to the pre-refactor pool engine: the captured
 //!    fingerprints below were produced by the old per-cell loop and
 //!    must never move.
 //! 2. **Executor equivalence under mobility** — waypoint motion,
-//!    incremental grid relocation, and the block-graph dispatch are
-//!    all coordinate-pure, so work-stealing == serial, bit for bit,
-//!    for any seed, worker count, and ring capacity. (The sparse ==
+//!    incremental grid relocation, and the per-street stage dispatch
+//!    are all coordinate-pure, so work-stealing == serial, bit for
+//!    bit, for any seed and worker count. (The sparse ==
 //!    dense advance check lives beside the dense oracle, in the city
 //!    module's unit tests.)
 
@@ -81,7 +81,7 @@ fn static_city_fingerprints_survive_the_block_graph_rewrite() {
 proptest! {
     /// Mobility on: endpoints walk random waypoints and the spatial
     /// grid relocates them incrementally, yet both executors agree bit
-    /// for bit, on the depth-1 rings every region block uses.
+    /// for bit.
     #[test]
     fn mobile_city_is_executor_and_advance_invariant(
         seed in 0u64..500,

@@ -1,13 +1,11 @@
 //! Scheduler-equivalence property tests (PR 9 tentpole).
 //!
-//! The block-graph runtime's determinism contract: every RNG draw and
+//! The stage executor's determinism contract: every RNG draw and
 //! every metric mutation happens in the controller thread in serial
-//! intent order, so the work-stealing executor — which races block
-//! polls across worker threads — must produce run metrics
+//! intent order, so the work-stealing executor — which spreads each
+//! stage's jobs across worker threads — must produce run metrics
 //! **bit-identical** to the deterministic single-thread executor, for
-//! any scenario, seed and worker count. The graph is one block per
-//! node on depth-1 rings, so backpressure forces the controller to
-//! interleave pushes, pops, and pumps at the finest grain.
+//! any scenario, seed and worker count.
 
 use anc_netcode::Scheme;
 use anc_sim::runs::RunConfig;
@@ -37,9 +35,8 @@ fn run_with(
 
 proptest! {
     /// Work-stealing == deterministic, bit for bit, across random
-    /// scenarios × seeds × worker counts. Every ring has depth 1, so
-    /// backpressure forces the single-outstanding-window guard and the
-    /// pump-retry loop onto their hardest paths on every run.
+    /// scenarios × seeds × worker counts, including the RX batches
+    /// that end at an overhearing gate or a repeated receiver.
     #[test]
     fn work_stealing_matches_deterministic(
         topology in 0u8..4,
