@@ -333,7 +333,7 @@ fn main() {
         .unwrap_or_else(|e| panic!("100k run failed: {e}"));
     let wall_100k = t.elapsed().as_secs_f64();
     println!(
-        "100k    {:>6} nodes: anc {}/{} delivered ({:.2} rate), {:.1}s wall, window {:.0}ms vs decode {:.0}ms → {} dominates ({:.0}% window)",
+        "100k    {:>6} nodes: anc {}/{} delivered ({:.2} rate), {:.1}s wall, window {:.0}ms vs decode {:.0}ms ({:.0}% window)",
         out_100k.nodes,
         out_100k.delivered,
         2 * out_100k.offered,
@@ -341,7 +341,6 @@ fn main() {
         wall_100k,
         prof_100k.window_assembly_ns as f64 / 1e6,
         prof_100k.decode_ns as f64 / 1e6,
-        prof_100k.dominant(),
         100.0 * prof_100k.window_share(),
     );
     assert!(out_100k.delivered > 0, "100k rung must decode something");

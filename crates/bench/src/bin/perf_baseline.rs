@@ -521,23 +521,23 @@ fn main() {
         .engine
         .insert("city_100k_window_share".into(), prof_100k.window_share());
     println!(
-        "engine city 100k ({} nodes x {} rounds, {:.1}s): window {:.0} ms vs decode {:.0} ms — {} dominates ({:.0}% window)",
+        "engine city 100k ({} nodes x {} rounds, {:.1}s): window {:.0} ms vs decode {:.0} ms ({:.0}% window)",
         big_cfg.nodes(),
         rounds_100k,
         wall_100k_s,
         prof_100k.window_assembly_ns as f64 / 1e6,
         prof_100k.decode_ns as f64 / 1e6,
-        prof_100k.dominant(),
         100.0 * prof_100k.window_share(),
     );
 
-    // ---- 5. Block-graph pipeline: ONE run, serial vs stolen. ----
-    // The sweep above parallelizes *across* runs; this block pipelines
-    // a single run across cores through the block-graph executor.
-    // Both arms stream the same program through the same rings — the
-    // deterministic executor polls blocks inline, the work-stealing
-    // executor races them across `pipe_workers` threads — and the
-    // determinism contract says the metrics must not move a bit.
+    // ---- 5. Stage executor: ONE run, serial vs stolen. ----
+    // The sweep above parallelizes *across* runs; this block spreads
+    // a single run's stage jobs across cores. Both arms run the same
+    // program as the same ordered fork-join stages — the
+    // deterministic executor runs each stage's jobs inline, in order,
+    // the work-stealing executor spreads them over `pipe_workers`
+    // threads — and the determinism contract says the metrics must
+    // not move a bit.
     // Workers are floored at 2 so the threaded executor is exercised
     // even on a single-core host (where the validator skips the
     // speedup gate with a logged reason, keeping bit-identity gated).

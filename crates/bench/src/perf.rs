@@ -48,7 +48,8 @@ pub struct PerfReport {
     pub sweep: BTreeMap<String, f64>,
     /// City-engine measurements: spatially-gated superposition
     /// candidate selection, sparse slot advance, mobility, the 100k
-    /// rung and the block-graph pipeline. Absent from pre-engine
+    /// rung and one run's stage executor, deterministic vs
+    /// work-stealing. Absent from pre-engine
     /// artifacts, hence the defaulting hand-written
     /// `Deserialize` below (the vendored derive has no `#[serde]`
     /// attributes).
@@ -253,8 +254,8 @@ fn validate_perf(text: &str) -> Result<String, String> {
             "engine.city_100k_window_share must be a fraction in [0, 1], got {window_share}"
         ));
     }
-    // Block-graph pipeline gates (PR 9): ONE run streamed across the
-    // block graph, deterministic executor vs work-stealing executor.
+    // Single-run executor gates: ONE run whose stages fork-join over
+    // the pool, deterministic executor vs work-stealing executor.
     // Bit-identity is a correctness claim and holds on any host; the
     // wall-clock speedup claim only means something where the workers
     // actually got cores (a 1-core container can at best break even),

@@ -425,10 +425,9 @@ impl DynamicScheduler {
 
 /// Round-robin contention order over `n` contenders at the given
 /// period: indices `0..n` rotated so the head advances by one each
-/// period. Deterministic and starvation-free — the shared election
-/// rule for serialized (carrier-sensed) service, used both by
-/// [`DynamicScheduler::contenders`] and by the city engine's
-/// inter-cell MAC.
+/// period. Deterministic and starvation-free — the election rule for
+/// serialized (carrier-sensed) service, used by
+/// [`DynamicScheduler::contenders`].
 pub fn contention_rotation(n: usize, period: u64) -> impl Iterator<Item = usize> {
     let start = if n == 0 {
         0

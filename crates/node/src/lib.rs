@@ -26,6 +26,6 @@ pub mod node;
 pub mod phy;
 
 pub use block::{synthesize, SynthJob, SynthSource};
-pub use mac::{CsmaConfig, MacConfig, TriggerMac};
+pub use mac::{MacConfig, TriggerMac};
 pub use node::{FrontEnd, Node, NodeConfig, NodeRole};
 pub use phy::{RxChain, RxEvent, TxChain};

@@ -47,35 +47,6 @@ impl Default for MacConfig {
     }
 }
 
-/// Carrier-sense configuration for inter-cell contention (§6: ANC
-/// relaxes but does not abolish carrier sense — concurrent exchanges
-/// whose signals still interfere above the decode gate must be
-/// serialized).
-///
-/// The sense radius is expressed as a fraction of the decode gate
-/// radius rather than in meters, so one config scales across
-/// deployments with different path-loss constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CsmaConfig {
-    /// Sense radius as a fraction of the decode gate radius, in
-    /// `(0, 1]`. `1.0` senses the full gate: any neighbor whose signal
-    /// clears the 20 dB decode gate also defers.
-    pub sense_factor: f64,
-}
-
-impl Default for CsmaConfig {
-    fn default() -> Self {
-        CsmaConfig { sense_factor: 1.0 }
-    }
-}
-
-impl CsmaConfig {
-    /// The absolute sense radius for a given decode gate radius.
-    pub fn sense_radius(&self, gate_radius: f64) -> f64 {
-        self.sense_factor * gate_radius
-    }
-}
-
 /// The trigger MAC: computes each triggered sender's transmission
 /// delay.
 #[derive(Debug, Clone)]

@@ -2,9 +2,8 @@
 //!
 //! Two contracts guard the regions-as-block-groups rewrite:
 //!
-//! 1. **Golden fingerprints** — for static layouts (mobility off,
-//!    single-cell flows, no contention) the street-staged city is
-//!    bit-identical to the pre-refactor pool engine: the captured
+//! 1. **Golden fingerprints** — for static layouts (mobility off)
+//!    the street-staged city is bit-identical to the pre-refactor pool engine: the captured
 //!    fingerprints below were produced by the old per-cell loop and
 //!    must never move.
 //! 2. **Executor equivalence under mobility** — waypoint motion,

@@ -1,15 +1,18 @@
 //! Run-config robustness property tests.
 //!
-//! A `RunConfig` or `FaultSpec` that deserializes must never crash a
-//! run: either the builder rejects it with a typed error, or `execute`
-//! returns `Ok` or a typed `Err`, under both executors. The inputs
+//! A `RunConfig`, `FaultSpec` or `CityConfig` that deserializes must
+//! never crash a run: either the builder rejects it with a typed
+//! error, or `execute` returns `Ok` or a typed `Err`, under both
+//! executors. The inputs
 //! reach past the valid ranges on purpose — zero MAC slots and slot
 //! lengths; zero, negative, NaN, infinite and extreme gains, noise
 //! powers, jitters, oscillator offsets and transmit amplitudes;
 //! payloads past the header's length field; guard, turnaround and
 //! padding lengths up to `usize::MAX`; and fault rates, depths,
 //! powers, health tuning, burst windows and scripted outages at the
-//! same edges.
+//! same edges; and city loads, speeds, pauses, payloads, flash crowds
+//! and horizons at the same edges, with city sizes past `u32` node
+//! indices checked at build only.
 
 use anc_netcode::{ArqConfig, HealthConfig, Scheme};
 use anc_sim::faults::{FaultSpec, ScriptedOutage};
@@ -17,7 +20,7 @@ use anc_sim::runs::RunConfig;
 use anc_sim::scenario::ScenarioSpec;
 use anc_sim::topology::nodes::{ALICE, BOB, ROUTER};
 use anc_sim::topology::ChannelDraw;
-use anc_sim::{CityConfig, SchedulerSpec};
+use anc_sim::{CityConfig, CityLayout, FlashCrowd, SchedulerSpec};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -250,5 +253,122 @@ proptest! {
             }
         }));
         prop_assert!(outcome.is_ok(), "panicked on {faults:?}");
+    }
+}
+
+/// A flash-crowd round bound from a random word: zero, the largest or
+/// second-largest round one time in eight each, otherwise a round
+/// inside a tiny city's horizon (so bounds may come out inverted).
+fn pick_round(w: u64) -> u64 {
+    match w % 8 {
+        0 => 0,
+        1 => u64::MAX,
+        2 => u64::MAX - 1,
+        _ => (w >> 3) % 16,
+    }
+}
+
+proptest! {
+    /// Build-then-execute on a city of at most 3×2 cells over at most
+    /// 12 rounds never panics, with every `CityConfig` field drawn:
+    /// every outcome is `Ok` or a typed error, on both executors.
+    /// Horizons past `u32` rounds and cities past `u32` node indices
+    /// are built, never executed.
+    #[test]
+    fn city_config_never_panics(
+        seed in any::<u64>(),
+        anc in any::<bool>(),
+        waypoint in any::<bool>(),
+        dims_word in any::<u64>(),
+        rounds in 0u64..13,
+        offered_word in any::<u64>(),
+        noise_word in any::<u64>(),
+        velocity_word in any::<u64>(),
+        pause_word in any::<u64>(),
+        payload_word in any::<u64>(),
+        flash_words in proptest::collection::vec(any::<u64>(), 0..7),
+        fault_words in proptest::collection::vec(any::<u64>(), 0..3),
+        size_word in any::<u64>(),
+    ) {
+        // 1–3 × 1–2 cells, with a zero dimension one time in sixteen
+        // each.
+        let cells_x = if dims_word % 16 == 0 { 0 } else { 1 + (dims_word >> 4) as usize % 3 };
+        let rows = if dims_word % 16 == 1 { 0 } else { 1 + (dims_word >> 8) as usize % 2 };
+        // Payloads: empty, at and just past the header's 16-bit length
+        // field one time in sixteen each, otherwise short.
+        let payload_bits = match payload_word % 16 {
+            0 => 0,
+            1 => usize::from(u16::MAX),
+            2 => 65_536,
+            _ => 1 + (payload_word >> 4) as usize % 512,
+        };
+        // A flash crowd when all six of its words were drawn.
+        let flash = (flash_words.len() == 6).then(|| FlashCrowd {
+            center: (
+                pick(flash_words[0], -50.0, 200.0),
+                pick(flash_words[1], -50.0, 100.0),
+            ),
+            radius: pick(flash_words[2], 0.0, 300.0),
+            factor: pick(flash_words[3], 0.0, 10.0),
+            from_round: pick_round(flash_words[4]),
+            until_round: pick_round(flash_words[5]),
+        });
+        // Street outages when both fault words were drawn.
+        let faults = (fault_words.len() == 2).then(|| FaultSpec {
+            crash_rate: pick(fault_words[0], 0.0, 1.0),
+            crash_burst_periods: pick_burst(fault_words[1]),
+            ..FaultSpec::none()
+        });
+        let city = CityConfig {
+            cells_x,
+            rows,
+            layout: if waypoint {
+                CityLayout::RandomWaypoint
+            } else {
+                CityLayout::UrbanGrid
+            },
+            seed,
+            rounds,
+            offered: pick(offered_word, 0.0, 1.0),
+            flash,
+            payload_bits,
+            noise_power: pick(noise_word, 1e-5, 2e-3),
+            faults,
+            // Motion on the waypoint layout; one case in 64 moves the
+            // grid's endpoints, which the builder rejects.
+            velocity: if waypoint || velocity_word % 64 == 1 {
+                pick(velocity_word, 0.0, 5.0)
+            } else {
+                0.0
+            },
+            pause: pick(pause_word, 0.0, 4.0),
+        };
+        // One case in four swaps in a horizon or a size past `u32`.
+        let oversized = match size_word % 16 {
+            0 => Some(CityConfig { rounds: u64::from(u32::MAX) + 1, ..city.clone() }),
+            1 => Some(CityConfig { rounds: u64::MAX, ..city.clone() }),
+            2 => Some(CityConfig { cells_x: (u32::MAX / 3) as usize + 1, ..city.clone() }),
+            3 => Some(CityConfig { cells_x: usize::MAX, rows: rows.max(1), ..city.clone() }),
+            _ => None,
+        };
+        let scheme = if anc { Scheme::Anc } else { Scheme::Traditional };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            for sched in [SchedulerSpec::deterministic(), SchedulerSpec::work_stealing(2)] {
+                let builder = CityConfig::builder(scheme).scheduler(sched);
+                match &oversized {
+                    Some(big) => {
+                        let _ = builder.config(big.clone()).build();
+                    }
+                    // A typed error from either step is an acceptable
+                    // outcome.
+                    None => {
+                        if let Ok(run) = builder.config(city.clone()).build() {
+                            let _ = run.execute();
+                        }
+                    }
+                }
+            }
+        }));
+        prop_assert!(outcome.is_ok(), "panicked on {city:?} (oversized: {oversized:?})");
     }
 }
