@@ -1,10 +1,9 @@
 //! Criterion benchmarks of the baseline machinery: COPE XOR coding,
-//! the naive subtraction strawman, framing, and FEC — the costs the
+//! the naive subtraction strawman and framing — the costs the
 //! comparison schemes pay per packet.
 
 use anc_core::naive::{estimate_channel, subtract_and_demodulate};
 use anc_dsp::DspRng;
-use anc_frame::fec::{Fec, Hamming74, Repetition3};
 use anc_frame::{Frame, FrameConfig, Header, SentPacketBuffer};
 use anc_modem::{Modem, MskModem};
 use anc_netcode::CopeCoder;
@@ -78,26 +77,5 @@ fn bench_framing(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_fec(c: &mut Criterion) {
-    let mut rng = DspRng::seed_from(4);
-    let data = rng.bits(8192);
-    let mut g = c.benchmark_group("fec");
-    g.throughput(Throughput::Elements(8192));
-    g.bench_function("hamming74_encode_8k", |b| {
-        b.iter(|| black_box(Hamming74.encode(black_box(&data))))
-    });
-    let coded = Hamming74.encode(&data);
-    g.bench_function("hamming74_decode_8k", |b| {
-        b.iter(|| black_box(Hamming74.decode(black_box(&coded))))
-    });
-    g.bench_function("repetition3_roundtrip_8k", |b| {
-        b.iter(|| {
-            let enc = Repetition3.encode(black_box(&data));
-            black_box(Repetition3.decode(&enc))
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_cope, bench_naive, bench_framing, bench_fec);
+criterion_group!(benches, bench_cope, bench_naive, bench_framing);
 criterion_main!(benches);

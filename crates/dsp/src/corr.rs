@@ -16,24 +16,6 @@ pub fn hamming_distance(a: &[bool], b: &[bool]) -> usize {
     a.iter().zip(b).filter(|(x, y)| x != y).count()
 }
 
-/// Normalized agreement in `[0, 1]` between two equal-length slices.
-pub fn agreement(a: &[bool], b: &[bool]) -> f64 {
-    if a.is_empty() {
-        return 0.0;
-    }
-    1.0 - hamming_distance(a, b) as f64 / a.len() as f64
-}
-
-/// Finds the first offset in `haystack` where `needle` matches with at
-/// most `max_errors` bit errors. Returns the offset of the match start.
-pub fn find_pattern(haystack: &[bool], needle: &[bool], max_errors: usize) -> Option<usize> {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return None;
-    }
-    (0..=haystack.len() - needle.len())
-        .find(|&off| hamming_distance(&haystack[off..off + needle.len()], needle) <= max_errors)
-}
-
 /// Finds the offset with the *fewest* bit errors (best match), returning
 /// `(offset, errors)`. Prefers the earliest offset on ties. Returns
 /// `None` if the needle does not fit.
@@ -103,18 +85,6 @@ pub fn best_match_bounded(
     best
 }
 
-/// Finds the *last* offset where `needle` matches with at most
-/// `max_errors` errors — used by Bob's backward decode (§7.4), which
-/// locates the mirrored pilot at the frame tail.
-pub fn rfind_pattern(haystack: &[bool], needle: &[bool], max_errors: usize) -> Option<usize> {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return None;
-    }
-    (0..=haystack.len() - needle.len())
-        .rev()
-        .find(|&off| hamming_distance(&haystack[off..off + needle.len()], needle) <= max_errors)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,49 +108,35 @@ mod tests {
     }
 
     #[test]
-    fn agreement_range() {
-        assert_eq!(agreement(&bits("1111"), &bits("1111")), 1.0);
-        assert_eq!(agreement(&bits("1111"), &bits("0000")), 0.0);
-        assert_eq!(agreement(&bits("1100"), &bits("1111")), 0.5);
-        assert_eq!(agreement(&[], &[]), 0.0);
-    }
-
-    #[test]
     fn find_exact() {
         let hay = bits("0001011010");
-        assert_eq!(find_pattern(&hay, &bits("1011"), 0), Some(3));
-        assert_eq!(find_pattern(&hay, &bits("1111"), 0), None);
+        assert_eq!(best_match_bounded(&hay, &bits("1011"), 0), Some((3, 0)));
+        assert_eq!(best_match_bounded(&hay, &bits("1111"), 0), None);
     }
 
     #[test]
     fn find_with_errors() {
         let hay = bits("0001001010"); // "1011" corrupted at offset 3 -> "1001"
-        assert_eq!(find_pattern(&hay, &bits("1011"), 0), None);
-        assert_eq!(find_pattern(&hay, &bits("1011"), 1), Some(3));
+        assert_eq!(best_match_bounded(&hay, &bits("1011"), 0), None);
+        assert_eq!(best_match_bounded(&hay, &bits("1011"), 1), Some((3, 1)));
     }
 
     #[test]
     fn find_prefers_first() {
         let hay = bits("10111011");
-        assert_eq!(find_pattern(&hay, &bits("1011"), 0), Some(0));
-    }
-
-    #[test]
-    fn rfind_prefers_last() {
-        let hay = bits("10111011");
-        assert_eq!(rfind_pattern(&hay, &bits("1011"), 0), Some(4));
+        assert_eq!(best_match(&hay, &bits("1011")), Some((0, 0)));
+        assert_eq!(best_match_bounded(&hay, &bits("1011"), 0), Some((0, 0)));
     }
 
     #[test]
     fn needle_longer_than_haystack() {
-        assert_eq!(find_pattern(&bits("101"), &bits("10101"), 2), None);
         assert_eq!(best_match(&bits("101"), &bits("10101")), None);
-        assert_eq!(rfind_pattern(&bits("1"), &bits("10"), 0), None);
+        assert_eq!(best_match(&bits("1"), &bits("10")), None);
     }
 
     #[test]
     fn empty_needle_matches_nothing() {
-        assert_eq!(find_pattern(&bits("101"), &[], 0), None);
+        assert_eq!(best_match(&bits("101"), &[]), None);
     }
 
     #[test]
@@ -249,6 +205,6 @@ mod tests {
         let (off, err) = best_match(&stream, &pilot).unwrap();
         assert_eq!(off, true_off);
         assert_eq!(err, 3);
-        assert_eq!(find_pattern(&stream, &pilot, 6), Some(true_off));
+        assert_eq!(best_match_bounded(&stream, &pilot, 6), Some((true_off, 3)));
     }
 }

@@ -1,129 +1,11 @@
-//! Forward error correction.
+//! Forward-error-correction accounting.
 //!
 //! §11.2: *"ANC has a higher bit error rate than the other approaches
 //! and thus needs extra redundancy in its error-correction codes. We
 //! account for this overhead in our throughput computation."* §11.4
 //! quantifies it: a ≈ 4 % BER costs ≈ 8 % extra redundancy.
-//!
-//! Two concrete codes make the overhead mechanical in examples/tests —
-//! [`Repetition3`] and [`Hamming74`] — and
-//! [`ideal_redundancy_for_ber`] reproduces the paper's own accounting
-//! rule (redundancy ≈ 2×BER) used by the throughput metrics.
-
-/// A forward-error-correction code over bit sequences.
-pub trait Fec {
-    /// Encodes data bits into coded bits.
-    fn encode(&self, data: &[bool]) -> Vec<bool>;
-    /// Decodes coded bits, correcting what the code can correct.
-    /// Input length must be a multiple of the code's block output size;
-    /// trailing partial blocks are dropped.
-    fn decode(&self, coded: &[bool]) -> Vec<bool>;
-    /// Coded bits emitted per data bit (rate⁻¹).
-    fn expansion(&self) -> f64;
-    /// Fractional overhead: `expansion − 1`.
-    fn overhead(&self) -> f64 {
-        self.expansion() - 1.0
-    }
-}
-
-/// Rate-1/3 repetition code with majority decoding. Corrects any single
-/// error per 3-bit block; simple, heavy (200 % overhead).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Repetition3;
-
-impl Fec for Repetition3 {
-    fn encode(&self, data: &[bool]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(data.len() * 3);
-        for &b in data {
-            out.extend_from_slice(&[b, b, b]);
-        }
-        out
-    }
-
-    fn decode(&self, coded: &[bool]) -> Vec<bool> {
-        coded
-            .chunks_exact(3)
-            .map(|c| (c[0] as u8 + c[1] as u8 + c[2] as u8) >= 2)
-            .collect()
-    }
-
-    fn expansion(&self) -> f64 {
-        3.0
-    }
-}
-
-/// Hamming(7,4): 4 data bits → 7 coded bits, corrects one error per
-/// block (75 % overhead). Bit order within a block:
-/// `p1 p2 d1 p3 d2 d3 d4` (classic positional layout, parity at powers
-/// of two).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Hamming74;
-
-impl Hamming74 {
-    fn encode_block(d: [bool; 4]) -> [bool; 7] {
-        let [d1, d2, d3, d4] = d;
-        let p1 = d1 ^ d2 ^ d4;
-        let p2 = d1 ^ d3 ^ d4;
-        let p3 = d2 ^ d3 ^ d4;
-        [p1, p2, d1, p3, d2, d3, d4]
-    }
-
-    fn decode_block(c: [bool; 7]) -> [bool; 4] {
-        let mut c = c;
-        // Syndrome: which parity checks fail. The failing pattern's
-        // value (1-indexed) is the error position.
-        let s1 = c[0] ^ c[2] ^ c[4] ^ c[6];
-        let s2 = c[1] ^ c[2] ^ c[5] ^ c[6];
-        let s3 = c[3] ^ c[4] ^ c[5] ^ c[6];
-        let pos = (s1 as usize) | ((s2 as usize) << 1) | ((s3 as usize) << 2);
-        if pos != 0 {
-            c[pos - 1] = !c[pos - 1];
-        }
-        [c[2], c[4], c[5], c[6]]
-    }
-}
-
-impl Fec for Hamming74 {
-    fn encode(&self, data: &[bool]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(data.len().div_ceil(4) * 7);
-        for chunk in data.chunks(4) {
-            let mut block = [false; 4];
-            block[..chunk.len()].copy_from_slice(chunk);
-            out.extend_from_slice(&Self::encode_block(block));
-        }
-        out
-    }
-
-    fn decode(&self, coded: &[bool]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(coded.len() / 7 * 4);
-        for chunk in coded.chunks_exact(7) {
-            let mut block = [false; 7];
-            block.copy_from_slice(chunk);
-            out.extend_from_slice(&Self::decode_block(block));
-        }
-        out
-    }
-
-    fn expansion(&self) -> f64 {
-        7.0 / 4.0
-    }
-}
-
-/// No coding: identity.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFec;
-
-impl Fec for NoFec {
-    fn encode(&self, data: &[bool]) -> Vec<bool> {
-        data.to_vec()
-    }
-    fn decode(&self, coded: &[bool]) -> Vec<bool> {
-        coded.to_vec()
-    }
-    fn expansion(&self) -> f64 {
-        1.0
-    }
-}
+//! [`ideal_redundancy_for_ber`] reproduces that accounting rule
+//! (redundancy ≈ 2×BER) for the throughput metrics.
 
 /// The paper's redundancy accounting (§11.4): a packet decoded with bit
 /// error rate `ber` is charged `2·ber` fractional redundancy — the 4 %
@@ -139,94 +21,6 @@ pub fn ideal_redundancy_for_ber(ber: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anc_dsp::DspRng;
-
-    fn rng_bits(seed: u64, n: usize) -> Vec<bool> {
-        DspRng::seed_from(seed).bits(n)
-    }
-
-    #[test]
-    fn repetition_roundtrip() {
-        let data = rng_bits(1, 128);
-        let code = Repetition3;
-        assert_eq!(code.decode(&code.encode(&data)), data);
-    }
-
-    #[test]
-    fn repetition_corrects_single_error_per_block() {
-        let data = rng_bits(2, 40);
-        let code = Repetition3;
-        let mut coded = code.encode(&data);
-        for block in 0..data.len() {
-            coded[block * 3 + block % 3] ^= true; // one flip per block
-        }
-        assert_eq!(code.decode(&coded), data);
-    }
-
-    #[test]
-    fn repetition_majority_fails_on_two_errors() {
-        let code = Repetition3;
-        let mut coded = code.encode(&[true]);
-        coded[0] = false;
-        coded[1] = false;
-        assert_eq!(code.decode(&coded), vec![false]);
-    }
-
-    #[test]
-    fn hamming_roundtrip_aligned() {
-        let data = rng_bits(3, 256); // multiple of 4
-        let code = Hamming74;
-        assert_eq!(code.decode(&code.encode(&data)), data);
-    }
-
-    #[test]
-    fn hamming_pads_tail() {
-        let data = vec![true, false, true]; // 3 bits -> padded to 4
-        let code = Hamming74;
-        let out = code.decode(&code.encode(&data));
-        assert_eq!(out.len(), 4);
-        assert_eq!(&out[..3], &data[..]);
-        assert!(!out[3]);
-    }
-
-    #[test]
-    fn hamming_corrects_any_single_error() {
-        let data = [true, false, true, true];
-        let code = Hamming74;
-        let coded = code.encode(&data);
-        for i in 0..7 {
-            let mut c = coded.clone();
-            c[i] = !c[i];
-            assert_eq!(code.decode(&c), data.to_vec(), "flip at {i}");
-        }
-    }
-
-    #[test]
-    fn hamming_double_error_miscorrects() {
-        // Known limitation: Hamming(7,4) has distance 3; two errors
-        // produce a wrong "correction". Documenting the boundary.
-        let data = [true, true, false, false];
-        let code = Hamming74;
-        let mut coded = code.encode(&data);
-        coded[0] = !coded[0];
-        coded[6] = !coded[6];
-        assert_ne!(code.decode(&coded), data.to_vec());
-    }
-
-    #[test]
-    fn expansion_factors() {
-        assert_eq!(Repetition3.expansion(), 3.0);
-        assert_eq!(Hamming74.expansion(), 1.75);
-        assert_eq!(NoFec.expansion(), 1.0);
-        assert!((Hamming74.overhead() - 0.75).abs() < 1e-12);
-        assert_eq!(NoFec.overhead(), 0.0);
-    }
-
-    #[test]
-    fn no_fec_is_identity() {
-        let data = rng_bits(4, 77);
-        assert_eq!(NoFec.decode(&NoFec.encode(&data)), data);
-    }
 
     #[test]
     fn ideal_redundancy_matches_paper_rule() {
@@ -234,24 +28,5 @@ mod tests {
         assert!((ideal_redundancy_for_ber(0.04) - 0.08).abs() < 1e-12);
         assert_eq!(ideal_redundancy_for_ber(0.0), 0.0);
         assert_eq!(ideal_redundancy_for_ber(0.9), 1.0); // clamped
-    }
-
-    #[test]
-    fn hamming_under_random_sparse_errors() {
-        // At ~2% random BER most 7-bit blocks have ≤1 error; Hamming
-        // must repair the vast majority.
-        let mut rng = DspRng::seed_from(5);
-        let data = rng.bits(4000);
-        let code = Hamming74;
-        let mut coded = code.encode(&data);
-        for b in coded.iter_mut() {
-            if rng.chance(0.02) {
-                *b = !*b;
-            }
-        }
-        let decoded = code.decode(&coded);
-        let errors = decoded.iter().zip(&data).filter(|(a, b)| a != b).count();
-        let residual = errors as f64 / data.len() as f64;
-        assert!(residual < 0.01, "residual {residual}");
     }
 }

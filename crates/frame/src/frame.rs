@@ -60,8 +60,6 @@ pub enum FrameError {
     PilotNotFound,
     /// Header failed its CRC-8 (or truncated).
     BadHeader,
-    /// Payload CRC-16 mismatch.
-    BadCrc,
     /// Header's length field runs past the available bits.
     LengthMismatch,
 }
@@ -72,7 +70,6 @@ impl std::fmt::Display for FrameError {
             FrameError::TooShort => "bit stream shorter than frame overhead",
             FrameError::PilotNotFound => "pilot sequence not found",
             FrameError::BadHeader => "header CRC mismatch",
-            FrameError::BadCrc => "payload CRC mismatch",
             FrameError::LengthMismatch => "header length exceeds available bits",
         };
         f.write_str(s)
@@ -123,115 +120,6 @@ impl Frame {
         bits.extend(header_bits.iter().rev());
         bits.extend(pilot.iter().rev());
         bits
-    }
-
-    /// Parses a frame whose bits start exactly at `bits[0]` (forward
-    /// orientation). Extra trailing bits are ignored.
-    pub fn from_bits(bits: &[bool], cfg: &FrameConfig) -> Result<Frame, FrameError> {
-        let p = cfg.pilot_len;
-        if bits.len() < cfg.overhead_bits() {
-            return Err(FrameError::TooShort);
-        }
-        // Head pilot is assumed already located; verify loosely.
-        let pilot = pilot_sequence(p);
-        let errors = pilot.iter().zip(&bits[..p]).filter(|(a, b)| a != b).count();
-        if errors > cfg.pilot_max_errors {
-            return Err(FrameError::PilotNotFound);
-        }
-        let header = Header::from_bits(&bits[p..p + HEADER_BITS]).ok_or(FrameError::BadHeader)?;
-        let len = header.len as usize;
-        if bits.len() < cfg.frame_bits(len) {
-            return Err(FrameError::LengthMismatch);
-        }
-        let body_start = p + HEADER_BITS;
-        let body_crc = &bits[body_start..body_start + len + 16];
-        let body = verify_crc16(body_crc).ok_or(FrameError::BadCrc)?;
-        let mut payload = body.to_vec();
-        if cfg.whiten {
-            Lfsr::new(WHITEN_SEED).whiten(&mut payload);
-        }
-        Ok(Frame { header, payload })
-    }
-
-    /// Locates the head pilot by sliding correlation and parses forward
-    /// from it. Returns the frame and the bit offset at which it began.
-    pub fn locate_and_parse(
-        bits: &[bool],
-        cfg: &FrameConfig,
-    ) -> Result<(Frame, usize), FrameError> {
-        let pilot = pilot_sequence(cfg.pilot_len);
-        let (off, err) = best_match(bits, &pilot).ok_or(FrameError::TooShort)?;
-        if err > cfg.pilot_max_errors {
-            return Err(FrameError::PilotNotFound);
-        }
-        Frame::from_bits(&bits[off..], cfg).map(|f| (f, off))
-    }
-
-    /// Parses a frame from a bit stream read *backward* (§7.4): the
-    /// caller passes bits in reception order; this reverses them so the
-    /// mirrored tail pilot/header appear in forward orientation, then
-    /// re-reverses the recovered payload.
-    ///
-    /// Returns the frame and the offset of the frame's *last* bit from
-    /// the end of `bits`.
-    pub fn parse_backward(bits: &[bool], cfg: &FrameConfig) -> Result<(Frame, usize), FrameError> {
-        let reversed: Vec<bool> = bits.iter().rev().copied().collect();
-        let pilot = pilot_sequence(cfg.pilot_len);
-        let (off, err) = best_match(&reversed, &pilot).ok_or(FrameError::TooShort)?;
-        if err > cfg.pilot_max_errors {
-            return Err(FrameError::PilotNotFound);
-        }
-        let r = &reversed[off..];
-        let p = cfg.pilot_len;
-        if r.len() < cfg.overhead_bits() {
-            return Err(FrameError::TooShort);
-        }
-        let header = Header::from_bits(&r[p..p + HEADER_BITS]).ok_or(FrameError::BadHeader)?;
-        let len = header.len as usize;
-        if r.len() < cfg.frame_bits(len) {
-            return Err(FrameError::LengthMismatch);
-        }
-        // Reversed layout after [pilot | header]: rev(CRC) then rev(body).
-        let crc_start = p + HEADER_BITS;
-        let mut body_crc: Vec<bool> = r[crc_start..crc_start + 16 + len]
-            .iter()
-            .rev()
-            .copied()
-            .collect(); // now [body | crc] in forward orientation
-        let body = verify_crc16(&body_crc).ok_or(FrameError::BadCrc)?;
-        let mut payload = body.to_vec();
-        if cfg.whiten {
-            Lfsr::new(WHITEN_SEED).whiten(&mut payload);
-        }
-        body_crc.clear();
-        Ok((Frame { header, payload }, off))
-    }
-
-    /// Reads only the header nearest the frame head, without CRC-16
-    /// validation of the payload — what a router does on an interfered
-    /// reception whose payload region is scrambled (§7.5). The head
-    /// pilot must begin at `bits[0]`.
-    pub fn peek_header(bits: &[bool], cfg: &FrameConfig) -> Result<Header, FrameError> {
-        let p = cfg.pilot_len;
-        if bits.len() < p + HEADER_BITS {
-            return Err(FrameError::TooShort);
-        }
-        Header::from_bits(&bits[p..p + HEADER_BITS]).ok_or(FrameError::BadHeader)
-    }
-
-    /// Reads the mirrored header at the frame tail, given bits in
-    /// reception order whose *last* bit is the frame's last bit.
-    pub fn peek_tail_header(bits: &[bool], cfg: &FrameConfig) -> Result<Header, FrameError> {
-        let p = cfg.pilot_len;
-        if bits.len() < p + HEADER_BITS {
-            return Err(FrameError::TooShort);
-        }
-        let tail: Vec<bool> = bits[bits.len() - p - HEADER_BITS..bits.len() - p]
-            .iter()
-            .rev()
-            .copied()
-            .collect();
-        Header::from_bits(&tail).ok_or(FrameError::BadHeader)
     }
 
     /// Total on-air length of this frame in bits.
@@ -314,8 +202,7 @@ mod tests {
         let f = sample_frame(1, 200);
         let bits = f.to_bits(&cfg);
         assert_eq!(bits.len(), cfg.frame_bits(200));
-        let parsed = Frame::from_bits(&bits, &cfg).unwrap();
-        assert_eq!(parsed, f);
+        assert_eq!(Frame::parse_lenient(&bits, &cfg), Ok((f, 0, true)));
     }
 
     #[test]
@@ -325,51 +212,37 @@ mod tests {
             ..Default::default()
         };
         let f = sample_frame(2, 64);
-        assert_eq!(Frame::from_bits(&f.to_bits(&cfg), &cfg).unwrap(), f);
+        assert_eq!(
+            Frame::parse_lenient(&f.to_bits(&cfg), &cfg),
+            Ok((f, 0, true))
+        );
     }
 
     #[test]
     fn roundtrip_empty_payload() {
         let cfg = FrameConfig::default();
         let f = Frame::new(Header::new(3, 4, 0, 0), vec![]);
-        assert_eq!(Frame::from_bits(&f.to_bits(&cfg), &cfg).unwrap(), f);
+        assert_eq!(
+            Frame::parse_lenient(&f.to_bits(&cfg), &cfg),
+            Ok((f, 0, true))
+        );
     }
 
     #[test]
     fn locate_in_padded_stream() {
+        // Garbage before, after, or on both sides of the frame.
         let cfg = FrameConfig::default();
-        let f = sample_frame(3, 96);
-        let mut stream = DspRng::seed_from(9).bits(37);
-        let true_off = stream.len();
-        stream.extend(f.to_bits(&cfg));
-        stream.extend(DspRng::seed_from(10).bits(50));
-        let (parsed, off) = Frame::locate_and_parse(&stream, &cfg).unwrap();
-        assert_eq!(off, true_off);
-        assert_eq!(parsed, f);
-    }
-
-    #[test]
-    fn backward_parse_matches_forward() {
-        let cfg = FrameConfig::default();
-        let f = sample_frame(4, 160);
-        let mut stream = f.to_bits(&cfg);
-        // prepend garbage the backward parser must skip from its end
-        let mut padded = DspRng::seed_from(11).bits(23);
-        padded.append(&mut stream);
-        let (parsed, tail_off) = Frame::parse_backward(&padded, &cfg).unwrap();
-        assert_eq!(parsed, f);
-        assert_eq!(tail_off, 0); // frame ends at the stream's last bit
-    }
-
-    #[test]
-    fn backward_parse_with_trailing_noise() {
-        let cfg = FrameConfig::default();
-        let f = sample_frame(5, 80);
-        let mut stream = f.to_bits(&cfg);
-        stream.extend(DspRng::seed_from(12).bits(31));
-        let (parsed, tail_off) = Frame::parse_backward(&stream, &cfg).unwrap();
-        assert_eq!(parsed, f);
-        assert_eq!(tail_off, 31);
+        for (seed, pre, post) in [(3, 37, 50), (4, 23, 0), (5, 0, 31)] {
+            let f = sample_frame(seed, 96);
+            let mut stream = DspRng::seed_from(9).bits(pre);
+            stream.extend(f.to_bits(&cfg));
+            stream.extend(DspRng::seed_from(10).bits(post));
+            assert_eq!(
+                Frame::parse_lenient(&stream, &cfg),
+                Ok((f, pre, true)),
+                "pre {pre}, post {post}"
+            );
+        }
     }
 
     #[test]
@@ -379,16 +252,25 @@ mod tests {
         let mut bits = f.to_bits(&cfg);
         let payload_bit = cfg.pilot_len + HEADER_BITS + 11;
         bits[payload_bit] = !bits[payload_bit];
-        assert_eq!(Frame::from_bits(&bits, &cfg), Err(FrameError::BadCrc));
+        let (parsed, _, crc_ok) = Frame::parse_lenient(&bits, &cfg).unwrap();
+        assert!(!crc_ok);
+        assert_eq!(parsed.header, f.header);
     }
 
     #[test]
     fn corrupted_header_detected() {
+        // Both copies of the header broken: no identity to recover.
         let cfg = FrameConfig::default();
         let f = sample_frame(7, 40);
         let mut bits = f.to_bits(&cfg);
-        bits[cfg.pilot_len + 3] = !bits[cfg.pilot_len + 3];
-        assert_eq!(Frame::from_bits(&bits, &cfg), Err(FrameError::BadHeader));
+        let tail_header = bits.len() - cfg.pilot_len - 4;
+        for i in [cfg.pilot_len + 3, tail_header] {
+            bits[i] = !bits[i];
+        }
+        assert_eq!(
+            Frame::parse_lenient(&bits, &cfg),
+            Err(FrameError::BadHeader)
+        );
     }
 
     #[test]
@@ -399,12 +281,12 @@ mod tests {
         for i in [0, 13, 29, 41] {
             bits[i] = !bits[i]; // 4 pilot errors, within tolerance 6
         }
-        assert!(Frame::from_bits(&bits, &cfg).is_ok());
+        assert_eq!(Frame::parse_lenient(&bits, &cfg), Ok((f, 0, true)));
         for i in [2, 7, 19] {
             bits[i] = !bits[i]; // now 7 errors
         }
         assert_eq!(
-            Frame::from_bits(&bits, &cfg),
+            Frame::parse_lenient(&bits, &cfg),
             Err(FrameError::PilotNotFound)
         );
     }
@@ -412,10 +294,15 @@ mod tests {
     #[test]
     fn too_short_rejected() {
         let cfg = FrameConfig::default();
-        assert_eq!(
-            Frame::from_bits(&[true; 100], &cfg),
-            Err(FrameError::TooShort)
-        );
+        let bits = sample_frame(12, 40).to_bits(&cfg);
+        // Shorter than the pilot, and a pilot with too little after it.
+        for len in [cfg.pilot_len - 1, 100] {
+            assert_eq!(
+                Frame::parse_lenient(&bits[..len], &cfg),
+                Err(FrameError::TooShort),
+                "len {len}"
+            );
+        }
     }
 
     #[test]
@@ -426,35 +313,9 @@ mod tests {
         // Truncate mid-payload: header still claims 500 bits.
         let truncated = &bits[..cfg.overhead_bits() + 100];
         assert_eq!(
-            Frame::from_bits(truncated, &cfg),
+            Frame::parse_lenient(truncated, &cfg),
             Err(FrameError::LengthMismatch)
         );
-    }
-
-    #[test]
-    fn peek_headers_from_both_ends() {
-        let cfg = FrameConfig::default();
-        let f = sample_frame(10, 64);
-        let bits = f.to_bits(&cfg);
-        assert_eq!(Frame::peek_header(&bits, &cfg).unwrap(), f.header);
-        assert_eq!(Frame::peek_tail_header(&bits, &cfg).unwrap(), f.header);
-    }
-
-    #[test]
-    fn peek_tail_header_with_scrambled_middle() {
-        // §7.5: a router reads both headers of an interfered signal even
-        // though the payload region is garbage.
-        let cfg = FrameConfig::default();
-        let f = sample_frame(11, 128);
-        let mut bits = f.to_bits(&cfg);
-        let start = cfg.pilot_len + HEADER_BITS;
-        let end = bits.len() - cfg.pilot_len - HEADER_BITS;
-        let mut rng = DspRng::seed_from(13);
-        for b in bits[start..end].iter_mut() {
-            *b = rng.bit();
-        }
-        assert_eq!(Frame::peek_header(&bits, &cfg).unwrap(), f.header);
-        assert_eq!(Frame::peek_tail_header(&bits, &cfg).unwrap(), f.header);
     }
 
     #[test]
@@ -508,7 +369,8 @@ mod tests {
     #[test]
     fn lenient_parse_falls_back_to_tail_header() {
         // Corrupt the head header beyond its CRC-8: identity must come
-        // from the mirrored tail header.
+        // from the mirrored tail header — also when the payload between
+        // them is garbage, as in an interfered reception (§7.5).
         let cfg = FrameConfig::default();
         let f = sample_frame(22, 120);
         let mut bits = f.to_bits(&cfg);
@@ -517,11 +379,18 @@ mod tests {
         let (parsed, _, crc_ok) = Frame::parse_lenient(&bits, &cfg).unwrap();
         assert_eq!(parsed.header, f.header);
         assert!(crc_ok);
+        let body = cfg.pilot_len + HEADER_BITS;
+        let mut rng = DspRng::seed_from(13);
+        for b in bits[body..body + 120].iter_mut() {
+            *b = rng.bit();
+        }
+        let (parsed, _, _) = Frame::parse_lenient(&bits, &cfg).unwrap();
+        assert_eq!(parsed.header, f.header);
     }
 
     #[test]
     fn frame_error_display() {
-        assert!(FrameError::BadCrc.to_string().contains("CRC"));
+        assert!(FrameError::BadHeader.to_string().contains("CRC"));
         assert!(FrameError::TooShort.to_string().contains("short"));
     }
 

@@ -4,8 +4,7 @@
 //! source, destination and the sequence number of the packet. Using the
 //! decoded header information, Alice can pick the right packet from her
 //! buffer."* §7.5 additionally has routers inspect both headers of an
-//! interfered signal to decide whether to decode, forward, or drop, and
-//! §7.6's trigger bit rides in the flags field.
+//! interfered signal to decide whether to decode, forward, or drop.
 //!
 //! Layout (64 bits, MSB first): `src:8 | dst:8 | seq:16 | len:16 |
 //! flags:8 | crc8:8`.
@@ -21,11 +20,6 @@ pub const BROADCAST: NodeId = 0xFF;
 /// Number of bits in a serialized header.
 pub const HEADER_BITS: usize = 64;
 
-/// Flag bit: this frame carries a §7.6 trigger at its tail.
-pub const FLAG_TRIGGER: u8 = 0b0000_0001;
-/// Flag bit: this frame is an amplified interfered signal being
-/// re-broadcast by a relay (§7.5) rather than a clean packet.
-pub const FLAG_RELAYED: u8 = 0b0000_0010;
 /// Flag bit: this frame is a COPE XOR of two packets (baseline).
 pub const FLAG_XOR: u8 = 0b0000_0100;
 
@@ -81,16 +75,6 @@ impl Header {
             dst: self.dst,
             seq: self.seq,
         }
-    }
-
-    /// `true` if the trigger flag is set (§7.6).
-    pub fn is_trigger(&self) -> bool {
-        self.flags & FLAG_TRIGGER != 0
-    }
-
-    /// `true` if this is a relay-amplified interfered frame (§7.5).
-    pub fn is_relayed(&self) -> bool {
-        self.flags & FLAG_RELAYED != 0
     }
 
     /// `true` if this is a COPE XOR frame.
@@ -159,7 +143,7 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let h = Header::new(3, 7, 0xBEEF, 1024).with_flags(FLAG_TRIGGER);
+        let h = Header::new(3, 7, 0xBEEF, 1024).with_flags(FLAG_XOR);
         let bits = h.to_bits();
         assert_eq!(bits.len(), HEADER_BITS);
         assert_eq!(Header::from_bits(&bits), Some(h));
@@ -195,9 +179,7 @@ mod tests {
     #[test]
     fn flags_accessors() {
         let h = Header::new(1, 2, 3, 4);
-        assert!(!h.is_trigger());
-        assert!(h.with_flags(FLAG_TRIGGER).is_trigger());
-        assert!(h.with_flags(FLAG_RELAYED).is_relayed());
+        assert!(!h.is_xor());
         assert!(h.with_flags(FLAG_XOR).is_xor());
     }
 

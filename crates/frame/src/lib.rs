@@ -7,13 +7,15 @@
 //! reception — can decode backward from the tail. This crate owns:
 //!
 //! * [`header::Header`] — source, destination, sequence number, payload
-//!   length, flags (trigger bit of §7.6), plus serialization to bits.
-//! * [`frame::Frame`] — build/parse the full layout including the
-//!   64-bit pilot (§7.2), its mirrored tail copy, whitening of the
-//!   payload (§6.2) and a CRC over the payload.
-//! * [`fec`] — repetition and Hamming(7,4) codes: §11.2 charges ANC for
-//!   the extra error-correction redundancy its higher BER needs (8 % in
-//!   the paper); these codes make that overhead concrete.
+//!   length, flags (the COPE baseline's XOR bit), plus serialization to
+//!   bits.
+//! * [`frame::Frame`] — build the full layout including the 64-bit
+//!   pilot (§7.2), its mirrored tail copy, whitening of the payload
+//!   (§6.2) and a CRC over the payload, and parse it back leniently
+//!   (the CRC is reported, not enforced).
+//! * [`fec`] — §11.2 charges ANC for the extra error-correction
+//!   redundancy its higher BER needs (8 % in the paper); the throughput
+//!   metrics apply that rule.
 //! * [`buffer::SentPacketBuffer`] — §7.3's *Sent Packet Buffer*: copies
 //!   of transmitted/overheard frames keyed by (src, dst, seqno), looked
 //!   up via decoded headers to find the known signal for cancellation.

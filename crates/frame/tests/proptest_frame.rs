@@ -3,7 +3,7 @@
 use anc_dsp::lfsr::{Lfsr, PILOT_SEED, WHITEN_SEED};
 use anc_dsp::DspRng;
 use anc_frame::crc::{append_crc16, crc16, crc8, verify_crc16};
-use anc_frame::fec::{ideal_redundancy_for_ber, Fec, Hamming74, Repetition3};
+use anc_frame::fec::ideal_redundancy_for_ber;
 use anc_frame::{Frame, FrameConfig, Header, SentPacketBuffer};
 use proptest::prelude::*;
 
@@ -71,7 +71,7 @@ proptest! {
         prop_assert_eq!(f.bit_len(&cfg), payload_len + cfg.overhead_bits());
     }
 
-    /// locate_and_parse finds a frame planted at any offset in noise.
+    /// parse_lenient finds a frame planted at any offset in noise.
     #[test]
     fn frame_locates_at_any_offset(
         payload in proptest::collection::vec(any::<bool>(), 16..128),
@@ -84,49 +84,30 @@ proptest! {
         let mut stream = rng.bits(offset);
         stream.extend(f.to_bits(&cfg));
         stream.extend(rng.bits(64));
-        let (parsed, off) = Frame::locate_and_parse(&stream, &cfg).unwrap();
+        let (parsed, off, crc_ok) = Frame::parse_lenient(&stream, &cfg).unwrap();
         prop_assert_eq!(parsed, f);
+        prop_assert!(crc_ok);
         // The pilot may coincidentally match earlier inside random
         // bits only with ≥ best-quality correlation — for an exact
         // planted pilot the match must be exact.
         prop_assert!(off <= offset);
     }
 
-    /// Backward parse agrees with forward parse for any frame.
+    /// The mirrored tail header (read backward) yields the same frame
+    /// as the head header for any frame.
     #[test]
     fn backward_equals_forward(
         payload in proptest::collection::vec(any::<bool>(), 0..128),
         src in any::<u8>(), seq in any::<u16>(),
+        flip in 0usize..64,
     ) {
         let cfg = FrameConfig::default();
         let f = Frame::new(Header::new(src, 2, seq, 0), payload);
-        let bits = f.to_bits(&cfg);
-        let fwd = Frame::from_bits(&bits, &cfg).unwrap();
-        let (bwd, _) = Frame::parse_backward(&bits, &cfg).unwrap();
+        let mut bits = f.to_bits(&cfg);
+        let fwd = Frame::parse_lenient(&bits, &cfg).unwrap();
+        bits[cfg.pilot_len + flip] ^= true;
+        let bwd = Frame::parse_lenient(&bits, &cfg).unwrap();
         prop_assert_eq!(fwd, bwd);
-    }
-
-    /// Repetition code corrects any single flip per 3-block.
-    #[test]
-    fn repetition_corrects_one_per_block(
-        data in proptest::collection::vec(any::<bool>(), 1..64),
-        which in proptest::collection::vec(0usize..3, 1..64),
-    ) {
-        let coded_ref = Repetition3.encode(&data);
-        let mut coded = coded_ref.clone();
-        for (block, &w) in which.iter().enumerate().take(data.len()) {
-            coded[block * 3 + w] ^= true;
-        }
-        prop_assert_eq!(Repetition3.decode(&coded), data);
-    }
-
-    /// Hamming(7,4) expansion arithmetic holds for any input length.
-    #[test]
-    fn hamming_length_arithmetic(len in 1usize..256) {
-        let data = vec![false; len];
-        let coded = Hamming74.encode(&data);
-        prop_assert_eq!(coded.len(), len.div_ceil(4) * 7);
-        prop_assert_eq!(Hamming74.decode(&coded).len(), len.div_ceil(4) * 4);
     }
 
     /// The paper's redundancy rule is monotone and clamped.

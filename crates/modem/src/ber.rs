@@ -31,26 +31,6 @@ pub fn ber(decoded: &[bool], reference: &[bool]) -> f64 {
     count_bit_errors(decoded, reference) as f64 / denom as f64
 }
 
-/// Packs bits (MSB first) into bytes, padding the final byte with zeros.
-pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
-    bits.chunks(8)
-        .map(|chunk| {
-            chunk
-                .iter()
-                .enumerate()
-                .fold(0u8, |acc, (i, &b)| acc | ((b as u8) << (7 - i)))
-        })
-        .collect()
-}
-
-/// Unpacks bytes into bits, MSB first.
-pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
-    bytes
-        .iter()
-        .flat_map(|&byte| (0..8).map(move |i| (byte >> (7 - i)) & 1 == 1))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,24 +71,5 @@ mod tests {
         assert_eq!(ber(&[], &[]), 0.0);
         assert_eq!(ber(&[], &bits("111")), 1.0);
         assert_eq!(ber(&bits("111"), &[]), 1.0);
-    }
-
-    #[test]
-    fn byte_roundtrip() {
-        let bytes = vec![0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0xFF];
-        assert_eq!(bits_to_bytes(&bytes_to_bits(&bytes)), bytes);
-    }
-
-    #[test]
-    fn bit_packing_msb_first() {
-        assert_eq!(bits_to_bytes(&bits("10000000")), vec![0x80]);
-        assert_eq!(bits_to_bytes(&bits("00000001")), vec![0x01]);
-        assert!(bytes_to_bits(&[0x80])[0]);
-        assert!(bytes_to_bits(&[0x01])[7]);
-    }
-
-    #[test]
-    fn partial_byte_padded() {
-        assert_eq!(bits_to_bytes(&bits("101")), vec![0b1010_0000]);
     }
 }

@@ -194,8 +194,7 @@ impl Node {
     /// CRC verified; `None` when nothing decodable was heard (the
     /// paper's "packet loss in overhearing").
     pub fn try_overhear(&mut self, rx: &[Cplx]) -> Option<(Frame, bool)> {
-        let bits = self.rx.decoder().decode_clean(rx).ok()?;
-        let (frame, _, crc_ok) = Frame::parse_lenient(&bits, self.tx.frame_config()).ok()?;
+        let (frame, crc_ok) = self.rx.decode_clean(rx).ok()?;
         self.buffer.insert(frame.clone());
         Some((frame, crc_ok))
     }

@@ -11,6 +11,7 @@
 use anc_core::decoder::{
     AncDecoder, DecodeDiagnostics, DecodeError, DecoderConfig, DecoderScratch,
 };
+use anc_core::detect::ClassifiedSignal;
 use anc_core::router::{RouterAction, RouterPolicy};
 use anc_dsp::corr::best_match_bounded;
 use anc_dsp::lfsr::pilot_sequence;
@@ -107,7 +108,11 @@ pub enum RxEvent {
     Dropped(DropReason),
 }
 
-/// The receiver side of Fig. 8.
+/// The receiver side of Fig. 8: the one place where a reception
+/// window becomes a frame or a [`DropReason`]. A node runs the whole
+/// chain ([`Self::process`]); receivers that already know what they
+/// expect run one of its two steps, [`Self::decode_clean`] or
+/// [`Self::decode_known`].
 ///
 /// Owns the [`DecoderScratch`] its decoder works in and the bit buffer
 /// its clean path demodulates into, so a node's per-packet receives
@@ -178,7 +183,7 @@ impl RxChain {
     /// (its mirrored header, read on the reversed bits). MSK decides
     /// each bit from its own symbol interval, so only the two header
     /// spans are demodulated.
-    pub fn peek_headers(&self, region: &[Cplx]) -> (Option<Header>, Option<Header>) {
+    fn peek_headers(&self, region: &[Cplx]) -> (Option<Header>, Option<Header>) {
         // Bit k spans samples k ..= k + 1.
         let total = region.len().saturating_sub(1);
         let span = self.header_span().min(total);
@@ -189,6 +194,44 @@ impl RxChain {
             self.read_head_header(&head, total),
             self.read_head_header(&tail, total),
         )
+    }
+
+    /// Standard (non-interfered) reception of a whole window: the
+    /// decoder's clean path, then the deframer. Returns the frame and
+    /// whether its payload CRC verified.
+    pub fn decode_clean(&self, rx: &[Cplx]) -> Result<(Frame, bool), DropReason> {
+        let bits = self
+            .decoder
+            .decode_clean(rx)
+            .map_err(|_| DropReason::NoSignal)?;
+        Frame::parse_lenient(&bits, &self.frame_cfg)
+            .map(|(frame, _, crc_ok)| (frame, crc_ok))
+            .map_err(|_| DropReason::ParseFailed)
+    }
+
+    /// Interference decode of a window against a known frame's on-air
+    /// bits (§7.2–§7.4), then the deframer. A known frame that started
+    /// first decodes forward — in `region` when the caller has already
+    /// classified `rx`, else after detecting it here; one that started
+    /// second decodes backward on the conjugate-reversed window, which
+    /// detects afresh. Runs in the chain's own scratch buffers.
+    pub fn decode_known(
+        &mut self,
+        rx: &[Cplx],
+        region: Option<&ClassifiedSignal>,
+        known_bits: &[bool],
+        known_first: bool,
+    ) -> Result<(Frame, bool, DecodeDiagnostics), DropReason> {
+        let (dec, scratch) = (&self.decoder, &mut self.scratch);
+        let decoded = match (known_first, region) {
+            (true, Some(region)) => dec.decode_in_region(rx, region, known_bits, scratch),
+            (true, None) => dec.decode_forward_with(rx, known_bits, scratch),
+            (false, _) => dec.decode_backward_with(rx, known_bits, scratch),
+        };
+        let out = decoded.map_err(DropReason::DecodeFailed)?;
+        Frame::parse_lenient(&out.bits, &self.frame_cfg)
+            .map(|(frame, _, crc_ok)| (frame, crc_ok, out.diagnostics))
+            .map_err(|_| DropReason::RecoveredParseFailed)
     }
 
     /// The full Alg.-1 receive path for one reception window.
@@ -224,26 +267,15 @@ impl RxChain {
                 let known_frame = buffer.get(&known).expect("policy checked membership");
                 let known_bits = known_frame.to_bits(&self.frame_cfg);
                 // The forward decode reuses `region`: detection is a pure
-                // function of `rx`. The backward one detects on its
-                // conjugate-reversed copy.
-                let result = if known_starts_first {
-                    self.decoder
-                        .decode_in_region(rx, &region, &known_bits, &mut self.scratch)
-                } else {
-                    self.decoder
-                        .decode_backward_with(rx, &known_bits, &mut self.scratch)
-                };
-                match result {
-                    Ok(out) => match Frame::parse_lenient(&out.bits, &self.frame_cfg) {
-                        Ok((frame, _, crc_ok)) => RxEvent::AncDecoded {
-                            frame,
-                            crc_ok,
-                            known,
-                            diagnostics: out.diagnostics,
-                        },
-                        Err(_) => RxEvent::Dropped(DropReason::RecoveredParseFailed),
+                // function of `rx`.
+                match self.decode_known(rx, Some(&region), &known_bits, known_starts_first) {
+                    Ok((frame, crc_ok, diagnostics)) => RxEvent::AncDecoded {
+                        frame,
+                        crc_ok,
+                        known,
+                        diagnostics,
                     },
-                    Err(e) => RxEvent::Dropped(DropReason::DecodeFailed(e)),
+                    Err(reason) => RxEvent::Dropped(reason),
                 }
             }
             RouterAction::AmplifyForward => RxEvent::Relay {
@@ -445,6 +477,92 @@ mod tests {
         let (head, tail) = rxc.peek_headers(&region);
         assert_eq!(head.unwrap().key(), fa.header.key());
         assert_eq!(tail.unwrap().key(), fb.header.key());
+    }
+
+    /// The city's receive path before it went through the chain: a
+    /// direct decoder call on fresh scratch, then the deframer.
+    fn direct_known(
+        dec: &AncDecoder,
+        rx: &[Cplx],
+        known: &[bool],
+        known_first: bool,
+    ) -> Result<(Frame, bool, DecodeDiagnostics), DropReason> {
+        let mut scratch = DecoderScratch::default();
+        let out = if known_first {
+            dec.decode_forward_with(rx, known, &mut scratch)
+        } else {
+            dec.decode_backward_with(rx, known, &mut scratch)
+        }
+        .map_err(DropReason::DecodeFailed)?;
+        let (frame, _, crc_ok) = Frame::parse_lenient(&out.bits, &dec.config().frame)
+            .map_err(|_| DropReason::RecoveredParseFailed)?;
+        Ok((frame, crc_ok, out.diagnostics))
+    }
+
+    #[test]
+    fn shared_steps_match_direct_decoder_calls() {
+        let mut rng = DspRng::seed_from(10);
+        let cfg = FrameConfig::default();
+        let tx = TxChain::new(cfg);
+        let a = make_frame(&mut rng, 1, 2, 3, 256);
+        let b = make_frame(&mut rng, 2, 1, 3, 256);
+        let (a_bits, b_bits) = (a.to_bits(&cfg), b.to_bits(&cfg));
+        let mixed = reception(&mut rng, &tx, &[(&a, 0, 1.0, 0.0), (&b, 300, 0.9, 0.02)]);
+        // A waveform of random bits: no pilot anywhere in it.
+        let garbage_wave = MskModem::default().modulate(&rng.bits(b_bits.len()));
+        let mut garbage_mix = reception(&mut rng, &tx, &[(&a, 0, 1.0, 0.0)]);
+        garbage_mix.resize(128 + 300 + garbage_wave.len() + 128, Cplx::ZERO);
+        for (k, &s) in garbage_wave.iter().enumerate() {
+            garbage_mix[128 + 300 + k] += s.scale(0.9).rotate(0.02 * k as f64);
+        }
+        let noise: Vec<Cplx> = (0..2048).map(|_| rng.complex_gaussian(NOISE)).collect();
+        let mut rxc = RxChain::new(decoder_cfg());
+        let dec = rxc.decoder().clone();
+        let region = dec.classify(&mixed).expect("detect");
+
+        // Forward (known first), with and without the caller's region.
+        let want = direct_known(&dec, &mixed, &a_bits, true);
+        let (frame, crc_ok, _) = want.clone().expect("forward decodes");
+        assert_eq!(frame.header, b.header);
+        assert_eq!(crc_ok, frame == b);
+        assert_eq!(rxc.decode_known(&mixed, None, &a_bits, true), want);
+        assert_eq!(rxc.decode_known(&mixed, Some(&region), &a_bits, true), want);
+        // Backward (known second); the region is not used.
+        let want = direct_known(&dec, &mixed, &b_bits, false);
+        assert_eq!(want.as_ref().expect("backward decodes").0.header, a.header);
+        assert_eq!(rxc.decode_known(&mixed, None, &b_bits, false), want);
+        assert_eq!(
+            rxc.decode_known(&mixed, Some(&region), &b_bits, false),
+            want
+        );
+        // Noise only.
+        let want = direct_known(&dec, &noise, &a_bits, true);
+        assert_eq!(want, Err(DropReason::DecodeFailed(DecodeError::NoSignal)));
+        assert_eq!(rxc.decode_known(&noise, None, &a_bits, true), want);
+        // The known frame decodes away, but the rest is no frame.
+        let want = direct_known(&dec, &garbage_mix, &a_bits, true);
+        assert_eq!(want, Err(DropReason::RecoveredParseFailed));
+        assert_eq!(rxc.decode_known(&garbage_mix, None, &a_bits, true), want);
+
+        // The clean path: decoder, then deframer.
+        let direct_clean = |rx: &[Cplx]| {
+            let bits = dec.decode_clean(rx).map_err(|_| DropReason::NoSignal)?;
+            Frame::parse_lenient(&bits, &cfg)
+                .map(|(frame, _, crc_ok)| (frame, crc_ok))
+                .map_err(|_| DropReason::ParseFailed)
+        };
+        let clean = reception(&mut rng, &tx, &[(&a, 0, 1.0, 0.0)]);
+        let mut garbage = vec![Cplx::ZERO; 128];
+        garbage.extend_from_slice(&garbage_wave);
+        garbage.extend((0..128).map(|_| rng.complex_gaussian(NOISE)));
+        for (rx, want) in [
+            (&clean, Ok((a.clone(), true))),
+            (&noise, Err(DropReason::NoSignal)),
+            (&garbage, Err(DropReason::ParseFailed)),
+        ] {
+            assert_eq!(direct_clean(rx), want);
+            assert_eq!(rxc.decode_clean(rx), want);
+        }
     }
 
     #[test]

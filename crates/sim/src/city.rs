@@ -4,8 +4,8 @@
 //! The packet-level [`crate::engine`] addresses nodes by `NodeId`
 //! (`u8`), which caps it at 256 nodes — plenty for the paper
 //! topologies, three orders of magnitude short of a city. This module
-//! drives the *same* PHY (MSK frames through
-//! [`anc_core::decoder::AncDecoder`], §7.3–§7.5 amplify-and-forward
+//! drives the *same* PHY (MSK frames through the engine's receive
+//! chain, [`anc_node::phy::RxChain`], §7.3–§7.5 amplify-and-forward
 //! relays) at city scale through four mechanisms:
 //!
 //! 1. **Streets as stage jobs.** The city is partitioned into spatial
@@ -70,14 +70,14 @@ use crate::metrics::StatDigest;
 use crate::pipeline::SchedulerSpec;
 use crate::pool::{Pool, StageFailed};
 use anc_channel::{within_range, AmplifyForward, Link, Medium, SpatialGrid, TransmissionRef};
-use anc_core::decoder::{AncDecoder, DecoderConfig, DecoderScratch};
+use anc_core::decoder::DecoderConfig;
 use anc_core::detect::DetectorConfig;
 use anc_dsp::cast::floor_to_usize;
 use anc_dsp::{Cplx, DspRng};
 use anc_frame::{Frame, FrameConfig, Header};
 use anc_modem::ber::ber;
 use anc_netcode::{derive_plan, FlowSpec, Scheme, SlotPlan, SlotStep};
-use anc_node::phy::TxChain;
+use anc_node::phy::{RxChain, TxChain};
 use serde::{Deserialize, Serialize};
 
 /// Root of every [`DspRng::from_path`] stream this module draws
@@ -884,7 +884,7 @@ struct CityPhy<'a> {
     gate: f64,
     frame_cfg: FrameConfig,
     tx: TxChain,
-    decoder: AncDecoder,
+    rx: RxChain,
 }
 
 impl<'a> CityPhy<'a> {
@@ -903,7 +903,7 @@ impl<'a> CityPhy<'a> {
             gate: cfg.gate_radius(),
             frame_cfg,
             tx: TxChain::new(frame_cfg),
-            decoder: AncDecoder::new(dec_cfg),
+            rx: RxChain::new(dec_cfg),
         }
     }
 
@@ -1051,7 +1051,7 @@ impl<'a> CityPhy<'a> {
                 let c = board.exch[i].cell as usize;
                 let r = u32::try_from(node_r(c)).expect("node fits u32");
                 let win = self.window(board, r, &mut bufs);
-                let wave = match self.decoder.locate(win) {
+                let wave = match self.rx.decoder().locate(win) {
                     Some((start, end)) => {
                         AmplifyForward::new(1.0).amplify_window(win, start, end).0
                     }
@@ -1074,18 +1074,13 @@ impl<'a> CityPhy<'a> {
         recv: usize,
         own: &[bool],
         own_first: bool,
-        scratch: &mut DecoderScratch,
+        chain: &mut RxChain,
         bufs: &mut WindowBufs<'b>,
     ) -> Option<Vec<bool>> {
         let recv = u32::try_from(recv).expect("node fits u32");
         let win = self.window(board, recv, bufs);
-        let decoded = if own_first {
-            self.decoder.decode_forward_with(win, own, scratch)
-        } else {
-            self.decoder.decode_backward_with(win, own, scratch)
-        };
-        let out = decoded.ok()?;
-        Frame::parse_lenient(&out.bits, &self.frame_cfg)
+        chain
+            .decode_known(win, None, own, own_first)
             .ok()
             .map(|(frame, _, _)| frame.payload)
     }
@@ -1096,7 +1091,7 @@ impl<'a> CityPhy<'a> {
         &self,
         board: &Board,
         range: Range<usize>,
-        scratch: &mut DecoderScratch,
+        chain: &mut RxChain,
     ) -> Vec<[Option<Vec<bool>>; 2]> {
         let mut out = Vec::with_capacity(range.len());
         let mut bufs = WindowBufs::default();
@@ -1104,20 +1099,13 @@ impl<'a> CityPhy<'a> {
             let x = &board.exch[i];
             let ctx = &board.dctx[i];
             let c = x.cell as usize;
-            let ra = self.decode_side(
-                board,
-                node_a(c),
-                &ctx.bits_a,
-                ctx.a_first,
-                scratch,
-                &mut bufs,
-            );
+            let ra = self.decode_side(board, node_a(c), &ctx.bits_a, ctx.a_first, chain, &mut bufs);
             let rb = self.decode_side(
                 board,
                 node_b(c),
                 &ctx.bits_b,
                 !ctx.a_first,
-                scratch,
+                chain,
                 &mut bufs,
             );
             out.push([ra, rb]);
@@ -1163,10 +1151,7 @@ impl<'a> CityPhy<'a> {
                 let c = board.exch[i].cell as usize;
                 let recv = u32::try_from(Self::local_node(c, board.hop_to)).expect("node fits u32");
                 let win = self.window(board, recv, &mut bufs);
-                let bits = self.decoder.decode_clean(win).ok()?;
-                Frame::parse_lenient(&bits, &self.frame_cfg)
-                    .ok()
-                    .map(|(frame, _, _)| frame)
+                self.rx.decode_clean(win).ok().map(|(frame, _)| frame)
             })
             .collect()
     }
@@ -1251,9 +1236,9 @@ struct CityDriver<'a, 'env> {
     /// Shared with each stage's jobs; the controller changes it only
     /// between stages, when no job holds a clone.
     board: Arc<Board>,
-    /// One decoder scratch per street (region), moved into its decode
-    /// job for the stage.
-    scratch: Vec<DecoderScratch>,
+    /// One receive chain per street (region), moved into its job for
+    /// each stage and home again between stages.
+    chains: Vec<Option<RxChain>>,
     waypoints: &'a mut [Option<Waypoint>],
     st: &'a mut RunState,
     profile: &'a mut CityProfile,
@@ -1455,15 +1440,12 @@ impl<'env> CityDriver<'_, 'env> {
 
     /// Runs one stage as one job per street with exchanges on the
     /// board: `f` computes the stage over that street's slice of the
-    /// exchanges, with the street's decoder scratch. The streets'
+    /// exchanges, with the street's receive chain. The streets'
     /// results come back concatenated in street order.
     fn run_stage<R, F>(&mut self, name: &'static str, f: F) -> Result<Vec<R>, CityError>
     where
         R: Send + 'env,
-        F: Fn(&CityPhy<'_>, &Board, Range<usize>, &mut DecoderScratch) -> Vec<R>
-            + Send
-            + Sync
-            + 'env,
+        F: Fn(&CityPhy<'_>, &Board, Range<usize>, &mut RxChain) -> Vec<R> + Send + Sync + 'env,
     {
         let phy = self.phy;
         let items: Vec<_> = self
@@ -1473,19 +1455,19 @@ impl<'env> CityDriver<'_, 'env> {
             .enumerate()
             .filter(|(_, seg)| !seg.is_empty())
             .map(|(r, seg)| {
-                let scratch = std::mem::take(&mut self.scratch[r]);
-                (r, seg.clone(), scratch, Arc::clone(&self.board))
+                let chain = self.chains[r].take().expect("street chain is home");
+                (r, seg.clone(), chain, Arc::clone(&self.board))
             })
             .collect();
         let parts = self
             .pool
-            .stage(name, items, move |(r, range, mut scratch, board)| {
-                let out = f(phy, &board, range, &mut scratch);
-                (r, out, scratch)
+            .stage(name, items, move |(r, range, mut chain, board)| {
+                let out = f(phy, &board, range, &mut chain);
+                (r, out, chain)
             })?;
         let mut results = Vec::new();
-        for (r, out, scratch) in parts {
-            self.scratch[r] = scratch;
+        for (r, out, chain) in parts {
+            self.chains[r] = Some(chain);
             results.extend(out);
         }
         Ok(results)
@@ -1502,7 +1484,7 @@ impl<'env> CityDriver<'_, 'env> {
         exch: Vec<Exchange>,
     ) -> Result<Vec<[Option<Vec<bool>>; 2]>, CityError> {
         let n = exch.len();
-        let mut seg = vec![0..0; self.scratch.len()];
+        let mut seg = vec![0..0; self.chains.len()];
         {
             let cells_x = self.cfg.cells_x;
             let mut i = 0;
@@ -1541,8 +1523,8 @@ impl<'env> CityDriver<'_, 'env> {
                 b.txs = downlink;
                 b.slot = t * self.spr + 1;
                 let t1 = Instant::now();
-                let results = self.run_stage("city.anc_decode", |phy, b, r, scratch| {
-                    phy.anc_decode(b, r, scratch)
+                let results = self.run_stage("city.anc_decode", |phy, b, r, chain| {
+                    phy.anc_decode(b, r, chain)
                 })?;
                 self.profile.decode_ns += elapsed_ns(t1);
                 Ok(results)
@@ -1743,7 +1725,7 @@ impl CityRun {
                 phy: &phy,
                 pool,
                 board: Arc::new(Board::new(positions, phy.gate, cfg.rows)),
-                scratch: (0..cfg.rows).map(|_| DecoderScratch::default()).collect(),
+                chains: (0..cfg.rows).map(|_| Some(phy.rx.clone())).collect(),
                 waypoints: &mut waypoints,
                 st: &mut st,
                 profile: &mut profile,

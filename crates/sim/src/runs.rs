@@ -570,6 +570,41 @@ mod tests {
             Err(ScenarioError::Invalid(s)) if s.contains("alpha")
         ));
         assert!(build_faults(active).is_ok());
+        // Node positions that a realization's spatial grid would panic
+        // on, or grow without bound for: too few or too many
+        // coordinates, a non-finite one, a range that is not finite and
+        // positive, or a range tiny against the layout.
+        let build_positions = |coords: Vec<(f64, f64)>, range: f64| {
+            let mut spec = ScenarioSpec::alice_bob();
+            spec.graph.positions = Some(crate::topology::NodePositions { coords, range });
+            spec.builder(Scheme::Anc)
+                .config(RunConfig::quick(15))
+                .build()
+        };
+        let line = vec![(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)];
+        let with = |k: usize, c: (f64, f64)| {
+            let mut coords = line.clone();
+            coords[k] = c;
+            coords
+        };
+        let mut bad = vec![
+            (vec![(0.0, 0.0)], 1.5),
+            ([line.clone(), vec![(3.0, 0.0)]].concat(), 1.5),
+            (with(1, (f64::NAN, 0.0)), 1.5),
+            (with(2, (0.0, f64::INFINITY)), 1.5),
+            (with(0, (-1e308, 0.0)), 1.5),
+        ];
+        for range in [-1.0, 0.0, f64::NAN, f64::INFINITY, 1e-300] {
+            bad.push((line.clone(), range));
+        }
+        for (coords, range) in bad {
+            let err = build_positions(coords.clone(), range).expect_err("bad positions");
+            assert!(
+                matches!(&err, ScenarioError::Invalid(s) if s.contains("positions")),
+                "{coords:?} / {range}: {err}"
+            );
+        }
+        assert!(build_positions(line, 1.5).is_ok());
     }
 
     #[test]

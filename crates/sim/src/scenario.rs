@@ -94,11 +94,10 @@ pub struct ScenarioSpec {
     /// seeded-metric tests pin that behavior; new scenarios normally
     /// leave this `false`.
     pub untagged_traditional_bers: bool,
-    /// Default time-varying channel/radio process for every link and
-    /// sender (Monte Carlo sweeps); per-link
-    /// [`crate::topology::GraphLink::impairment`] overrides beat it.
-    /// `None` (the default) keeps the paper's static per-run channel —
-    /// the golden seeded metrics pin that nothing changes.
+    /// Time-varying channel/radio process for every declared link
+    /// direction and every sender (Monte Carlo sweeps). `None` (the
+    /// default) keeps the paper's static per-run channel — the golden
+    /// seeded metrics pin that nothing changes.
     pub impairments: Option<ImpairmentSpec>,
     /// Closed-loop MAC/ARQ layer (§7.6/§11): `Some` compiles programs
     /// whose engine consults a dynamic scheduler each slot period —
@@ -197,10 +196,14 @@ impl ScenarioSpec {
     /// with flow bookkeeping (who sources, who holds, who delivers,
     /// who must overhear), so the documented/tested `SlotPlan`s and
     /// the slots the engine executes can never disagree. A fault
-    /// timeline that fails [`FaultSpec::check`] is
+    /// timeline that fails [`FaultSpec::check`] and node positions that
+    /// fail [`TopologyGraph::check_positions`] are
     /// [`ScenarioError::Invalid`].
     pub fn compile(&self, scheme: Scheme) -> Result<Program, ScenarioError> {
         self.check_routes()?;
+        self.graph
+            .check_positions()
+            .map_err(ScenarioError::Invalid)?;
         if let Some(faults) = &self.faults {
             faults.check().map_err(ScenarioError::Invalid)?;
         }

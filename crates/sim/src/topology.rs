@@ -178,18 +178,6 @@ pub struct GraphLink {
     /// attenuation, independent phases — a line-of-sight model);
     /// directed links exist one way only.
     pub symmetric: bool,
-    /// Per-link time-varying channel process. `Some` **replaces** the
-    /// scenario-level default ([`crate::scenario::ScenarioSpec`]'s
-    /// `impairments`) entirely for this link's channel-level processes
-    /// (phase re-draw, Rayleigh fading) — attach
-    /// [`ImpairmentSpec::passive`] to opt one link *out* of a scenario
-    /// default. TX-side fields (CFO, timing jitter) of a per-link spec
-    /// are ignored: those processes belong to the *sender*, not to one
-    /// of its links, and always resolve from the scenario default.
-    /// `None` inherits the default; the engine realizes the effective
-    /// spec per packet exchange from dedicated `(seed, link,
-    /// exchange)` RNG streams.
-    pub impairment: Option<ImpairmentSpec>,
 }
 
 impl GraphLink {
@@ -200,7 +188,6 @@ impl GraphLink {
             to: b,
             class,
             symmetric: true,
-            impairment: None,
         }
     }
 
@@ -211,37 +198,30 @@ impl GraphLink {
             to,
             class,
             symmetric: false,
-            impairment: None,
         }
-    }
-
-    /// Attaches a per-link impairment process (overrides the scenario
-    /// default for this link only, both directions when symmetric).
-    pub fn with_impairment(mut self, spec: ImpairmentSpec) -> GraphLink {
-        self.impairment = Some(spec);
-        self
     }
 }
 
-// Hand-written so a missing `impairment` key reads as `None`: the
-// field arrived after GraphLink's JSON shape was first published, and
-// the vendored derive would reject pre-impairment graph artifacts
-// with a missing-field error instead of loading them.
+// Hand-written for the retired per-link `impairment` override: graphs
+// saved while it existed wrote `"impairment": null`, which still
+// loads; a set override is an error naming the key, so a saved graph
+// never silently runs a different channel.
 impl Deserialize for GraphLink {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let serde::Value::Object(obj) = v else {
             return Err(serde::Error::type_mismatch("object", v));
         };
         let get = |key: &str| obj.get(key).ok_or_else(|| serde::Error::missing_field(key));
+        if !matches!(obj.get("impairment"), None | Some(serde::Value::Null)) {
+            return Err(serde::Error::custom(
+                "impairment: per-link impairment overrides are retired; set the scenario's impairments",
+            ));
+        }
         Ok(GraphLink {
             from: Deserialize::from_value(get("from")?)?,
             to: Deserialize::from_value(get("to")?)?,
             class: Deserialize::from_value(get("class")?)?,
             symmetric: Deserialize::from_value(get("symmetric")?)?,
-            impairment: match obj.get("impairment") {
-                None => None,
-                Some(v) => Deserialize::from_value(v)?,
-            },
         })
     }
 }
@@ -283,8 +263,7 @@ pub struct TopologyGraph {
 }
 
 // Hand-written so a missing `positions` key reads as `None`: the field
-// arrived after TopologyGraph's JSON shape was first published (same
-// compatibility convention as `GraphLink::impairment`).
+// arrived after TopologyGraph's JSON shape was first published.
 impl Deserialize for TopologyGraph {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let serde::Value::Object(obj) = v else {
@@ -303,21 +282,53 @@ impl Deserialize for TopologyGraph {
     }
 }
 
+/// Most spatial-grid cells a graph's positions may span (the bounding
+/// box in range-sized cells); a range tiny against the layout would
+/// allocate without bound.
+const MAX_GRID_CELLS: f64 = (1u64 << 20) as f64;
+
 impl TopologyGraph {
+    /// Checks attached positions before a run realizes them: one
+    /// finite coordinate per node, a finite positive range, and a
+    /// spatial grid of at most 2^20 range-sized cells. Graphs without
+    /// positions pass.
+    pub fn check_positions(&self) -> Result<(), String> {
+        let Some(NodePositions { coords, range }) = &self.positions else {
+            return Ok(());
+        };
+        let (n, range) = (self.node_ids.len(), *range);
+        let finite = |c: &(f64, f64)| c.0.is_finite() && c.1.is_finite();
+        if coords.len() != n || !coords.iter().all(finite) || !(range.is_finite() && range > 0.0) {
+            return Err(format!(
+                "positions need {n} finite coordinates and a finite positive range, got {} and {range}",
+                coords.len()
+            ));
+        }
+        // Cells per axis are at least 1 (∞ when the span overflows), so
+        // the product is never NaN.
+        let cells = |axis: fn(&(f64, f64)) -> f64| {
+            let lo = coords.iter().map(axis).fold(f64::INFINITY, f64::min);
+            let hi = coords.iter().map(axis).fold(f64::NEG_INFINITY, f64::max);
+            ((hi - lo) / range).floor() + 1.0
+        };
+        let grid = cells(|c| c.0) * cells(|c| c.1);
+        if grid > MAX_GRID_CELLS {
+            return Err(format!(
+                "positions range {range} spans {grid} grid cells, more than {MAX_GRID_CELLS}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Draws one channel realization of this graph.
     ///
     /// # Panics
-    /// Panics if attached positions disagree with the node count or
-    /// carry a non-positive/non-finite range (misconfigured geometry
-    /// would silently gate *everything* out).
+    /// Panics if attached positions fail [`Self::check_positions`]
+    /// (misconfigured geometry would silently gate *everything* out).
     pub fn realize(&self, rng: &mut DspRng, draw: &ChannelDraw) -> Topology {
+        self.check_positions()
+            .unwrap_or_else(|e| panic!("{}: {e}", self.name));
         let geometry = self.positions.as_ref().map(|p| {
-            assert_eq!(
-                p.coords.len(),
-                self.node_ids.len(),
-                "positions must cover every node of {}",
-                self.name
-            );
             let grid = SpatialGrid::build(&p.coords, p.range);
             let index = self
                 .node_ids
@@ -353,14 +364,10 @@ impl TopologyGraph {
     /// audibility radius `range`.
     ///
     /// # Panics
-    /// Panics on a length mismatch or a non-positive/non-finite range.
+    /// Panics if the positions fail [`Self::check_positions`].
     pub fn with_positions(mut self, coords: Vec<(f64, f64)>, range: f64) -> TopologyGraph {
-        assert_eq!(coords.len(), self.node_ids.len(), "one coord per node");
-        assert!(
-            range.is_finite() && range > 0.0,
-            "audibility range must be positive and finite, got {range}"
-        );
         self.positions = Some(NodePositions { coords, range });
+        self.check_positions().unwrap_or_else(|e| panic!("{e}"));
         self
     }
 
@@ -407,25 +414,20 @@ impl TopologyGraph {
 
     /// Resolves the effective per-direction impairment table under a
     /// scenario-level `default`: `(from, to) → spec` for every declared
-    /// direction whose effective spec enables a **link-level** process.
-    /// A per-link override *replaces* the default for its link (so a
-    /// passive — or TX-only — override opts that link out of the
-    /// default's channel processes); effective entries with no
-    /// link-level process are dropped so the engine's hot path skips
-    /// them entirely. TX processes are per-sender and resolve from the
-    /// scenario default alone — see [`GraphLink::impairment`].
+    /// direction, when the default enables a **link-level** process
+    /// (phase re-draw, Rayleigh fading); otherwise the table is empty,
+    /// so the engine's hot path skips it entirely. TX processes (CFO,
+    /// timing jitter) are per-sender and resolve from the default
+    /// directly.
     pub fn link_impairments(
         &self,
         default: Option<ImpairmentSpec>,
     ) -> HashMap<(NodeId, NodeId), ImpairmentSpec> {
         let mut out = HashMap::new();
+        let Some(spec) = default.filter(ImpairmentSpec::affects_link) else {
+            return out;
+        };
         for l in &self.links {
-            let Some(spec) = l.impairment.or(default) else {
-                continue;
-            };
-            if !spec.affects_link() {
-                continue;
-            }
             out.insert((l.from, l.to), spec);
             if l.symmetric {
                 out.insert((l.to, l.from), spec);
@@ -889,33 +891,19 @@ mod tests {
 
     #[test]
     fn link_impairment_resolution() {
-        let mut g = TopologyGraph::alice_bob();
-        let over = ImpairmentSpec::rayleigh_fading();
-        g.links[1] = g.links[1].with_impairment(over);
-        // No default: only the override is active, both directions.
-        let t = g.link_impairments(None);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[&(BOB, ROUTER)], over);
-        assert_eq!(t[&(ROUTER, BOB)], over);
-        assert!(!t.contains_key(&(ALICE, ROUTER)));
-        // Default fills the rest; overrides still win.
+        // No default: no link-level process anywhere.
+        assert!(TopologyGraph::alice_bob().link_impairments(None).is_empty());
+        // A link-level default covers every declared direction.
         let def = ImpairmentSpec::phase_redraw();
-        let t = g.link_impairments(Some(def));
+        let t = TopologyGraph::alice_bob().link_impairments(Some(def));
         assert_eq!(t.len(), 4);
         assert_eq!(t[&(ALICE, ROUTER)], def);
-        assert_eq!(t[&(BOB, ROUTER)], over);
+        assert_eq!(t[&(ROUTER, BOB)], def);
         // A TX-only default has no link-level effect.
         let tx_only = ImpairmentSpec::default().with_cfo(0.01);
         assert!(TopologyGraph::chain()
             .link_impairments(Some(tx_only))
             .is_empty());
-        // A passive per-link override opts its link *out* of the
-        // default (replacement semantics, not merge).
-        let mut g = TopologyGraph::alice_bob();
-        g.links[0] = g.links[0].with_impairment(ImpairmentSpec::passive());
-        let t = g.link_impairments(Some(ImpairmentSpec::rayleigh_fading()));
-        assert!(!t.contains_key(&(ALICE, ROUTER)), "opted out");
-        assert!(t.contains_key(&(BOB, ROUTER)), "default still applies");
     }
 
     #[test]
@@ -936,21 +924,21 @@ mod tests {
         }
         let back = TopologyGraph::from_value(&v).unwrap();
         assert_eq!(back.links.len(), g.links.len());
-        assert!(back.links.iter().all(|l| l.impairment.is_none()));
     }
 
     #[test]
     fn graph_link_impairment_serde_roundtrip() {
-        let g = TopologyGraph {
-            name: "imp".to_string(),
-            node_ids: vec![1, 2],
-            links: vec![GraphLink::sym(1, 2, LinkClass::Main)
-                .with_impairment(ImpairmentSpec::rayleigh_fading().with_jitter(4.0))],
-            positions: None,
-        };
-        let json = serde_json::to_string(&g).unwrap();
-        let back: TopologyGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.links[0].impairment, g.links[0].impairment);
+        // Graphs saved while links carried an impairment override wrote
+        // `"impairment": null`; those load. A set override is an error
+        // that names the key.
+        let json = serde_json::to_string(&GraphLink::sym(1, 2, LinkClass::Main)).unwrap();
+        let body = json.strip_suffix('}').expect("GraphLink is a JSON object");
+        let saved = |imp: &str| format!("{body},\"impairment\":{imp}}}");
+        let back: GraphLink = serde_json::from_str(&saved("null")).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        let set = serde_json::to_string(&ImpairmentSpec::rayleigh_fading()).unwrap();
+        let err = serde_json::from_str::<GraphLink>(&saved(&set)).unwrap_err();
+        assert!(err.to_string().contains("impairment"), "{err}");
     }
 
     #[test]

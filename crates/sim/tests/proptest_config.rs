@@ -1,10 +1,9 @@
 //! Run-config robustness property tests.
 //!
-//! A `RunConfig`, `FaultSpec` or `CityConfig` that deserializes must
-//! never crash a run: either the builder rejects it with a typed
-//! error, or `execute` returns `Ok` or a typed `Err`, under both
-//! executors. The inputs
-//! reach past the valid ranges on purpose — zero MAC slots and slot
+//! A `RunConfig`, `FaultSpec`, `CityConfig` or scenario geometry that
+//! deserializes must never crash a run: either the builder rejects it
+//! with a typed error, or `execute` returns `Ok` or a typed `Err`,
+//! under both executors. The inputs reach past the valid ranges on purpose — zero MAC slots and slot
 //! lengths; zero, negative, NaN, infinite and extreme gains, noise
 //! powers, jitters, oscillator offsets and transmit amplitudes;
 //! payloads past the header's length field; guard, turnaround and
@@ -12,14 +11,15 @@
 //! powers, health tuning, burst windows and scripted outages at the
 //! same edges; and city loads, speeds, pauses, payloads, flash crowds
 //! and horizons at the same edges, with city sizes past `u32` node
-//! indices checked at build only.
+//! indices checked at build only; and node geometry with missing,
+//! extra or non-finite coordinates and ranges at the float edges.
 
 use anc_netcode::{ArqConfig, HealthConfig, Scheme};
 use anc_sim::faults::{FaultSpec, ScriptedOutage};
 use anc_sim::runs::RunConfig;
 use anc_sim::scenario::ScenarioSpec;
 use anc_sim::topology::nodes::{ALICE, BOB, ROUTER};
-use anc_sim::topology::ChannelDraw;
+use anc_sim::topology::{ChannelDraw, NodePositions};
 use anc_sim::{CityConfig, CityLayout, FlashCrowd, SchedulerSpec};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -151,6 +151,75 @@ proptest! {
             }
         }));
         prop_assert!(outcome.is_ok(), "panicked on {cfg:?}");
+    }
+}
+
+proptest! {
+    /// Build-then-execute with random node geometry never panics: on a
+    /// 1–2-packet Alice–Bob, X or chain run, `graph.positions` is
+    /// absent, the canonical embedding, one coordinate short or over,
+    /// or carries one non-finite coordinate, and its range is the
+    /// canonical one, an ordinary one or an [`EDGES`] value. Every
+    /// outcome is `Ok` or a typed error, on both executors.
+    #[test]
+    fn scenario_geometry_never_panics(
+        seed in 0u64..1_000,
+        topology in 0usize..3,
+        scheme in 0usize..3,
+        packets in 1usize..3,
+        shape in 0u64..5,
+        coord_word in any::<u64>(),
+        range_word in any::<u64>(),
+    ) {
+        let mut spec = [ScenarioSpec::alice_bob, ScenarioSpec::x, ScenarioSpec::chain][topology]();
+        let canonical = spec
+            .graph
+            .clone()
+            .with_canonical_positions()
+            .positions
+            .expect("paper topologies have a canonical embedding");
+        let mut coords = canonical.coords;
+        let k = (coord_word >> 8) as usize % coords.len();
+        match shape {
+            1 => {}
+            2 => coords.truncate(k),
+            3 => coords.push((coords.len() as f64, (coord_word >> 16) as f64)),
+            _ => {
+                let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(coord_word % 3) as usize];
+                if coord_word & 4 == 0 {
+                    coords[k].0 = bad;
+                } else {
+                    coords[k].1 = bad;
+                }
+            }
+        }
+        let range = match range_word % 4 {
+            0 | 1 => EDGES[((range_word >> 2) % EDGES.len() as u64) as usize],
+            2 => canonical.range,
+            _ => pick((range_word >> 2) << 3 | 1, 0.5, 3.0),
+        };
+        spec.graph.positions = (shape != 0).then_some(NodePositions { coords, range });
+        let scheme = [Scheme::Anc, Scheme::Cope, Scheme::Traditional][scheme];
+        let cfg = RunConfig {
+            packets_per_flow: packets,
+            payload_bits: 256,
+            ..RunConfig::quick(seed)
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            for sched in [SchedulerSpec::deterministic(), SchedulerSpec::work_stealing(2)] {
+                let built = spec
+                    .clone()
+                    .builder(scheme)
+                    .config(cfg.clone())
+                    .scheduler(sched)
+                    .build();
+                // A typed error from either step is an acceptable outcome.
+                if let Ok(run) = built {
+                    let _ = run.execute();
+                }
+            }
+        }));
+        prop_assert!(outcome.is_ok(), "panicked on {:?} / {scheme:?}", spec.graph.positions);
     }
 }
 
