@@ -43,18 +43,4 @@ pub use impairment::{ImpairmentSpec, TxImpairment};
 pub use link::Link;
 pub use medium::{Medium, Transmission, TransmissionRef};
 pub use relay::AmplifyForward;
-pub use spatial::{within_range, NodeMask, SpatialGrid};
-
-use anc_dsp::Cplx;
-
-/// Measures the mean power `E[|y|²]` of a sample slice (0 when empty).
-pub fn mean_power(samples: &[Cplx]) -> f64 {
-    Cplx::mean_energy(samples)
-}
-
-/// Empirical SNR in dB of a received stream given a noise-only
-/// reference power. Useful in tests to confirm a channel realizes its
-/// configured SNR.
-pub fn empirical_snr_db(received_power: f64, noise_power: f64) -> f64 {
-    anc_dsp::linear_to_db((received_power - noise_power).max(f64::MIN_POSITIVE) / noise_power)
-}
+pub use spatial::{within_range, SpatialGrid};

@@ -64,13 +64,6 @@ impl Link {
         }
     }
 
-    /// Returns the link with a different delay.
-    pub fn with_delay(mut self, delay: f64) -> Self {
-        assert!(delay >= 0.0);
-        self.delay = delay;
-        self
-    }
-
     /// The complex channel coefficient `h·e^{iγ}`.
     #[inline]
     pub fn coefficient(&self) -> Cplx {
@@ -81,12 +74,6 @@ impl Link {
     #[inline]
     pub fn power_gain(&self) -> f64 {
         self.gain * self.gain
-    }
-
-    /// Applies attenuation and rotation (no delay) to one sample.
-    #[inline]
-    pub fn apply_sample(&self, x: Cplx) -> Cplx {
-        x * self.coefficient()
     }
 
     /// Applies the full link (gain, phase, delay) to a waveform.

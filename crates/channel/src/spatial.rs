@@ -20,49 +20,6 @@
 
 use anc_dsp::cast::round_to_i64;
 
-/// A fixed-capacity bitset over node indices: the set of senders a
-/// receiver can hear, as filled by a topology's audibility query.
-#[derive(Debug, Clone, Default)]
-pub struct NodeMask {
-    words: Vec<u64>,
-}
-
-impl NodeMask {
-    /// Creates a mask able to hold indices `0..n`, all clear.
-    pub fn new(n: usize) -> Self {
-        NodeMask {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    /// Sets bit `i` (grows the mask if needed).
-    pub fn set(&mut self, i: usize) {
-        let w = i / 64;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        self.words[w] |= 1u64 << (i % 64);
-    }
-
-    /// Reads bit `i` (out-of-range indices read as clear).
-    pub fn get(&self, i: usize) -> bool {
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
-    }
-
-    /// Clears every bit without releasing capacity — the per-receiver
-    /// reuse pattern of the engine's RX loop.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
-
 /// Uniform-bucket spatial hash over 2-D node positions.
 ///
 /// Cell edge length equals the query radius, so the 3×3 neighborhood
@@ -180,50 +137,6 @@ impl SpatialGrid {
         round_to_i64((offset / self.cell).floor())
     }
 
-    /// Calls `f` with every stored node index in the 3×3 cell
-    /// neighborhood of `pos`, in ascending index order. The visited
-    /// set is a superset of all stored nodes within `radius` of `pos`;
-    /// callers apply the exact distance test themselves.
-    ///
-    /// The query cell is clamped into the grid before the ±1
-    /// neighborhood is taken. Clamping is 1-Lipschitz in cell units and
-    /// any in-range pair differs by at most one unclamped cell per
-    /// axis, so the superset guarantee survives even when stored nodes
-    /// have been [`Self::relocate`]d outside the build-time bounding
-    /// box (they clamp into edge buckets, and so do queries near them).
-    pub fn for_each_candidate(&self, pos: (f64, f64), mut f: impl FnMut(u32)) {
-        if self.ids.is_empty() {
-            return;
-        }
-        let cx = self
-            .cell_coord(pos.0 - self.min_x)
-            .clamp(0, self.cols as i64 - 1);
-        let cy = self
-            .cell_coord(pos.1 - self.min_y)
-            .clamp(0, self.rows as i64 - 1);
-        let x_lo = cx.saturating_sub(1).max(0);
-        let x_hi = cx.saturating_add(1).min(self.cols as i64 - 1);
-        let y_lo = cy.saturating_sub(1).max(0);
-        let y_hi = cy.saturating_add(1).min(self.rows as i64 - 1);
-        // Buckets are visited row-major and each bucket is ascending,
-        // but adjacent buckets are not globally sorted; collect rows
-        // of ≤3 cells and merge would be overkill — instead visit all
-        // nine cells and sort the (tiny) candidate list.
-        let mut candidates: Vec<u32> = Vec::new();
-        for yy in y_lo..=y_hi {
-            for xx in x_lo..=x_hi {
-                let b = usize::try_from(yy).expect("non-negative") * self.cols
-                    + usize::try_from(xx).expect("non-negative");
-                let (s, e) = (self.starts[b] as usize, self.starts[b + 1] as usize);
-                candidates.extend_from_slice(&self.ids[s..e]);
-            }
-        }
-        candidates.sort_unstable();
-        for id in candidates {
-            f(id);
-        }
-    }
-
     /// Moves one stored node from `old_pos` to `new_pos` without
     /// rebuilding — the mobility fast path. Returns whether the node
     /// actually changed buckets; when both positions hash to the same
@@ -235,7 +148,7 @@ impl SpatialGrid {
     ///
     /// The grid's bounds and bucket geometry are fixed at build time:
     /// positions outside the original bounding box clamp into edge
-    /// buckets (see [`Self::for_each_candidate`] for why queries still
+    /// buckets (see [`Self::candidates_into`] for why queries still
     /// see them). `old_pos` must be the exact position the node was
     /// inserted (or last relocated) with; panics if `idx` is not stored
     /// in `old_pos`'s bucket.
@@ -269,12 +182,44 @@ impl SpatialGrid {
         true
     }
 
-    /// Collects the 3×3-neighborhood candidates of `pos` into `out`
-    /// (cleared first), ascending. Convenience over
-    /// [`Self::for_each_candidate`] for callers that reuse a buffer.
+    /// Collects every stored node index in the 3×3 cell neighborhood
+    /// of `pos` into `out` (cleared first), ascending. The set is a
+    /// superset of all stored nodes within `radius` of `pos`; callers
+    /// apply the exact distance test themselves.
+    ///
+    /// The query cell is clamped into the grid before the ±1
+    /// neighborhood is taken. Clamping is 1-Lipschitz in cell units and
+    /// any in-range pair differs by at most one unclamped cell per
+    /// axis, so the superset guarantee survives even when stored nodes
+    /// have been [`Self::relocate`]d outside the build-time bounding
+    /// box (they clamp into edge buckets, and so do queries near them).
     pub fn candidates_into(&self, pos: (f64, f64), out: &mut Vec<u32>) {
         out.clear();
-        self.for_each_candidate(pos, |id| out.push(id));
+        if self.ids.is_empty() {
+            return;
+        }
+        let cx = self
+            .cell_coord(pos.0 - self.min_x)
+            .clamp(0, self.cols as i64 - 1);
+        let cy = self
+            .cell_coord(pos.1 - self.min_y)
+            .clamp(0, self.rows as i64 - 1);
+        let x_lo = cx.saturating_sub(1).max(0);
+        let x_hi = cx.saturating_add(1).min(self.cols as i64 - 1);
+        let y_lo = cy.saturating_sub(1).max(0);
+        let y_hi = cy.saturating_add(1).min(self.rows as i64 - 1);
+        // Each bucket is ascending but adjacent buckets are not
+        // globally sorted, so gather the nine cells and sort the (tiny)
+        // candidate list in place.
+        for yy in y_lo..=y_hi {
+            for xx in x_lo..=x_hi {
+                let b = usize::try_from(yy).expect("non-negative") * self.cols
+                    + usize::try_from(xx).expect("non-negative");
+                let (s, e) = (self.starts[b] as usize, self.starts[b + 1] as usize);
+                out.extend_from_slice(&self.ids[s..e]);
+            }
+        }
+        out.sort_unstable();
     }
 
     /// Number of stored node indices.
@@ -441,25 +386,5 @@ mod tests {
         let mut grid = SpatialGrid::build(&positions, 1.0);
         // Claiming node 0 sits where node 1 does is a caller bug.
         grid.relocate(0, (5.0, 5.0), (0.0, 0.0));
-    }
-
-    #[test]
-    fn node_mask_set_get_clear() {
-        let mut m = NodeMask::new(70);
-        assert!(!m.get(0));
-        m.set(0);
-        m.set(63);
-        m.set(64);
-        m.set(69);
-        assert!(m.get(0) && m.get(63) && m.get(64) && m.get(69));
-        assert!(!m.get(1) && !m.get(65));
-        assert_eq!(m.count(), 4);
-        // Out-of-capacity set grows; out-of-capacity get reads clear.
-        m.set(200);
-        assert!(m.get(200));
-        assert!(!m.get(500));
-        m.clear();
-        assert_eq!(m.count(), 0);
-        assert!(!m.get(63));
     }
 }

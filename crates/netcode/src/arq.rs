@@ -140,12 +140,6 @@ impl ArqConfig {
         self.traffic = traffic;
         self
     }
-
-    /// Builder-style retry-bound override.
-    pub fn with_max_retries(mut self, max_retries: usize) -> ArqConfig {
-        self.max_retries = max_retries;
-        self
-    }
 }
 
 /// Verdict of a failed attempt (see [`DynamicScheduler::fail`]).

@@ -46,7 +46,7 @@ use crate::pipeline::{NodePark, RunCtx, RxJob, SchedulerSpec};
 use crate::pool::{Pool, StageFailed};
 use crate::runs::RunConfig;
 use crate::topology::{Topology, TopologyGraph};
-use anc_channel::{ImpairmentSpec, Link, NodeMask};
+use anc_channel::{ImpairmentSpec, Link};
 use anc_dsp::cast::round_to_i64;
 use anc_dsp::{Cplx, DspRng};
 use anc_frame::{Frame, Header, NodeId, PacketKey};
@@ -370,9 +370,6 @@ pub struct Engine<'p> {
     /// The slot's scheduled-transmission event queue, shared with the
     /// slot's RX stages.
     events: Arc<Vec<ScheduledTx>>,
-    /// Reused audibility-mask scratch for spatially-gated receptions
-    /// (positioned topologies; see [`Topology::audible_mask`]).
-    mask_scratch: NodeMask,
     /// Resolved per-direction time-varying link processes (empty in
     /// the paper's static-channel mode — the hot path skips a lookup
     /// against an empty map).
@@ -501,7 +498,6 @@ impl<'p> Engine<'p> {
             heard: HashMap::new(),
             slot_frames: HashMap::new(),
             events: Arc::default(),
-            mask_scratch: NodeMask::new(256),
             link_impairments: program.graph.link_impairments(program.impairments),
             tx_impairments: program.impairments.filter(|s| s.affects_tx()),
             exchange: 0,
@@ -1413,23 +1409,17 @@ impl<'p> Engine<'p> {
         }
         let pad = self.cfg.pad_samples;
         let duration = pad + span + pad;
-        // Spatial gating (positioned topologies only): one O(local
-        // density) grid query yields the set of senders this receiver
-        // can hear at all; every link walk below then skips gated-out
-        // senders. Unpositioned topologies take the dense reference
-        // path — `gated` stays false and `hears` admits everyone, so
-        // the golden runs are untouched.
-        let mut mask = std::mem::take(&mut self.mask_scratch);
-        let gated = self.topo.audible_mask(recv, &mut mask);
-        let hears = |sender: NodeId| !gated || mask.get(sender as usize);
-        // Fault layer: stuck-carrier nodes in range babble an unmodulated
-        // tone across the whole window. They are extra interferers, so a
-        // window can open even when no scheduled transmission is audible.
+        // Fault layer: stuck-carrier senders linked to the receiver
+        // babble an unmodulated tone across the whole window. They are
+        // extra interferers, so a window can open even when no scheduled
+        // transmission is audible. Tones join in ascending sender order
+        // (`links()` is sorted), so the window sums the same way on
+        // every run.
         let mut tones: Vec<(Vec<Cplx>, Link)> = Vec::new();
         if let Some(fspec) = self.faults {
             let seed = self.cfg.seed;
             for spec in self.topo.links() {
-                if spec.to != recv || spec.from == recv || !hears(spec.from) {
+                if spec.to != recv || spec.from == recv {
                     continue;
                 }
                 if let Some((amp, phase)) = fspec.stuck_carrier(seed, spec.from, self.exchange) {
@@ -1438,11 +1428,11 @@ impl<'p> Engine<'p> {
                 }
             }
         }
-        let audible = self.events.iter().any(|e| {
-            e.sender != recv && hears(e.sender) && self.topo.link(e.sender, recv).is_some()
-        });
+        let audible = self
+            .events
+            .iter()
+            .any(|e| e.sender != recv && self.topo.connected(e.sender, recv));
         if !audible && tones.is_empty() {
-            self.mask_scratch = mask;
             return Ok(Some(RxSkip::Silent));
         }
         // The window covers the whole slot plus noise padding on both
@@ -1451,8 +1441,8 @@ impl<'p> Engine<'p> {
         // one slot's wave fans out to every receiver in range uncopied.
         let mut heard: Vec<(usize, usize, Link)> = Vec::new();
         for (k, e) in self.events.iter().enumerate() {
-            if e.sender == recv || !hears(e.sender) {
-                continue; // half-duplex, or spatially gated out
+            if e.sender == recv {
+                continue; // half-duplex
             }
             if let Some(link) = self.topo.link(e.sender, recv) {
                 // Monte Carlo link process: replace the static per-run
@@ -1483,7 +1473,6 @@ impl<'p> Engine<'p> {
                 heard.push((k, pad + e.offset, link));
             }
         }
-        self.mask_scratch = mask;
         // The window's noise fork happens here, in intent order, so
         // the per-receiver noise stream advances exactly as it does on
         // the serial path; the stage only *consumes* the forked rng.

@@ -353,13 +353,6 @@ impl FaultSpec {
         self
     }
 
-    /// Override the health-estimator tuning.
-    #[must_use]
-    pub fn with_health(mut self, health: HealthConfig) -> FaultSpec {
-        self.health = health;
-        self
-    }
-
     /// One Bernoulli draw for `(kind, entity, window)`.
     fn window_active(seed: u64, kind: u64, entity: &[u64], window: u64, rate: f64) -> bool {
         if rate <= 0.0 {

@@ -205,17 +205,6 @@ impl FlowMetrics {
         self.latency_samples.iter().sum::<f64>() / self.latency_samples.len() as f64
     }
 
-    /// p99 ACK latency, the exact percentile over the ledger (NaN when
-    /// nothing was delivered).
-    pub fn p99_latency(&self) -> f64 {
-        anc_dsp::stats::percentile(&self.latency_samples, 99.0)
-    }
-
-    /// Median ACK latency (NaN when nothing was delivered).
-    pub fn p50_latency(&self) -> f64 {
-        anc_dsp::stats::percentile(&self.latency_samples, 50.0)
-    }
-
     /// Mean retransmissions per completed packet (delivered, dropped,
     /// or implicitly ACKed with a residual loss — the same denominator
     /// the load sweep and Monte Carlo aggregator use); 0 when nothing

@@ -27,6 +27,11 @@ use serde::{Deserialize, Serialize};
 /// padding on each side of a window too.
 const MAX_STAGGER_SAMPLES: f64 = (1u64 << 20) as f64;
 
+/// The most packets a flow carries in one run: the header's 16-bit
+/// sequence space (65× the paper's 1,000), so no packet key repeats
+/// within a run and a run's length stays bounded.
+const MAX_PACKETS_PER_FLOW: usize = 1 << 16;
+
 /// Parameters of one run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunConfig {
@@ -189,6 +194,12 @@ impl RunBuilder {
         if !noise.is_finite() || noise <= 0.0 {
             return Err(ScenarioError::Invalid(format!(
                 "noise_power must be finite and positive, got {noise}"
+            )));
+        }
+        let packets = self.cfg.packets_per_flow;
+        if packets > MAX_PACKETS_PER_FLOW {
+            return Err(ScenarioError::Invalid(format!(
+                "packets_per_flow must be at most {MAX_PACKETS_PER_FLOW}, got {packets}"
             )));
         }
         let payload = self.cfg.payload_bits;
@@ -479,7 +490,8 @@ mod tests {
     fn builder_rejects_configs_that_would_panic_at_execute() {
         // Built, each of these would panic at execute: in
         // `TriggerMac::new`, in `Link::new`, on a stagger overflow, or
-        // on a reception window too large to allocate.
+        // on a reception window too large to allocate; or would run
+        // past the 16-bit sequence space, for hours or without end.
         let build = |edit: &dyn Fn(&mut RunConfig)| {
             let mut cfg = RunConfig::quick(15);
             edit(&mut cfg);
@@ -520,6 +532,9 @@ mod tests {
         for pad in [(1 << 20) + 1, 1 << 40, usize::MAX] {
             rejected(&|c| c.pad_samples = pad, "pad_samples");
         }
+        for packets in [(1 << 16) + 1, 1 << 40, usize::MAX] {
+            rejected(&|c| c.packets_per_flow = packets, "packets_per_flow");
+        }
         assert!(build(&|c| {
             c.mac.delay_slots = 1;
             c.mac.slot_bits = 1;
@@ -528,6 +543,7 @@ mod tests {
         for pad in [96, 1 << 20] {
             assert!(build(&|c| c.pad_samples = pad).is_ok(), "pad {pad}");
         }
+        assert!(build(&|c| c.packets_per_flow = 1 << 16).is_ok());
         // Fault timelines that would divide by a zero burst window, or
         // trip `HealthMonitor::new`'s alpha assert in a closed-loop
         // multi-flow ANC run.
@@ -570,41 +586,6 @@ mod tests {
             Err(ScenarioError::Invalid(s)) if s.contains("alpha")
         ));
         assert!(build_faults(active).is_ok());
-        // Node positions that a realization's spatial grid would panic
-        // on, or grow without bound for: too few or too many
-        // coordinates, a non-finite one, a range that is not finite and
-        // positive, or a range tiny against the layout.
-        let build_positions = |coords: Vec<(f64, f64)>, range: f64| {
-            let mut spec = ScenarioSpec::alice_bob();
-            spec.graph.positions = Some(crate::topology::NodePositions { coords, range });
-            spec.builder(Scheme::Anc)
-                .config(RunConfig::quick(15))
-                .build()
-        };
-        let line = vec![(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)];
-        let with = |k: usize, c: (f64, f64)| {
-            let mut coords = line.clone();
-            coords[k] = c;
-            coords
-        };
-        let mut bad = vec![
-            (vec![(0.0, 0.0)], 1.5),
-            ([line.clone(), vec![(3.0, 0.0)]].concat(), 1.5),
-            (with(1, (f64::NAN, 0.0)), 1.5),
-            (with(2, (0.0, f64::INFINITY)), 1.5),
-            (with(0, (-1e308, 0.0)), 1.5),
-        ];
-        for range in [-1.0, 0.0, f64::NAN, f64::INFINITY, 1e-300] {
-            bad.push((line.clone(), range));
-        }
-        for (coords, range) in bad {
-            let err = build_positions(coords.clone(), range).expect_err("bad positions");
-            assert!(
-                matches!(&err, ScenarioError::Invalid(s) if s.contains("positions")),
-                "{coords:?} / {range}: {err}"
-            );
-        }
-        assert!(build_positions(line, 1.5).is_ok());
     }
 
     #[test]

@@ -196,14 +196,10 @@ impl ScenarioSpec {
     /// with flow bookkeeping (who sources, who holds, who delivers,
     /// who must overhear), so the documented/tested `SlotPlan`s and
     /// the slots the engine executes can never disagree. A fault
-    /// timeline that fails [`FaultSpec::check`] and node positions that
-    /// fail [`TopologyGraph::check_positions`] are
+    /// timeline that fails [`FaultSpec::check`] is
     /// [`ScenarioError::Invalid`].
     pub fn compile(&self, scheme: Scheme) -> Result<Program, ScenarioError> {
         self.check_routes()?;
-        self.graph
-            .check_positions()
-            .map_err(ScenarioError::Invalid)?;
         if let Some(faults) = &self.faults {
             faults.check().map_err(ScenarioError::Invalid)?;
         }
@@ -730,7 +726,6 @@ impl MeshConfig {
             name: format!("mesh_n{}_s{}", self.nodes, self.seed),
             node_ids: ids,
             links,
-            positions: None,
         };
         // Provision the overhearing side links the crossing pair needs
         // (§7.6's control plane arranging the neighborhood) unless the
@@ -742,26 +737,6 @@ impl MeshConfig {
                     .push(GraphLink::dir(from, to, LinkClass::Overhear));
             }
         }
-        // Attach the placement geometry so realizations gate
-        // superposition through the spatial grid. The audibility range
-        // must cover every *declared* link — including the provisioned
-        // overhear links, which may exceed the mesh radius — so gating
-        // stays bit-identical to the dense reference.
-        let dist = |a: NodeId, b: NodeId| {
-            let (pa, pb) = (pos[a as usize - base], pos[b as usize - base]);
-            let (dx, dy) = (pa.0 - pb.0, pa.1 - pb.1);
-            (dx * dx + dy * dy).sqrt()
-        };
-        let mut range = self.radius;
-        for l in &graph.links {
-            range = range.max(dist(l.from, l.to));
-        }
-        // The gate compares squared distances, and squaring the rounded
-        // sqrt of the extremal link's d² can land just *below* d² —
-        // which would gate out that one link. A relative nudge keeps
-        // every declared link strictly inside.
-        range *= 1.0 + 1e-9;
-        graph = graph.with_positions(pos, range);
         let flows = vec![
             FlowSpec::along(vec![x1, router, x4]),
             FlowSpec::along(vec![x3, router, x2]),
@@ -951,19 +926,26 @@ mod tests {
 
     #[test]
     fn random_mesh_is_deterministic_and_runs() {
-        let spec1 = ScenarioSpec::random_mesh(&MeshConfig::default()).unwrap();
-        let spec2 = ScenarioSpec::random_mesh(&MeshConfig::default()).unwrap();
-        assert_eq!(spec1.graph.node_ids, spec2.graph.node_ids);
-        assert_eq!(spec1.flows, spec2.flows);
-        let cfg = quick_cfg(9);
-        let a = exec(&spec1.compile(Scheme::Anc).unwrap(), &cfg);
-        let b = exec(&spec2.compile(Scheme::Anc).unwrap(), &cfg);
-        assert_eq!(
-            a.account.goodput_bits.to_bits(),
-            b.account.goodput_bits.to_bits()
-        );
-        assert_eq!(a.packet_bers, b.packet_bers);
-        assert!(a.account.delivered + a.account.lost > 0);
+        // An unbounded radius links every pair; it builds and runs too.
+        for radius in [MeshConfig::default().radius, f64::INFINITY, f64::MAX] {
+            let mesh = MeshConfig {
+                radius,
+                ..MeshConfig::default()
+            };
+            let spec1 = ScenarioSpec::random_mesh(&mesh).unwrap();
+            let spec2 = ScenarioSpec::random_mesh(&mesh).unwrap();
+            assert_eq!(spec1.graph.node_ids, spec2.graph.node_ids);
+            assert_eq!(spec1.flows, spec2.flows);
+            let cfg = quick_cfg(9);
+            let a = exec(&spec1.compile(Scheme::Anc).unwrap(), &cfg);
+            let b = exec(&spec2.compile(Scheme::Anc).unwrap(), &cfg);
+            assert_eq!(
+                a.account.goodput_bits.to_bits(),
+                b.account.goodput_bits.to_bits()
+            );
+            assert_eq!(a.packet_bers, b.packet_bers);
+            assert!(a.account.delivered + a.account.lost > 0, "radius {radius}");
+        }
     }
 
     #[test]

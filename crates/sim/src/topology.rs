@@ -24,11 +24,11 @@
 //! count, and the scenario layer builds asymmetric-X and random-mesh
 //! graphs on the same primitives.
 
-use anc_channel::{within_range, ImpairmentSpec, Link, NodeMask, SpatialGrid};
+use anc_channel::{ImpairmentSpec, Link};
 use anc_dsp::DspRng;
 use anc_frame::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 pub use anc_netcode::schedule::nodes;
 
@@ -226,24 +226,6 @@ impl Deserialize for GraphLink {
     }
 }
 
-/// Optional node geometry attached to a [`TopologyGraph`]: one 2-D
-/// coordinate per entry of `node_ids` (same order) plus the audibility
-/// radius — the distance at which a link's energy falls below the
-/// §7.1 packet detector's 20 dB gate. Positions are *gating metadata*:
-/// link gains are still drawn per declared [`LinkClass`] in listed
-/// order, so attaching positions never changes a realization's RNG
-/// draws — only which (sender, receiver) pairs the engine bothers to
-/// superpose.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NodePositions {
-    /// One `(x, y)` coordinate per node, aligned with
-    /// [`TopologyGraph::node_ids`].
-    pub coords: Vec<(f64, f64)>,
-    /// Audibility radius: nodes farther apart than this are mutually
-    /// inaudible (their links gate out of superposition).
-    pub range: f64,
-}
-
 /// A declarative topology: N nodes and an arbitrary directed link
 /// matrix, realized into per-run channels by [`Self::realize`].
 #[derive(Debug, Clone, Serialize)]
@@ -257,97 +239,39 @@ pub struct TopologyGraph {
     /// The declarative link set, realized in listed order (also part
     /// of the seeded identity: each link consumes gain/phase draws).
     pub links: Vec<GraphLink>,
-    /// Optional node geometry (spatial gating). `None` means every
-    /// declared link is always audible — the dense reference path.
-    pub positions: Option<NodePositions>,
 }
 
-// Hand-written so a missing `positions` key reads as `None`: the field
-// arrived after TopologyGraph's JSON shape was first published.
+// Hand-written for the retired node geometry: graphs saved while it
+// existed may carry `"positions": null` (or no key), which still
+// loads; set positions are an error naming the key, because a receiver
+// now hears every declared link and an old range may have gated one
+// out.
 impl Deserialize for TopologyGraph {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let serde::Value::Object(obj) = v else {
             return Err(serde::Error::type_mismatch("object", v));
         };
         let get = |key: &str| obj.get(key).ok_or_else(|| serde::Error::missing_field(key));
+        if !matches!(obj.get("positions"), None | Some(serde::Value::Null)) {
+            return Err(serde::Error::custom(
+                "positions: node geometry is retired; a receiver hears exactly its declared links",
+            ));
+        }
         Ok(TopologyGraph {
             name: Deserialize::from_value(get("name")?)?,
             node_ids: Deserialize::from_value(get("node_ids")?)?,
             links: Deserialize::from_value(get("links")?)?,
-            positions: match obj.get("positions") {
-                None => None,
-                Some(v) => Deserialize::from_value(v)?,
-            },
         })
     }
 }
 
-/// Most spatial-grid cells a graph's positions may span (the bounding
-/// box in range-sized cells); a range tiny against the layout would
-/// allocate without bound.
-const MAX_GRID_CELLS: f64 = (1u64 << 20) as f64;
-
 impl TopologyGraph {
-    /// Checks attached positions before a run realizes them: one
-    /// finite coordinate per node, a finite positive range, and a
-    /// spatial grid of at most 2^20 range-sized cells. Graphs without
-    /// positions pass.
-    pub fn check_positions(&self) -> Result<(), String> {
-        let Some(NodePositions { coords, range }) = &self.positions else {
-            return Ok(());
-        };
-        let (n, range) = (self.node_ids.len(), *range);
-        let finite = |c: &(f64, f64)| c.0.is_finite() && c.1.is_finite();
-        if coords.len() != n || !coords.iter().all(finite) || !(range.is_finite() && range > 0.0) {
-            return Err(format!(
-                "positions need {n} finite coordinates and a finite positive range, got {} and {range}",
-                coords.len()
-            ));
-        }
-        // Cells per axis are at least 1 (∞ when the span overflows), so
-        // the product is never NaN.
-        let cells = |axis: fn(&(f64, f64)) -> f64| {
-            let lo = coords.iter().map(axis).fold(f64::INFINITY, f64::min);
-            let hi = coords.iter().map(axis).fold(f64::NEG_INFINITY, f64::max);
-            ((hi - lo) / range).floor() + 1.0
-        };
-        let grid = cells(|c| c.0) * cells(|c| c.1);
-        if grid > MAX_GRID_CELLS {
-            return Err(format!(
-                "positions range {range} spans {grid} grid cells, more than {MAX_GRID_CELLS}"
-            ));
-        }
-        Ok(())
-    }
-
     /// Draws one channel realization of this graph.
-    ///
-    /// # Panics
-    /// Panics if attached positions fail [`Self::check_positions`]
-    /// (misconfigured geometry would silently gate *everything* out).
     pub fn realize(&self, rng: &mut DspRng, draw: &ChannelDraw) -> Topology {
-        self.check_positions()
-            .unwrap_or_else(|e| panic!("{}: {e}", self.name));
-        let geometry = self.positions.as_ref().map(|p| {
-            let grid = SpatialGrid::build(&p.coords, p.range);
-            let index = self
-                .node_ids
-                .iter()
-                .enumerate()
-                .map(|(i, &id)| (id, i))
-                .collect();
-            Geometry {
-                coords: p.coords.clone(),
-                range: p.range,
-                index,
-                grid,
-            }
-        });
         let mut t = Topology {
             name: self.name.clone(),
             node_ids: self.node_ids.clone(),
-            links: HashMap::new(),
-            geometry,
+            links: BTreeMap::new(),
         };
         for l in &self.links {
             let range = l.class.range(draw);
@@ -358,58 +282,6 @@ impl TopologyGraph {
             }
         }
         t
-    }
-
-    /// Attaches node geometry: `coords` aligned with `node_ids`,
-    /// audibility radius `range`.
-    ///
-    /// # Panics
-    /// Panics if the positions fail [`Self::check_positions`].
-    pub fn with_positions(mut self, coords: Vec<(f64, f64)>, range: f64) -> TopologyGraph {
-        self.positions = Some(NodePositions { coords, range });
-        self.check_positions().unwrap_or_else(|e| panic!("{e}"));
-        self
-    }
-
-    /// Attaches the canonical geometric embedding of a paper topology:
-    /// unit-spaced line for Alice-Bob and the chain, the cross layout
-    /// for X. Ranges are chosen so *exactly* the declared links are in
-    /// range — the positioned realization gates to the same audible
-    /// set as the dense one, which is what keeps the golden
-    /// fingerprints bit-identical with gating enabled.
-    ///
-    /// # Panics
-    /// Panics for graphs without a canonical embedding.
-    pub fn with_canonical_positions(self) -> TopologyGraph {
-        match self.name.as_str() {
-            // Alice (0,0) — Router (1,0) — Bob (2,0); range 1.5 keeps
-            // Alice↔Bob (distance 2) out of range.
-            "alice_bob" => {
-                let coords = vec![(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)];
-                self.with_positions(coords, 1.5)
-            }
-            // N1..N4 on a unit-spaced line; range 1.5 links only
-            // adjacent nodes (the Fig. 2 premise).
-            "chain" => {
-                let coords = (0..4).map(|i| (i as f64, 0.0)).collect();
-                self.with_positions(coords, 1.5)
-            }
-            // X1..X4 on the diagonals, router at the crossing. Every
-            // declared link (including the weak diagonals, distance 2)
-            // is within range 2.1; the X1↔X3 / X2↔X4 cross distances
-            // (2√2 ≈ 2.83) stay out.
-            "x" => {
-                let coords = vec![
-                    (-1.0, 1.0),
-                    (1.0, 1.0),
-                    (1.0, -1.0),
-                    (-1.0, -1.0),
-                    (0.0, 0.0),
-                ];
-                self.with_positions(coords, 2.1)
-            }
-            other => panic!("no canonical positions for topology {other}"),
-        }
     }
 
     /// Resolves the effective per-direction impairment table under a
@@ -454,7 +326,6 @@ impl TopologyGraph {
                 GraphLink::sym(BOB, ROUTER, LinkClass::Main),
                 // No Alice↔Bob link: out of range by construction.
             ],
-            positions: None,
         }
     }
 
@@ -471,7 +342,6 @@ impl TopologyGraph {
                 // Non-adjacent nodes are out of range (no links) — in
                 // particular N1 ↛ N4 (the paper's premise for Fig. 2).
             ],
-            positions: None,
         }
     }
 
@@ -493,7 +363,6 @@ impl TopologyGraph {
             name: "x".to_string(),
             node_ids: vec![X1, X2, X3, X4, ROUTER],
             links,
-            positions: None,
         }
     }
 
@@ -518,20 +387,8 @@ impl TopologyGraph {
                 .windows(2)
                 .map(|w| GraphLink::sym(w[0], w[1], LinkClass::Main))
                 .collect(),
-            positions: None,
         }
     }
-}
-
-/// Realized node geometry: coordinates, audibility range, the id →
-/// index map, and the spatial hash grid built over all coordinates at
-/// realization time (cell edge = audibility range).
-#[derive(Debug, Clone)]
-struct Geometry {
-    coords: Vec<(f64, f64)>,
-    range: f64,
-    index: HashMap<NodeId, usize>,
-    grid: SpatialGrid,
 }
 
 /// A realized topology: nodes plus the directed link table with drawn
@@ -542,8 +399,9 @@ pub struct Topology {
     pub name: String,
     /// All node ids, in a stable order.
     pub node_ids: Vec<NodeId>,
-    links: HashMap<(NodeId, NodeId), Link>,
-    geometry: Option<Geometry>,
+    /// Ordered by `(from, to)`, so every walk over the links (the
+    /// fault layer's stuck-carrier tones) is reproducible.
+    links: BTreeMap<(NodeId, NodeId), Link>,
 }
 
 impl Topology {
@@ -585,60 +443,11 @@ impl Topology {
         self.links.contains_key(&(from, to))
     }
 
-    /// All directed links (for diagnostics).
+    /// All directed links, ascending by `(from, to)`.
     pub fn links(&self) -> impl Iterator<Item = LinkSpec> + '_ {
         self.links
             .iter()
             .map(|(&(from, to), &link)| LinkSpec { from, to, link })
-    }
-
-    /// `true` when this realization carries node geometry (spatial
-    /// gating active).
-    pub fn positioned(&self) -> bool {
-        self.geometry.is_some()
-    }
-
-    /// Spatial audibility gate: `true` when `a` and `b` are close
-    /// enough to hear each other. Without geometry every pair passes —
-    /// the dense reference behavior. With geometry the test is the
-    /// exact squared-distance comparison ([`within_range`]), the same
-    /// expression the grid pre-filter feeds, so gated and dense link
-    /// walks admit identical pair sets whenever every declared link is
-    /// within range.
-    pub fn in_range(&self, a: NodeId, b: NodeId) -> bool {
-        let Some(g) = &self.geometry else {
-            return true;
-        };
-        match (g.index.get(&a), g.index.get(&b)) {
-            (Some(&ia), Some(&ib)) => within_range(g.coords[ia], g.coords[ib], g.range),
-            // Unknown ids never gate out (defensive: the engine only
-            // asks about declared nodes).
-            _ => true,
-        }
-    }
-
-    /// Builds the audibility [`NodeMask`] of one receiver: bit `n` set
-    /// when node id `n` is within range. Uses the realization's
-    /// spatial grid, so the cost is O(local density), not O(N); the
-    /// exact distance test filters the grid's 3×3-cell candidate
-    /// superset, making the mask identical to a dense all-pairs scan.
-    /// Returns `None` when the topology carries no geometry (all
-    /// senders audible — callers take the dense path).
-    pub fn audible_mask(&self, receiver: NodeId, mask: &mut NodeMask) -> bool {
-        let Some(g) = &self.geometry else {
-            return false;
-        };
-        mask.clear();
-        let Some(&ri) = g.index.get(&receiver) else {
-            return false;
-        };
-        let rpos = g.coords[ri];
-        g.grid.for_each_candidate(rpos, |i| {
-            if within_range(g.coords[i as usize], rpos, g.range) {
-                mask.set(self.node_ids[i as usize] as usize);
-            }
-        });
-        true
     }
 }
 
@@ -803,90 +612,49 @@ mod tests {
     }
 
     #[test]
-    fn canonical_positions_gate_exactly_the_declared_links() {
-        for graph in [
-            TopologyGraph::alice_bob().with_canonical_positions(),
-            TopologyGraph::chain().with_canonical_positions(),
-            TopologyGraph::x().with_canonical_positions(),
-        ] {
-            let t = graph.realize(&mut rng(), &ChannelDraw::default());
-            assert!(t.positioned());
-            // Every declared link is in range (gating never drops a
-            // declared link — the golden bit-identity precondition) …
-            for l in &graph.links {
-                assert!(
-                    t.in_range(l.from, l.to),
-                    "{}: declared link {} → {} gated out",
-                    graph.name,
-                    l.from,
-                    l.to
-                );
-            }
-            // … and every undeclared pair is out of range both ways
-            // (positions encode the same audibility the link matrix
-            // does).
-            for &a in &graph.node_ids {
-                for &b in &graph.node_ids {
-                    if a != b && !graph.connects(a, b) && !graph.connects(b, a) {
-                        assert!(
-                            !t.in_range(a, b),
-                            "{}: undeclared pair {a} ↔ {b} still in range",
-                            graph.name
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn positions_do_not_change_realization_draws() {
+    fn links_come_back_in_ascending_order() {
+        // Two realizations list the same (from, to) pairs in the same
+        // ascending order, so walks over them (stuck-carrier tones)
+        // sum in one order on every run.
         let d = ChannelDraw::default();
-        let dense = TopologyGraph::x().realize(&mut DspRng::seed_from(4), &d);
-        let gated = TopologyGraph::x()
-            .with_canonical_positions()
-            .realize(&mut DspRng::seed_from(4), &d);
-        for spec in dense.links() {
-            let g = gated.link(spec.from, spec.to).expect("same link set");
-            assert_eq!(spec.link.gain.to_bits(), g.gain.to_bits());
-            assert_eq!(spec.link.phase.to_bits(), g.phase.to_bits());
-        }
-    }
-
-    #[test]
-    fn audible_mask_matches_dense_pair_scan() {
-        let graph = TopologyGraph::x().with_canonical_positions();
-        let t = graph.realize(&mut rng(), &ChannelDraw::default());
-        let mut mask = NodeMask::new(256);
-        for &recv in &graph.node_ids {
-            assert!(t.audible_mask(recv, &mut mask));
-            for &other in &graph.node_ids {
-                assert_eq!(
-                    mask.get(other as usize),
-                    t.in_range(other, recv),
-                    "recv {recv} sender {other}"
-                );
-            }
-        }
-        // Dense topologies report no mask (callers take the dense path).
-        let dense = TopologyGraph::x().realize(&mut rng(), &ChannelDraw::default());
-        assert!(!dense.audible_mask(nodes::ROUTER, &mut mask));
+        let pairs = |seed| -> Vec<(NodeId, NodeId)> {
+            Topology::x(&mut DspRng::seed_from(seed), &d)
+                .links()
+                .map(|l| (l.from, l.to))
+                .collect()
+        };
+        let (a, b) = (pairs(1), pairs(2));
+        assert_eq!(a, b);
+        assert!(a.windows(2).all(|w| w[0] < w[1]), "{a:?}");
     }
 
     #[test]
     fn positions_serde_roundtrip_and_back_compat() {
         use serde::{Deserialize as _, Serialize as _};
-        let g = TopologyGraph::chain().with_canonical_positions();
-        let v = g.to_value();
-        let back = TopologyGraph::from_value(&v).unwrap();
-        assert_eq!(back.positions, g.positions);
-        // A pre-positions artifact (no `positions` key) still loads.
-        let mut v = TopologyGraph::chain().to_value();
-        if let serde::Value::Object(obj) = &mut v {
-            obj.remove("positions");
+        // Graphs saved while node geometry existed carry `positions`:
+        // absent or `null` loads to the same graph; a set value is an
+        // error that names the key.
+        let g = TopologyGraph::chain();
+        let load = |positions: Option<serde::Value>| {
+            let serde::Value::Object(mut obj) = g.to_value() else {
+                panic!("TopologyGraph is a JSON object");
+            };
+            assert!(!obj.contains_key("positions"));
+            if let Some(p) = positions {
+                obj.insert("positions".to_string(), p);
+            }
+            TopologyGraph::from_value(&serde::Value::Object(obj))
+        };
+        for saved in [None, Some(serde::Value::Null)] {
+            let back = load(saved).unwrap();
+            assert_eq!(back.node_ids, g.node_ids);
+            assert_eq!(back.links.len(), g.links.len());
         }
-        let back = TopologyGraph::from_value(&v).unwrap();
-        assert!(back.positions.is_none());
+        let coords = serde::Value::Array(vec![serde::Value::Number(0.0); 4]);
+        let set = [("coords", coords), ("range", serde::Value::Number(1.5))]
+            .map(|(k, v)| (k.to_string(), v));
+        let err = load(Some(serde::Value::Object(set.into()))).unwrap_err();
+        assert!(err.to_string().contains("positions"), "{err}");
     }
 
     #[test]

@@ -159,35 +159,6 @@ const CASES: &[(&str, u64, RunFn, Scheme)] = &[
     ("chain", 5, run_chain, Scheme::Traditional),
 ];
 
-/// The tentpole bit-identity criterion: attaching canonical node
-/// positions (which switches every reception onto the spatially-gated
-/// path — grid query + exact distance test instead of the dense link
-/// walk) must reproduce all 8 golden fingerprints bit for bit,
-/// because every declared link of the paper topologies is within the
-/// canonical audibility range.
-#[test]
-fn gated_paper_runs_match_goldens() {
-    use anc_sim::runs::run_spec;
-    use anc_sim::scenario::ScenarioSpec;
-    for g in GOLDENS {
-        let mut spec = match g.name {
-            "alice_bob" => ScenarioSpec::alice_bob(),
-            "chain" => ScenarioSpec::chain(),
-            "x" => ScenarioSpec::x(),
-            other => panic!("unknown golden scenario {other}"),
-        };
-        spec.graph = spec.graph.with_canonical_positions();
-        let m = run_spec(&spec, g.scheme, &cfg(g.seed)).expect("positioned spec compiles");
-        assert_eq!(
-            m.fingerprint(),
-            g.fingerprint,
-            "{} {:?}: spatial gating changed the metrics",
-            g.name,
-            g.scheme
-        );
-    }
-}
-
 #[test]
 fn paper_runs_match_goldens() {
     assert!(

@@ -1,6 +1,6 @@
 //! Run-config robustness property tests.
 //!
-//! A `RunConfig`, `FaultSpec`, `CityConfig` or scenario geometry that
+//! A `RunConfig`, `FaultSpec`, `CityConfig` or `MeshConfig` that
 //! deserializes must never crash a run: either the builder rejects it
 //! with a typed error, or `execute` returns `Ok` or a typed `Err`,
 //! under both executors. The inputs reach past the valid ranges on purpose — zero MAC slots and slot
@@ -11,15 +11,16 @@
 //! powers, health tuning, burst windows and scripted outages at the
 //! same edges; and city loads, speeds, pauses, payloads, flash crowds
 //! and horizons at the same edges, with city sizes past `u32` node
-//! indices checked at build only; and node geometry with missing,
-//! extra or non-finite coordinates and ranges at the float edges.
+//! indices checked at build only; random-mesh node counts and radii at
+//! the same edges; and packet counts past the builder's bound, checked
+//! at build only.
 
 use anc_netcode::{ArqConfig, HealthConfig, Scheme};
 use anc_sim::faults::{FaultSpec, ScriptedOutage};
 use anc_sim::runs::RunConfig;
-use anc_sim::scenario::ScenarioSpec;
+use anc_sim::scenario::{MeshConfig, ScenarioSpec};
 use anc_sim::topology::nodes::{ALICE, BOB, ROUTER};
-use anc_sim::topology::{ChannelDraw, NodePositions};
+use anc_sim::topology::ChannelDraw;
 use anc_sim::{CityConfig, CityLayout, FlashCrowd, SchedulerSpec};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -88,12 +89,14 @@ fn pick_range(w: u64) -> (f64, f64) {
 
 proptest! {
     /// Build-then-execute on a 1–2-packet Alice–Bob run never panics:
-    /// every outcome is `Ok` or a typed error, on both executors.
+    /// every outcome is `Ok` or a typed error, on both executors. One
+    /// case in eight draws the packet count from [`SIZE_EDGES`]; counts
+    /// past the builder's bound are built but never executed.
     #[test]
     fn config_never_panics(
         seed in 0u64..1_000,
         anc in any::<bool>(),
-        packets in 1usize..3,
+        packets_word in any::<u64>(),
         payload_word in any::<u64>(),
         noise_word in any::<u64>(),
         gain_word in any::<u64>(),
@@ -108,6 +111,11 @@ proptest! {
         pad_word in any::<u64>(),
         amplitude_words in proptest::collection::vec(any::<u64>(), 0..3),
     ) {
+        let packets = if packets_word % 8 == 0 {
+            SIZE_EDGES[((packets_word >> 3) % SIZE_EDGES.len() as u64) as usize]
+        } else {
+            1 + (packets_word >> 3) as usize % 2
+        };
         let mut cfg = RunConfig {
             packets_per_flow: packets,
             // Mostly short payloads, one case in sixteen past the
@@ -145,8 +153,11 @@ proptest! {
                     .scheduler(sched)
                     .build();
                 // A typed error from either step is an acceptable outcome.
-                if let Ok(run) = built {
-                    let _ = run.execute();
+                match built {
+                    Ok(run) if packets <= 2 => {
+                        let _ = run.execute();
+                    }
+                    _ => {}
                 }
             }
         }));
@@ -155,50 +166,29 @@ proptest! {
 }
 
 proptest! {
-    /// Build-then-execute with random node geometry never panics: on a
-    /// 1–2-packet Alice–Bob, X or chain run, `graph.positions` is
-    /// absent, the canonical embedding, one coordinate short or over,
-    /// or carries one non-finite coordinate, and its range is the
-    /// canonical one, an ordinary one or an [`EDGES`] value. Every
-    /// outcome is `Ok` or a typed error, on both executors.
+    /// Build-then-execute of a random mesh never panics: node counts in
+    /// and around the generator's 5..=120, radii that are ordinary or
+    /// an [`EDGES`] value (∞ links every pair), any placement seed, on
+    /// 1–2-packet ANC, COPE or traditional runs. Every outcome is `Ok`
+    /// or a typed error, on both executors.
     #[test]
-    fn scenario_geometry_never_panics(
+    fn mesh_config_never_panics(
         seed in 0u64..1_000,
-        topology in 0usize..3,
+        nodes in 0usize..130,
+        radius_word in any::<u64>(),
+        placement in any::<u64>(),
         scheme in 0usize..3,
         packets in 1usize..3,
-        shape in 0u64..5,
-        coord_word in any::<u64>(),
-        range_word in any::<u64>(),
     ) {
-        let mut spec = [ScenarioSpec::alice_bob, ScenarioSpec::x, ScenarioSpec::chain][topology]();
-        let canonical = spec
-            .graph
-            .clone()
-            .with_canonical_positions()
-            .positions
-            .expect("paper topologies have a canonical embedding");
-        let mut coords = canonical.coords;
-        let k = (coord_word >> 8) as usize % coords.len();
-        match shape {
-            1 => {}
-            2 => coords.truncate(k),
-            3 => coords.push((coords.len() as f64, (coord_word >> 16) as f64)),
-            _ => {
-                let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(coord_word % 3) as usize];
-                if coord_word & 4 == 0 {
-                    coords[k].0 = bad;
-                } else {
-                    coords[k].1 = bad;
-                }
-            }
-        }
-        let range = match range_word % 4 {
-            0 | 1 => EDGES[((range_word >> 2) % EDGES.len() as u64) as usize],
-            2 => canonical.range,
-            _ => pick((range_word >> 2) << 3 | 1, 0.5, 3.0),
+        let mesh = MeshConfig {
+            nodes,
+            radius: if radius_word % 2 == 0 {
+                EDGES[((radius_word >> 1) % EDGES.len() as u64) as usize]
+            } else {
+                pick(radius_word, 0.2, 0.8)
+            },
+            seed: placement,
         };
-        spec.graph.positions = (shape != 0).then_some(NodePositions { coords, range });
         let scheme = [Scheme::Anc, Scheme::Cope, Scheme::Traditional][scheme];
         let cfg = RunConfig {
             packets_per_flow: packets,
@@ -206,6 +196,9 @@ proptest! {
             ..RunConfig::quick(seed)
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let Ok(spec) = ScenarioSpec::random_mesh(&mesh) else {
+                return;
+            };
             for sched in [SchedulerSpec::deterministic(), SchedulerSpec::work_stealing(2)] {
                 let built = spec
                     .clone()
@@ -219,7 +212,7 @@ proptest! {
                 }
             }
         }));
-        prop_assert!(outcome.is_ok(), "panicked on {:?} / {scheme:?}", spec.graph.positions);
+        prop_assert!(outcome.is_ok(), "panicked on {mesh:?} / {scheme:?}");
     }
 }
 
