@@ -129,7 +129,6 @@ fn bench_pipeline(c: &mut Criterion) {
                 1.0,
                 1.0,
                 &mut scratch,
-                &mut err,
                 &mut bits,
             );
             black_box((span, bits.len()))

@@ -113,7 +113,6 @@ fn bench_matcher(c: &mut Criterion) {
                 1.0,
                 1.0,
                 &mut scratch,
-                &mut err,
                 &mut bits,
             );
             black_box(bits.len())

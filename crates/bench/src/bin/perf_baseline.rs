@@ -140,7 +140,6 @@ fn main() {
     let mut bits = Vec::new();
     let mut energies = Vec::new();
     let mut batch_scratch = MatchBatchScratch::default();
-    let mut err_b = Vec::new();
     let mut bits_b = Vec::new();
     // Bit-identity sanity inside the measurement binary: the batch arm
     // must reproduce the scalar oracle exactly before its timing means
@@ -150,26 +149,10 @@ fn main() {
     match_bits_into(&rx, &dtheta, 1.0, 1.0, &mut err, &mut bits);
     energies_into(&rx, &mut energies);
     let span_b = det.interference_span(&energies, from, to);
-    match_bits_batch(
-        &rx,
-        &dtheta,
-        1.0,
-        1.0,
-        &mut batch_scratch,
-        &mut err_b,
-        &mut bits_b,
-    );
+    match_bits_batch(&rx, &dtheta, 1.0, 1.0, &mut batch_scratch, &mut bits_b);
     assert!(span.is_some(), "fixture stream is not interfered");
     assert_eq!(span, span_b, "searched interference span diverged");
     assert_eq!(bits, bits_b, "batch matcher bits diverged");
-    assert!(
-        err.len() == err_b.len()
-            && err
-                .iter()
-                .zip(&err_b)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "batch matcher residuals diverged"
-    );
     let mut batch = || {
         energies_into(black_box(&rx), &mut energies);
         let span = det.interference_span(&energies, from, to);
@@ -180,7 +163,6 @@ fn main() {
             1.0,
             1.0,
             &mut batch_scratch,
-            &mut err_b,
             &mut bits_b,
         );
         black_box((span, bits_b.len()));
@@ -235,7 +217,6 @@ fn main() {
     let fspec = FaultSpec::none();
     let mut energies_g = Vec::new();
     let mut batch_scratch_g = MatchBatchScratch::default();
-    let mut err_g = Vec::new();
     let mut bits_g = Vec::new();
     let mut period = 0u64;
     let (bare_ns, guarded_ns) = measure_pair(
@@ -255,7 +236,6 @@ fn main() {
                 1.0,
                 1.0,
                 &mut batch_scratch_g,
-                &mut err_g,
                 &mut bits_g,
             );
             black_box((span, bits_g.len()));

@@ -33,7 +33,7 @@
 
 use crate::amplitude::{estimate_amplitudes, estimate_single_amplitude};
 use crate::detect::{ClassifiedSignal, DetectorConfig, SignalDetector};
-use crate::matcher::{match_bits_batch, mean_residual, MatchBatchScratch};
+use crate::matcher::{match_bits_batch, MatchBatchScratch};
 use anc_dsp::batch::energies_into;
 use anc_dsp::corr::best_match_bounded;
 use anc_dsp::Cplx;
@@ -107,8 +107,6 @@ pub struct DecodeDiagnostics {
     pub interference_onset: usize,
     /// Number of symbol intervals decoded through the matcher.
     pub overlap_symbols: usize,
-    /// Mean §6.3 matching residual over the overlap (diagnostic).
-    pub mean_match_error: f64,
     /// Fraction of the known frame's symbols that overlapped the
     /// unknown frame (the §11.4 "80 % overlap" statistic).
     pub overlap_fraction: f64,
@@ -129,11 +127,17 @@ pub struct DecodeOutcome {
 /// Reusable working memory for the Alg.-1 decode hot path.
 ///
 /// One decode touches several intermediate streams — demodulated head
-/// bits, the per-sample energies, the known sender's `Δθ_s`, the matcher
-/// output, and (backward decodes) the conjugate-reversed reception.
-/// Owning them here lets a receiver amortize every one of those
-/// allocations across a run: after the first packet, a decode performs
-/// a single allocation (the recovered bit vector it returns).
+/// bits, the per-sample energies, the known sender's `Δθ_s`, the
+/// matcher's struct-of-arrays intermediates, and (backward decodes) the
+/// conjugate-reversed reception. Owning them here lets a receiver
+/// amortize those allocations across a run. After the first packet, a
+/// successful `_with` forward or backward decode still makes four
+/// allocations: the recovered bit vector it returns, the §7.1 energy
+/// window of [`SignalDetector::locate`], and one variance window each
+/// in [`SignalDetector::detect`] and
+/// [`SignalDetector::interference_span`].
+/// [`AncDecoder::decode_in_region`] skips the detection and makes two;
+/// a decode that fails early makes fewer.
 ///
 /// Create one per receiver (or per worker thread) and pass it to the
 /// `_with` decode variants; the scratch-free methods allocate a fresh
@@ -149,8 +153,6 @@ pub struct DecoderScratch {
     known_dtheta: Vec<f64>,
     /// Struct-of-arrays intermediates of the batched §6.3 kernel.
     batch: MatchBatchScratch,
-    /// Per-interval matching residuals from the batch kernel (§6.3).
-    match_err: Vec<f64>,
     /// Conjugate-reversed reception for backward decodes (§7.4).
     reversed: Vec<Cplx>,
     /// Bit-reversed known frame for backward decodes (§7.4).
@@ -356,9 +358,8 @@ impl AncDecoder {
         // ---- Step 4: matcher over the overlapped intervals (§6.3). ----
         // Interval n (absolute) uses known_dtheta[n - f0]; we start at
         // the onset interval and run to the end of the known frame.
-        // Batched SoA lemma/matcher kernel: residuals land in the
-        // scratch, the §6.4 bit decisions directly in the output
-        // vector — the decode's one allocation, returned to the caller.
+        // Batched SoA lemma/matcher kernel: the §6.4 bit decisions land
+        // directly in the output vector, which is returned to the caller.
         let start_int = onset.max(f0);
         self.modem
             .phase_differences_into(&known_bits[(start_int - f0)..], &mut scratch.known_dtheta);
@@ -373,10 +374,9 @@ impl AncDecoder {
             a,
             b,
             &mut scratch.batch,
-            &mut scratch.match_err,
             &mut bits,
         );
-        let overlap_symbols = scratch.match_err.len();
+        let overlap_symbols = bits.len();
 
         // ---- Step 5: clean tail — the unknown signal alone (§7.2). ----
         self.modem.demodulate_extend(tail, &mut bits);
@@ -393,7 +393,6 @@ impl AncDecoder {
                 unknown_amplitude: b,
                 interference_onset: region.start + onset,
                 overlap_symbols,
-                mean_match_error: mean_residual(&scratch.match_err),
                 overlap_fraction: overlap_fraction.min(1.0),
             },
         })

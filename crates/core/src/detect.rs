@@ -81,7 +81,20 @@ impl ClassifiedSignal {
 #[derive(Debug, Clone)]
 pub struct SignalDetector {
     cfg: DetectorConfig,
+    /// [`Self::energy_gate`], computed once.
+    gate: f64,
+    /// A full energy window whose sum lies below `sum_lo` is certainly
+    /// below the gate, and one above `sum_hi` certainly above it
+    /// ([`Self::above_gate`]); `(−∞, +∞)` sends every sum to the
+    /// division.
+    sum_lo: f64,
+    sum_hi: f64,
 }
+
+/// Relative margin of the energy gate's division-free bounds. The
+/// bounds and the window's mean round a few units in 2⁵³ each, far
+/// inside it.
+const GATE_MARGIN: f64 = 1e-9;
 
 impl SignalDetector {
     /// Creates a detector.
@@ -91,7 +104,23 @@ impl SignalDetector {
     pub fn new(cfg: DetectorConfig) -> Self {
         assert!(cfg.window >= 4, "detection window too small");
         assert!(cfg.noise_floor > 0.0, "noise floor must be positive");
-        SignalDetector { cfg }
+        let gate = cfg.noise_floor * db_to_linear(cfg.energy_threshold_db);
+        let gate_sum = gate * cfg.window as f64;
+        let sum_hi = gate_sum * (1.0 + GATE_MARGIN);
+        // A subnormal gate rounds more coarsely than the margin, and a
+        // zero, negative, infinite or NaN gate has no relative margin
+        // at all: those gates decide every window by division.
+        let (sum_lo, sum_hi) = if gate > 0.0 && gate.is_normal() && sum_hi.is_finite() {
+            (gate_sum * (1.0 - GATE_MARGIN), sum_hi)
+        } else {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        };
+        SignalDetector {
+            cfg,
+            gate,
+            sum_lo,
+            sum_hi,
+        }
     }
 
     /// The configuration in use.
@@ -101,7 +130,25 @@ impl SignalDetector {
 
     /// Energy level (linear) at which a packet is declared.
     pub fn energy_gate(&self) -> f64 {
-        self.cfg.noise_floor * db_to_linear(self.cfg.energy_threshold_db)
+        self.gate
+    }
+
+    /// The gate test of a full energy window, `(sum / w).max(0) > gate`,
+    /// decided from `sum` alone outside `[sum_lo, sum_hi]`. Above
+    /// `gate·w·(1 + 10⁻⁹)` the rounded mean still exceeds the gate by
+    /// far more than its rounding, and below `gate·w·(1 − 10⁻⁹)` it
+    /// stays below it; only sums between the two bounds divide. The
+    /// window sum is never NaN ([`EnergyWindow::sum`]), and a `+∞` sum
+    /// is above every finite gate, as its mean is.
+    #[inline]
+    fn above_gate(&self, sum: f64) -> bool {
+        if sum > self.sum_hi {
+            true
+        } else if sum < self.sum_lo {
+            false
+        } else {
+            (sum / self.cfg.window as f64).max(0.0) > self.gate
+        }
     }
 
     /// Bounds `(start, end)` of the first detected signal region: the
@@ -116,14 +163,13 @@ impl SignalDetector {
         if samples.len() < w {
             return None;
         }
-        let gate = self.energy_gate();
         let mut ew = EnergyWindow::new(w);
         // Find start: first window whose mean crosses the gate. The
         // region starts at the window's left edge.
         let mut start = None;
         for (i, &s) in samples.iter().enumerate() {
             ew.push(s);
-            if ew.is_full() && ew.mean() > gate {
+            if ew.is_full() && self.above_gate(ew.sum()) {
                 start = Some(i + 1 - w);
                 break;
             }
@@ -134,12 +180,13 @@ impl SignalDetector {
         // mean only drops once the window is mostly noise, so the right
         // edge overshoots into noise by up to one window, which is
         // harmless; ending at the left edge would clip the signal's
-        // tail bits (and with them the mirrored tail pilot, §7.4).
+        // tail bits (and with them the mirrored tail pilot, §7.4). A
+        // NaN gate never finds a start, so here "not above" is `<=`.
         ew.clear();
         let mut end = samples.len();
         for (i, &s) in samples.iter().enumerate().skip(start) {
             ew.push(s);
-            if ew.is_full() && ew.mean() <= gate {
+            if ew.is_full() && !self.above_gate(ew.sum()) {
                 end = (i + 1).max(start + 1);
                 break;
             }

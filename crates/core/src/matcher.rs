@@ -39,9 +39,13 @@ impl MatchOutput {
         self.dphi.iter().map(|&d| d >= 0.0).collect()
     }
 
-    /// Mean matching residual (diagnostic).
+    /// Mean matching residual (diagnostic); 0 for no intervals.
     pub fn mean_err(&self) -> f64 {
-        mean_residual(&self.err)
+        if self.err.is_empty() {
+            0.0
+        } else {
+            self.err.iter().sum::<f64>() / self.err.len() as f64
+        }
     }
 }
 
@@ -105,10 +109,10 @@ pub fn match_phase_differences(y: &[Cplx], known_dtheta: &[f64], a: f64, b: f64)
     out
 }
 
-/// The scalar fused §6.3 kernel: Lemma 6.1 + matching that emits
-/// only what Alg. 1 consumes — the §6.4 hard bit decisions
-/// (appended to `bits`) and the per-interval matching residual
-/// `|Δθ_chosen − Δθ_s|` (into `err`, cleared first).
+/// The scalar fused §6.3 kernel and the oracle of
+/// [`match_bits_batch`]: Lemma 6.1 + matching that emits the §6.4 hard
+/// bit decisions (appended to `bits`) and the per-interval matching
+/// residual `|Δθ_chosen − Δθ_s|` (into `err`, cleared first).
 ///
 /// Candidates are scored through a [`LemmaKernel`]'s unnormalized
 /// vectors (the identities are set out in DESIGN.md §8), and the
@@ -187,10 +191,12 @@ pub struct MatchBatchScratch {
     back_rot: CplxBatch,
 }
 
-/// The batched §6.3 kernel: same contract and output as
-/// [`match_bits_into`] — the §6.4 bit decisions appended to `bits`, the
-/// per-interval residuals into `err` (cleared first) — restructured as
-/// struct-of-arrays stage passes over the whole run.
+/// The batched §6.3 kernel: the §6.4 bit decisions of
+/// [`match_bits_into`], appended to `bits`, restructured as
+/// struct-of-arrays stage passes over the whole run. It emits no
+/// residual stream: the decoder reads only the bits, so the scalar
+/// oracle's per-interval `atan2` is the one piece of its work this
+/// kernel leaves out.
 ///
 /// Why it is faster, at bit-identical output:
 ///
@@ -204,32 +210,27 @@ pub struct MatchBatchScratch {
 ///   LLVM autovectorizes.
 /// * The decision scan then reads the solved streams with no
 ///   long-latency dependency between intervals: four register-resident
-///   scores and compares per interval, and the one irreducible `atan2`
-///   for the residual stream overlaps across intervals in the
-///   out-of-order window.
+///   scores and compares per interval, and one sign test.
 ///
 /// Every stage performs exactly the scalar expressions (same `mul_add`
 /// contractions, same candidate order, same strict-improvement scan
 /// seeded at −∞ — NaN scores are never adopted, so NaN inputs fall back
-/// to candidate (0, 0) exactly as the fused kernel does), so `bits` and
-/// `err` are bit-identical to [`match_bits_into`]; the proptest
-/// equivalence suite pins this across lane remainders.
+/// to candidate (0, 0) exactly as the fused kernel does), so `bits` are
+/// bit-identical to [`match_bits_into`]'s; the proptest equivalence
+/// suite pins this across lane remainders.
 pub fn match_bits_batch(
     y: &[Cplx],
     known_dtheta: &[f64],
     a: f64,
     b: f64,
     scratch: &mut MatchBatchScratch,
-    err: &mut Vec<f64>,
     bits: &mut Vec<bool>,
 ) {
     let kernel = LemmaKernel::new(a, b);
-    err.clear();
     let intervals = known_dtheta.len().min(y.len().saturating_sub(1));
     if intervals == 0 {
         return;
     }
-    err.reserve(intervals);
     bits.reserve(intervals);
     let MatchBatchScratch { cand, back_rot } = scratch;
 
@@ -267,15 +268,12 @@ pub fn match_bits_batch(
     // candidate streams: per interval, both pre-rotated next vectors,
     // the four candidate scores (registers, never written back), then
     // the reference's exact selection order (next branch outer, prev
-    // branch inner, strict improvement from −∞) and the winner's
-    // residual and bit. An earlier cut materialized the rotated
-    // vectors and all four score streams as further SoA passes; at
-    // 4k-sample runs those intermediates blew past L2 and the kernel
-    // went memory-bound — folding them into the scan keeps the streams
-    // read here to the candidate batch and the back-rotations. The
-    // only long-latency op per interval is the residual's `atan2`, and
-    // it is independent across intervals, so out-of-order execution
-    // overlaps it with the neighbouring intervals' arithmetic.
+    // branch inner, strict improvement from −∞) and the winner's bit.
+    // An earlier cut materialized the rotated vectors and all four
+    // score streams as further SoA passes; at 4k-sample runs those
+    // intermediates blew past L2 and the kernel went memory-bound —
+    // folding them into the scan keeps the streams read here to the
+    // candidate batch and the back-rotations.
     let (bre, bim) = (&back_rot.re()[..intervals], &back_rot.im()[..intervals]);
     let (u0re, u0im) = (cand.u0.re(), cand.u0.im());
     let (u1re, u1im) = (cand.u1.re(), cand.u1.im());
@@ -307,27 +305,17 @@ pub fn match_bits_batch(
             best = if take { j } else { best };
         }
         let (x, p) = (best >> 1, best & 1);
-        let (m, nv) = if x == 0 {
-            (mk0, Cplx::new(v0re[k + 1], v0im[k + 1]))
+        let nv = if x == 0 {
+            Cplx::new(v0re[k + 1], v0im[k + 1])
         } else {
-            (mk1, Cplx::new(v1re[k + 1], v1im[k + 1]))
+            Cplx::new(v1re[k + 1], v1im[k + 1])
         };
-        let (pu, pv) = if p == 0 {
-            (p0, Cplx::new(v0re[k], v0im[k]))
+        let pv = if p == 0 {
+            Cplx::new(v0re[k], v0im[k])
         } else {
-            (p1, Cplx::new(v1re[k], v1im[k]))
+            Cplx::new(v1re[k], v1im[k])
         };
-        err.push((m * pu.conj()).arg().abs());
         bits.push((nv * pv.conj()).arg_is_non_negative());
-    }
-}
-
-/// Mean of a residual stream; 0 for an empty one.
-pub fn mean_residual(err: &[f64]) -> f64 {
-    if err.is_empty() {
-        0.0
-    } else {
-        err.iter().sum::<f64>() / err.len() as f64
     }
 }
 
@@ -491,9 +479,10 @@ mod tests {
             for (n, (&e, &r)) in err.iter().zip(&reference.err).enumerate() {
                 assert!((e - r).abs() < 1e-9, "err[{n}]");
             }
-            assert!((mean_residual(&err) - reference.mean_err()).abs() < 1e-9);
+            let mean = err.iter().sum::<f64>() / err.len() as f64;
+            assert!((mean - reference.mean_err()).abs() < 1e-9);
         }
-        assert_eq!(mean_residual(&[]), 0.0);
+        assert_eq!(MatchOutput::default().mean_err(), 0.0);
     }
 
     #[test]
@@ -512,30 +501,21 @@ mod tests {
             let (rx, _, _, dtheta) = scenario(a, b, n_bits, seed, noise);
             let (mut err_f, mut bits_f) = (Vec::new(), Vec::new());
             match_bits_into(&rx, &dtheta, a, b, &mut err_f, &mut bits_f);
-            let mut err_b = vec![9.9]; // must be cleared
             let mut bits_b = vec![true]; // appended after, not cleared
-            match_bits_batch(&rx, &dtheta, a, b, &mut scratch, &mut err_b, &mut bits_b);
+            match_bits_batch(&rx, &dtheta, a, b, &mut scratch, &mut bits_b);
             assert_eq!(&bits_b[1..], bits_f.as_slice(), "seed {seed}");
-            assert_eq!(err_b.len(), err_f.len());
-            for (n, (&e, &r)) in err_b.iter().zip(&err_f).enumerate() {
-                assert!(
-                    e.to_bits() == r.to_bits(),
-                    "seed {seed} err[{n}]: {e} vs {r}"
-                );
-            }
         }
-        // Empty/short inputs: cleared err, untouched bits.
-        let (mut err, mut bits) = (vec![1.0], Vec::new());
+        // Empty/short inputs: untouched bits.
+        let mut bits = vec![true];
         match_bits_batch(
             &[Cplx::ONE],
             &[FRAC_PI_2],
             1.0,
             1.0,
             &mut scratch,
-            &mut err,
             &mut bits,
         );
-        assert!(err.is_empty() && bits.is_empty());
+        assert_eq!(bits, [true]);
     }
 
     #[test]
@@ -552,26 +532,16 @@ mod tests {
         let (mut err_f, mut bits_f) = (Vec::new(), Vec::new());
         match_bits_into(&rx, &dtheta, 1.0, 0.8, &mut err_f, &mut bits_f);
         let mut scratch = MatchBatchScratch::default();
-        let (mut err_b, mut bits_b) = (Vec::new(), Vec::new());
-        match_bits_batch(
-            &rx,
-            &dtheta,
-            1.0,
-            0.8,
-            &mut scratch,
-            &mut err_b,
-            &mut bits_b,
-        );
+        let mut bits_b = Vec::new();
+        match_bits_batch(&rx, &dtheta, 1.0, 0.8, &mut scratch, &mut bits_b);
         assert_eq!(reference.bits(), bits_f);
         assert_eq!(reference.bits(), bits_b);
         // Poisoned intervals: samples 10 and 20 hit intervals {9, 10}
-        // and {19, 20}; the NaN Δθ_s hits interval 40. All paths must
-        // report NaN residuals there (not 0.0 placeholders) and decide
-        // the bit false.
+        // and {19, 20}; the NaN Δθ_s hits interval 40. The paths that
+        // report residuals must report NaN there (not 0.0 placeholders).
         for k in [9usize, 10, 19, 20, 40] {
             assert!(reference.err[k].is_nan(), "reference err[{k}]");
             assert!(err_f[k].is_nan(), "bits-kernel err[{k}]");
-            assert!(err_b[k].is_nan(), "batch err[{k}]");
         }
         // NaN *samples* poison the Δφ vector too, so those intervals'
         // bits are false; the NaN-Δθ_s interval (40) falls back to
@@ -580,7 +550,7 @@ mod tests {
             assert!(!bits_b[k], "bit[{k}] must be false under NaN samples");
         }
         // Clean intervals still decode identically and finitely.
-        assert!(err_b[30].is_finite());
+        assert!(err_f[30].is_finite());
     }
 
     #[test]

@@ -8,9 +8,10 @@ use anc_core::matcher::{
 };
 use anc_dsp::angle::circular_distance;
 use anc_dsp::batch::energies_into;
-use anc_dsp::{Cplx, DspRng, VarianceWindow};
+use anc_dsp::{db_to_linear, Cplx, DspRng, VarianceWindow};
 use anc_modem::{Modem, MskConfig, MskModem};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use std::f64::consts::PI;
 
 proptest! {
@@ -219,20 +220,14 @@ proptest! {
             prop_assert_eq!(cand.v1.get(k).im.to_bits(), v[1].im.to_bits(), "v1.im[{}]", k);
         }
 
-        // Matching: decisions and residuals bit-identical to the
-        // scalar bits kernel.
+        // Matching: decisions bit-identical to the scalar bits kernel.
         let mut err = Vec::new();
         let mut bits = Vec::new();
         match_bits_into(&rx, &dtheta, a, b, &mut err, &mut bits);
         let mut scratch = MatchBatchScratch::default();
-        let mut err_b = Vec::new();
         let mut bits_b = Vec::new();
-        match_bits_batch(&rx, &dtheta, a, b, &mut scratch, &mut err_b, &mut bits_b);
+        match_bits_batch(&rx, &dtheta, a, b, &mut scratch, &mut bits_b);
         prop_assert_eq!(&bits_b, &bits);
-        prop_assert_eq!(err_b.len(), err.len());
-        for (k, (&e, &r)) in err_b.iter().zip(&err).enumerate() {
-            prop_assert_eq!(e.to_bits(), r.to_bits(), "batch err[{}]: {} vs {}", k, e, r);
-        }
     }
 
     /// The matcher's output lengths are always consistent and its
@@ -308,22 +303,82 @@ proptest! {
         prop_assert_eq!(det.locate(&rx), want);
     }
 
+    /// `locate` equals [`reference_locate`], the gate test it replaced,
+    /// which divides the window sum after every push: on noise alone,
+    /// clean and interfered packets, inputs shorter than the window,
+    /// NaN/±∞ samples, windows whose mean sits a few ulps or a few 10⁻⁹
+    /// margins from the gate, and energies whose sum overflows; at
+    /// thresholds of ±∞, NaN, ±300 dB and ordinary ones, over ordinary,
+    /// subnormal, huge and infinite noise floors.
+    #[test]
+    fn detect_locate_matches_reference(
+        kind in 0u8..8, seed in any::<u64>(),
+        lead in 0usize..150, n in 8usize..300, stagger in 1usize..150,
+        window in 4usize..65, db_pick in 0usize..8, db in -10.0f64..40.0,
+        floor_pick in 0usize..5,
+    ) {
+        let energy_threshold_db =
+            [f64::NEG_INFINITY, f64::INFINITY, f64::NAN, 300.0, -300.0, 20.0, 0.0, db][db_pick];
+        let noise_floor = [1e-4, 1e-310, f64::MIN_POSITIVE, 1e300, f64::INFINITY][floor_pick];
+        let det = SignalDetector::new(DetectorConfig {
+            window,
+            energy_threshold_db,
+            noise_floor,
+            ..DetectorConfig::default()
+        });
+        let gate = noise_floor * db_to_linear(energy_threshold_db);
+        prop_assert_eq!(det.energy_gate().to_bits(), gate.to_bits());
+        let mut rng = DspRng::seed_from(seed);
+        let rx = match kind {
+            // Energies a few ulps, or a few 10⁻⁹ margins, off the gate
+            // (a unit level where the gate has no finite positive value).
+            6 => {
+                let g = if gate.is_finite() && gate > 0.0 { gate } else { 1.0 };
+                let mut rx: Vec<Cplx> = (0..lead).map(|_| rng.complex_gaussian(g * 1e-3)).collect();
+                for _ in 0..n {
+                    let step = rng.uniform_int(0, 8) as f64 - 4.0;
+                    let e = match rng.uniform_int(0, 2) {
+                        0 => g * (1.0 + step * f64::EPSILON),
+                        1 => g * (1.0 + step * 0.5e-9),
+                        _ => g,
+                    };
+                    rx.push(Cplx::new(e.sqrt(), 0.0));
+                }
+                rx.extend((0..lead).map(|_| rng.complex_gaussian(g * 1e-3)));
+                rx
+            }
+            // Energies near 1.4e308: the window sum overflows to +∞.
+            7 => {
+                let mut rx: Vec<Cplx> = (0..lead).map(|_| rng.complex_gaussian(1e-4)).collect();
+                rx.extend((0..n).map(|_| Cplx::from_polar(1.2e154, rng.phase())));
+                rx.extend((0..lead).map(|_| rng.complex_gaussian(1e-4)));
+                rx
+            }
+            // 0 noise, 1 clean, 2 interfered, 3 short, 4 constant,
+            // 5 NaN and ±∞ samples.
+            _ => reception(&mut rng, kind, lead, n, stagger, window),
+        };
+        prop_assert_eq!(det.locate(&rx), reference_locate(&rx, window, gate));
+    }
+
     /// `detect` stops at the first firing window and skips the windows
     /// that cannot fire, yet returns what the full per-window pass over
     /// the same interior returns: on noise alone, clean and interfered
     /// packets, inputs shorter than a window, regions shorter than the
     /// variance window, constant signals, NaN/±∞ samples, magnitudes
-    /// 1e±150, subnormal energies, and negative thresholds.
+    /// 1e±150, energies near 10³⁰⁶ and 1.4e308 (window means near
+    /// overflow), subnormal energies, and negative, zero and tiny
+    /// thresholds.
     #[test]
     fn variance_detect_matches_full_pass(
-        kind in 0u8..9, seed in any::<u64>(), scale_pick in 0usize..3,
+        kind in 0u8..9, seed in any::<u64>(), scale_pick in 0usize..5,
         lead in 0usize..120, n in 8usize..400, stagger in 1usize..200,
-        window in 4usize..48, thr_pick in 0usize..5,
+        window in 4usize..48, thr_pick in 0usize..7,
     ) {
         const NOISE: f64 = 1e-4;
         let mut rng = DspRng::seed_from(seed);
         let amp = match kind {
-            6 => [1e75, 1e-75, 5e76][scale_pick],
+            6 => [1e75, 1e-75, 5e76, 1e153, 1.2e154][scale_pick],
             7 => 1e-158,
             _ => 1.0,
         };
@@ -337,7 +392,7 @@ proptest! {
         let det = SignalDetector::new(DetectorConfig {
             window,
             noise_floor: NOISE * amp * amp,
-            variance_threshold: [0.05, 0.002, 0.3, -0.1, 0.0][thr_pick],
+            variance_threshold: [0.05, 0.002, 0.3, -0.1, 0.0, 1e-14, 1e-30][thr_pick],
             ..DetectorConfig::default()
         });
         let rx: Vec<Cplx> = reception(&mut rng, kind, lead, n, stagger, window)
@@ -523,4 +578,50 @@ fn full_pass_detect(det: &SignalDetector, rx: &[Cplx]) -> Option<(usize, usize, 
         }
     }
     Some((start, end, peak_nv > det.config().variance_threshold))
+}
+
+/// `locate` as the detector decided its gate before the gate went
+/// division-free: a `VecDeque` window with the evict-then-add running
+/// sum (recomputed oldest first when it rounds below zero, NaN/±∞
+/// energies stored as 0) and `(sum / n).max(0) > gate` after every push.
+fn reference_locate(samples: &[Cplx], window: usize, gate: f64) -> Option<(usize, usize)> {
+    struct Window {
+        buf: VecDeque<f64>,
+        sum: f64,
+    }
+    impl Window {
+        /// Pushes `s` and returns the mean once the window is full.
+        fn push(&mut self, s: Cplx, cap: usize) -> Option<f64> {
+            let e = s.norm_sq();
+            let e = if e.is_finite() { e } else { 0.0 };
+            if self.buf.len() == cap {
+                self.sum -= self.buf.pop_front().unwrap();
+            }
+            self.buf.push_back(e);
+            self.sum += e;
+            if self.sum < 0.0 {
+                self.sum = self.buf.iter().sum();
+            }
+            (self.buf.len() == cap).then(|| (self.sum / cap as f64).max(0.0))
+        }
+    }
+    let fresh = || Window {
+        buf: VecDeque::with_capacity(window),
+        sum: 0.0,
+    };
+    if samples.len() < window {
+        return None;
+    }
+    let mut w = fresh();
+    let start = samples
+        .iter()
+        .position(|&s| w.push(s, window).is_some_and(|m| m > gate))?
+        + 1
+        - window;
+    let mut w = fresh();
+    let end = samples[start..]
+        .iter()
+        .position(|&s| w.push(s, window).is_some_and(|m| m <= gate))
+        .map_or(samples.len(), |k| (start + k + 1).max(start + 1));
+    Some((start, end))
 }

@@ -8,13 +8,14 @@
 //! because a single MSK signal has (nearly) constant energy while two
 //! interfered MSK signals swing between `(A+B)²` and `(A−B)²`.
 //!
-//! Both trackers keep an O(1) running sum for the mean, refreshed from
-//! the ring buffer on a fixed schedule so drift over long streams stays
-//! bounded. The variance tracker computes squared deviations *about
-//! that mean* in a single buffer pass per query — unlike the naive
-//! sliding `E[x²]−E[x]²`, the deviation form cannot cancel
-//! catastrophically (an off-by-δ mean inflates the variance by only
-//! δ², and δ is pinned to a few ulps by the refresh).
+//! Both trackers keep an O(1) running sum over a flat ring that is
+//! allocated once at its capacity. The variance tracker refreshes that
+//! sum from the ring on a fixed schedule so drift over long streams
+//! stays bounded, and computes squared deviations *about that mean* in
+//! a single buffer pass per query — unlike the naive sliding
+//! `E[x²]−E[x]²`, the deviation form cannot cancel catastrophically (an
+//! off-by-δ mean inflates the variance by only δ², and δ is pinned to a
+//! few ulps by the refresh).
 //!
 //! Only the §7.1 yes/no decision leaves the variance tracker, so
 //! [`VarianceWindow::exceeds`] skips the deviation pass wherever a
@@ -24,15 +25,21 @@
 //! head of the stream (DESIGN.md §5).
 
 use crate::cplx::Cplx;
-use std::collections::VecDeque;
 
 /// Sliding-window mean of sample energy `|y[n]|²`.
 ///
 /// Backs the packet detector: compare [`EnergyWindow::mean`] against the
-/// noise floor (in dB) to decide whether a transmission is present.
+/// noise floor (in dB) to decide whether a transmission is present. A
+/// caller that compares against a fixed level can test
+/// [`EnergyWindow::sum`] instead and skip the division.
 #[derive(Debug, Clone)]
 pub struct EnergyWindow {
-    buf: VecDeque<f64>,
+    /// Flat ring storage: grows to `cap` during warmup, then wraps at
+    /// `pos`. Its capacity is reserved up front, so pushes never
+    /// reallocate.
+    ring: Vec<f64>,
+    /// Next write index once the ring is full (oldest element).
+    pos: usize,
     cap: usize,
     sum: f64,
 }
@@ -45,7 +52,8 @@ impl EnergyWindow {
     pub fn new(cap: usize) -> Self {
         assert!(cap >= 1, "window capacity must be at least 1");
         EnergyWindow {
-            buf: VecDeque::with_capacity(cap),
+            ring: Vec::with_capacity(cap),
+            pos: 0,
             cap,
             sum: 0.0,
         }
@@ -64,52 +72,65 @@ impl EnergyWindow {
     #[inline]
     pub fn push_energy(&mut self, energy: f64) {
         let energy = sanitize(energy);
-        if self.buf.len() == self.cap {
-            if let Some(old) = self.buf.pop_front() {
-                self.sum -= old;
+        if self.ring.len() < self.cap {
+            self.ring.push(energy);
+        } else {
+            self.sum -= self.ring[self.pos];
+            self.ring[self.pos] = energy;
+            self.pos += 1;
+            if self.pos == self.cap {
+                self.pos = 0;
             }
         }
-        self.buf.push_back(energy);
         self.sum += energy;
-        // Defensive: over very long streams the incremental sum drifts;
-        // refresh it cheaply whenever the buffer wraps a large number of
-        // times would be overkill, but clamping tiny negatives is needed.
+        // The evict-then-add update can round a window of tiny energies
+        // below zero; recompute it from the ring, oldest first.
         if self.sum < 0.0 {
-            self.sum = self.buf.iter().sum();
+            let (newer, older) = self.ring.split_at(self.pos);
+            self.sum = older.iter().chain(newer).sum();
         }
     }
 
     /// Current number of samples held (≤ capacity).
     #[inline]
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len()
     }
 
     /// `true` when no samples have been pushed.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.is_empty()
     }
 
     /// `true` once the window has been fully populated.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.buf.len() == self.cap
+        self.ring.len() == self.cap
+    }
+
+    /// Running sum of the held energies: [`EnergyWindow::mean`] is
+    /// `(sum / len).max(0)`. It is `+∞` once the energies overflow, and
+    /// never NaN.
+    #[inline]
+    pub fn sum(&self) -> f64 {
+        self.sum
     }
 
     /// Mean energy over the window; 0 when empty.
     #[inline]
     pub fn mean(&self) -> f64 {
-        if self.buf.is_empty() {
+        if self.ring.is_empty() {
             0.0
         } else {
-            (self.sum / self.buf.len() as f64).max(0.0)
+            (self.sum / self.ring.len() as f64).max(0.0)
         }
     }
 
     /// Clears the window.
     pub fn clear(&mut self) {
-        self.buf.clear();
+        self.ring.clear();
+        self.pos = 0;
         self.sum = 0.0;
     }
 }
@@ -135,6 +156,9 @@ pub struct VarianceWindow {
     /// Largest squared deviation bound [`VarianceWindow::exceeds`] may
     /// certify: `cap` such terms cannot overflow the deviation pass.
     max_certified_d2: f64,
+    /// `1 / cap`, rounded: [`VarianceWindow::exceeds`] takes a full
+    /// window's mean as `sum · inv_cap` instead of dividing.
+    inv_cap: f64,
 }
 
 /// Pushes between exact recomputations of a window's running sum, as a
@@ -149,6 +173,11 @@ const REFRESH_INTERVAL_CAPS: usize = 8;
 /// one unit in 2⁵³, so for any window below millions of samples its
 /// result sits within far less than 10⁻⁹ of its real-number value.
 const CERTIFICATE_SCALE: f64 = 1.0 - 1e-9;
+
+/// Relative widening of [`VarianceWindow::exceeds`]'s deviation bound,
+/// 2⁻⁵⁰: it covers the gap between the certificate's mean and the exact
+/// pass's (see there).
+const MEAN_SLACK: f64 = 1.0 / (1u64 << 50) as f64;
 
 /// Smallest and largest energy of a slice as a [`VarianceWindow`]
 /// stores them (non-finite energies count as zero, the push sentinel);
@@ -188,6 +217,7 @@ impl VarianceWindow {
             sum: 0.0,
             until_refresh: REFRESH_INTERVAL_CAPS * cap,
             max_certified_d2: f64::MAX / (2 * cap) as f64,
+            inv_cap: 1.0 / cap as f64,
         }
     }
 
@@ -329,25 +359,35 @@ impl VarianceWindow {
     /// testing [`Self::mean_and_variance`] — provided every energy in
     /// the window lies in `[lo, hi]` ([`energy_bounds`]).
     ///
-    /// Each squared deviation the pass sums is at most
-    /// `d² = max(hi − m, m − lo)²` (rounding is monotone), so when
-    /// `d² ≤ threshold·m²·(1 − 10⁻⁹)` the pass cannot fire and is
-    /// skipped: the margin absorbs the pass's own rounding. The skip is
-    /// taken only while `m > 0`, `m²` and `d²` are normal and `cap·d²`
-    /// cannot overflow; everything else runs the exact pass.
+    /// On a full window the deviation pass is skipped when a bound
+    /// proves it cannot fire. The bound needs a mean, and takes it
+    /// without a division: `c = sum · (1/cap)` rounds twice, so it lies
+    /// within 3 units in 2⁵³ of the pass's own `m = sum / cap`, below
+    /// `2⁻⁵¹·c`. Each deviation the pass squares, `|e − m|` for `e` in
+    /// `[lo, hi]`, is therefore at most `max(hi − c, c − lo) + 2⁻⁵¹·c`,
+    /// and rounding is monotone, so every squared term is at most
+    /// `d² = (max(hi − c, c − lo) + 2⁻⁵⁰·c)²` up to a few units in 2⁵³.
+    /// When `d² ≤ threshold·c²·(1 − 10⁻⁹)` the pass cannot fire and is
+    /// skipped: the pass's own rounding and the `c² ≈ m²` gap are a few
+    /// units in 2⁵³ each, far inside the 10⁻⁹ margin. The `2⁻⁵⁰·c` term
+    /// is what makes the skip safe at any threshold: the mean's shift
+    /// moves each deviation by an absolute amount near `2⁻⁵²·m`, which
+    /// the relative margin alone would not absorb once `threshold` falls
+    /// below about 10⁻¹³. The skip is taken only while `c > 0`, `c²` and
+    /// `d²` are normal and `cap·d²` cannot overflow; everything else,
+    /// and every window not yet full, runs the exact pass.
     #[inline]
     pub fn exceeds(&self, threshold: f64, lo: f64, hi: f64) -> bool {
-        let n = self.ring.len();
-        if n >= 2 {
-            let m = self.sum / n as f64;
-            let mm = m * m;
-            let d = (hi - m).max(m - lo);
+        if self.is_full() {
+            let c = self.sum * self.inv_cap;
+            let cc = c * c;
+            let d = (hi - c).max(c - lo) + c * MEAN_SLACK;
             let d2 = d * d;
-            if m > 0.0
-                && mm.is_normal()
+            if c > 0.0
+                && cc.is_normal()
                 && d2.is_normal()
                 && d2 <= self.max_certified_d2
-                && d2 <= threshold * mm * CERTIFICATE_SCALE
+                && d2 <= threshold * cc * CERTIFICATE_SCALE
             {
                 return false;
             }

@@ -240,13 +240,15 @@ proptest! {
         }
     }
 
-    /// The certified §7.1 decision equals the exact test for any
-    /// bounds that hold the window's energies, at thresholds a few
-    /// ulps and a few margins away from the window's own normalized
-    /// variance, and at the degenerate thresholds.
+    /// The certified §7.1 decision, whose mean is `sum · (1/cap)`,
+    /// equals the exact test, whose mean is `sum / cap`, for any bounds
+    /// that hold the window's energies: at thresholds a few ulps and a
+    /// few margins away from the window's own normalized variance, at
+    /// the degenerate thresholds, and at subnormal, near-overflow and
+    /// ulp-spread windows.
     #[test]
     fn variance_certificate_matches_exact_test(
-        cap in 2usize..64, pushes in 1usize..200, kind in 0u8..5, seed in any::<u64>(),
+        cap in 2usize..64, pushes in 1usize..200, kind in 0u8..8, seed in any::<u64>(),
     ) {
         let mut rng = DspRng::seed_from(seed);
         let mut w = VarianceWindow::new(cap);
@@ -294,24 +296,32 @@ proptest! {
 /// 1e-150 to 1e150, 3 levels 1 − δ and 1 + δ in turn, so that every
 /// even window's mean is exactly 1 and its squared deviations all meet
 /// the certificate's bound (the tight case), 4 a clean signal with NaN,
-/// ±∞ and subnormal draws mixed in.
+/// ±∞ and subnormal draws mixed in, 5 levels 1 and 1 + a few ulps (a
+/// normalized variance near 10⁻³¹, where a one-ulp shift of the mean
+/// is large against the deviations), 6 subnormal energies, 7 energies
+/// near 10³⁰⁷, whose window sums overflow.
 fn energies(rng: &mut DspRng, kind: u8, len: usize) -> Vec<f64> {
     // 30 fractional bits keep every running sum exact, while δ² needs
     // 60 bits and rounds.
     let delta = rng.uniform_int(1, 1 << 30) as f64 / (1u64 << 31) as f64;
+    let ulps = rng.uniform_int(1, 8) as f64 * f64::EPSILON;
     (0..len)
         .map(|i| match kind {
             0 => 1.0 + 0.01 * rng.gaussian(),
             1 => rng.uniform_range(0.0, 4.0),
             2 => rng.uniform() * 10f64.powf(rng.uniform_range(-150.0, 150.0)),
             3 => 1.0 + if i % 2 == 0 { -delta } else { delta },
-            _ => match rng.uniform_int(0, 40) {
+            5 => 1.0 + if rng.bit() { ulps } else { 0.0 },
+            6 => rng.uniform() * 1e-310,
+            7 => 1e307 * (1.0 + 0.5 * rng.uniform()),
+            4 => match rng.uniform_int(0, 40) {
                 0 => f64::NAN,
                 1 => f64::INFINITY,
                 2 => f64::NEG_INFINITY,
                 3 => f64::from_bits(rng.uniform_int(1, 1 << 40)),
                 _ => 1.0 + 0.01 * rng.gaussian(),
             },
+            _ => unreachable!("energy stream kind {kind}"),
         })
         .collect()
 }
