@@ -29,7 +29,7 @@ use anc_core::decoder::{AncDecoder, DecoderConfig};
 use anc_core::detect::{DetectorConfig, SignalDetector};
 use anc_core::matcher::match_phase_differences;
 use anc_core::naive::naive_decode;
-use anc_dsp::resample::fractional_delay;
+use anc_dsp::cast::floor_to_usize;
 use anc_dsp::{Cplx, DspRng};
 use anc_frame::{Frame, FrameConfig, Header};
 use anc_modem::ber::ber;
@@ -37,6 +37,38 @@ use anc_modem::{Modem, MskModem};
 use anc_sim::report::{ExperimentReport, FigureSeries};
 
 const NOISE: f64 = 1e-3;
+
+/// Delays a sample stream by `delay` samples (may be fractional),
+/// producing `signal.len()` output samples. Samples before the start of
+/// the input are zero.
+///
+/// §7.2: the senders' MAC-level shift is an integer number of samples,
+/// which the channel models as a transmission's start; the residual
+/// sub-sample offset is what the **offset** ablation sweeps. For an
+/// integer delay this is a pure shift; for a fractional delay each
+/// output sample linearly interpolates its two bracketing inputs —
+/// adequate for MSK, whose phase trajectory is piecewise linear.
+fn fractional_delay(signal: &[Cplx], delay: f64) -> Vec<Cplx> {
+    assert!(delay >= 0.0, "delay must be non-negative");
+    let n = signal.len();
+    let mut out = vec![Cplx::ZERO; n];
+    for (i, slot) in out.iter_mut().enumerate() {
+        let t = i as f64 - delay;
+        if t < 0.0 {
+            continue;
+        }
+        // t >= 0 here, so the saturating floor conversion is exact.
+        let k = floor_to_usize(t);
+        let frac = t - k as f64;
+        if k >= n {
+            continue;
+        }
+        let a = signal[k];
+        let b = if k + 1 < n { signal[k + 1] } else { Cplx::ZERO };
+        *slot = a.scale(1.0 - frac) + b.scale(frac);
+    }
+    out
+}
 
 /// Two interfered MSK streams with channel rotations, relative CFO and
 /// an optional fractional delay on the unknown sender.
@@ -371,4 +403,73 @@ fn main() {
     eprintln!("[6/6] turnaround sweep ...");
     report.push_series(ablation_turnaround(args.seed, args.packets / 20));
     anc_bench::emit(&report, &args);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ramp(n: usize) -> Vec<Cplx> {
+        (0..n).map(|i| Cplx::new(i as f64, -(i as f64))).collect()
+    }
+
+    #[test]
+    fn integer_delay_is_shift() {
+        for n in [4, 6, 17, 63] {
+            let sig = ramp(n);
+            for d in 1..4 {
+                let out = fractional_delay(&sig, d as f64);
+                assert!(out[..d].iter().all(|&s| s == Cplx::ZERO));
+                for i in d..n {
+                    assert!((out[i] - sig[i - d]).norm() < 1e-9, "n={n} d={d} i={i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_delay_is_identity() {
+        let mut rng = DspRng::seed_from(3);
+        for n in [1, 5, 99] {
+            let sig: Vec<Cplx> = (0..n).map(|_| rng.complex_gaussian(1.0)).collect();
+            assert_eq!(fractional_delay(&sig, 0.0), sig);
+        }
+    }
+
+    #[test]
+    fn half_sample_delay_interpolates() {
+        let sig = ramp(5);
+        let d = fractional_delay(&sig, 0.5);
+        // output[1] samples input at t = 0.5 -> (0 + 1)/2
+        assert!((d[1].re - 0.5).abs() < 1e-12);
+        assert!((d[3].re - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fractional_delay_preserves_linear_phase_ramp() {
+        // MSK's phase ramps linearly; a delayed version must still ramp
+        // at the same rate (sampled between grid points the interpolation
+        // of a complex exponential is not exact, but for small phase
+        // steps the error is second-order).
+        let step = 0.1_f64;
+        let sig: Vec<Cplx> = (0..100).map(|n| Cplx::cis(n as f64 * step)).collect();
+        let d = fractional_delay(&sig, 0.25);
+        for n in 2..99 {
+            let dphi = (d[n + 1] / d[n]).arg();
+            assert!((dphi - step).abs() < 1e-3, "n={n} dphi={dphi}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn negative_delay_panics() {
+        let _ = fractional_delay(&ramp(3), -1.0);
+    }
+
+    #[test]
+    fn delay_longer_than_signal_yields_zeros() {
+        let sig = ramp(4);
+        let d = fractional_delay(&sig, 10.0);
+        assert!(d.iter().all(|&s| s == Cplx::ZERO));
+    }
 }

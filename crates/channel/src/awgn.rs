@@ -49,6 +49,28 @@ impl Awgn {
         }
     }
 
+    /// Skips the noise of the next `n` samples, so the next draw is the
+    /// one sample `n` would have received: adding noise to samples
+    /// `a..b` after `skip(a)` reproduces that stretch of a whole-window
+    /// [`Self::add_to`] bit for bit. This is what lets a window be
+    /// mixed in independent chunks (DESIGN.md §14).
+    ///
+    /// It rests on one invariant of the stream: a stream with no spare
+    /// Gaussian pending (a fresh one, or one that has only drawn whole
+    /// complex samples) spends exactly 2 raw draws per complex sample —
+    /// its two quadratures are one Box–Muller pair of 2 uniforms. A
+    /// generator that breaks this must replace the seek.
+    ///
+    /// # Panics
+    /// Panics if `n > 0` and the stream holds a spare Gaussian (see
+    /// [`DspRng::discard`]); a zero-power source draws nothing and
+    /// skips nothing.
+    pub fn skip(&mut self, n: usize) {
+        if n > 0 && self.power > 0.0 {
+            self.rng.discard(2 * n as u64);
+        }
+    }
+
     /// Adds noise to a waveform in place.
     pub fn add_to(&mut self, signal: &mut [Cplx]) {
         if self.power == 0.0 {
@@ -76,16 +98,9 @@ impl Awgn {
     }
 }
 
-/// Noise power that realizes a given SNR (in dB) for a signal of the
-/// given received power. Convenience for experiment setup.
-pub fn noise_power_for_snr_db(signal_power: f64, snr_db: f64) -> f64 {
-    signal_power / anc_dsp::db_to_linear(snr_db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anc_dsp::linear_to_db;
 
     #[test]
     fn power_is_realized() {
@@ -136,9 +151,44 @@ mod tests {
     }
 
     #[test]
-    fn snr_helper_inverts() {
-        let n0 = noise_power_for_snr_db(4.0, 20.0);
-        assert!((linear_to_db(4.0 / n0) - 20.0).abs() < 1e-9);
+    fn skip_seeks_two_raw_draws_per_sample() {
+        // The invariant chunked mixing rests on: a fresh stream spends
+        // exactly 2 raw draws per complex sample, so skipping `k`
+        // samples is discarding `2k` raw draws.
+        let rng = DspRng::seed_from(17);
+        let mut drawn = Awgn::from_rng(0.4, rng.clone());
+        let mut raw = rng.clone();
+        for k in 0..64 {
+            drawn.sample();
+            raw.discard(2);
+            let mut probe = drawn.clone();
+            let mut reference = Awgn::from_rng(0.4, raw.clone());
+            assert_eq!(
+                probe.sample(),
+                reference.sample(),
+                "after {} samples",
+                k + 1
+            );
+        }
+        // And `skip(a)` then `add_to` is the tail of a whole-window add.
+        let mut whole = vec![Cplx::ONE; 300];
+        Awgn::from_rng(0.4, rng.clone()).add_to(&mut whole);
+        for a in [0, 1, 2, 150, 299, 300] {
+            let mut chunk = vec![Cplx::ONE; 300 - a];
+            let mut n = Awgn::from_rng(0.4, rng.clone());
+            n.skip(a);
+            n.add_to(&mut chunk);
+            assert_eq!(chunk, whole[a..], "skip({a})");
+        }
+    }
+
+    #[test]
+    fn zero_power_skip_draws_nothing() {
+        let mut n = Awgn::new(0.0, 3);
+        n.skip(1_000);
+        let mut sig = vec![Cplx::ONE; 8];
+        n.add_to(&mut sig);
+        assert!(sig.iter().all(|&s| s == Cplx::ONE));
     }
 
     #[test]

@@ -40,6 +40,17 @@ impl CarrierOffset {
             initial_phase: 0.0,
         }
     }
+
+    /// Advances the running phase past `n` samples without rotating
+    /// any: the same sequential `phase += Δω` adds that
+    /// [`Impairment::apply`] makes, so applying to a chunk after
+    /// skipping the samples before it equals that stretch of a
+    /// whole-wave apply, bit for bit.
+    pub fn skip(&mut self, n: usize) {
+        for _ in 0..n {
+            self.initial_phase += self.delta_omega;
+        }
+    }
 }
 
 impl Impairment for CarrierOffset {

@@ -169,7 +169,7 @@ impl ImpairmentSpec {
         } else {
             base.gain
         };
-        Link::new(gain, phase, base.delay)
+        Link::new(gain, phase, 0.0)
     }
 
     /// Realizes this exchange's TX perturbation of one sender. Pure in

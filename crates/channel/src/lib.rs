@@ -11,11 +11,12 @@
 //! model the paper's own analysis assumes, so the decoder faces the same
 //! mathematical problem it faced in the testbed.
 //!
-//! * [`link::Link`] — one directed propagation path: gain `h`, phase
-//!   `γ`, (fractional) delay.
+//! * [`link::Link`] — one directed propagation path: gain `h` and
+//!   phase `γ`.
 //! * [`awgn::Awgn`] — complex white Gaussian noise of configured power.
 //! * [`medium::Medium`] — superposes any number of staggered
-//!   transmissions at a receiver and adds its noise.
+//!   transmissions at a receiver and adds its noise, over the whole
+//!   window or any range of it.
 //! * [`relay::AmplifyForward`] — the §7.5 router operation, with the
 //!   power-normalizing gain of Appendix C.
 //! * [`fault`] — optional impairments (CFO, Rayleigh block fading,

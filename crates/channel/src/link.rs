@@ -5,25 +5,19 @@
 //! where `h` is channel attenuation and `γ` is a phase shift that
 //! depends on the distance between the sender and the receiver."*
 //!
-//! A [`Link`] carries those two parameters plus a propagation delay in
-//! samples (integer part = MAC-visible shift, fractional part =
-//! sub-sample timing offset, §7.2).
+//! A [`Link`] carries exactly those two parameters. The time shift
+//! between senders (§7.2) is the integer `start` of each transmission
+//! at the receiver, not a property of the link.
 
-#![deny(clippy::cast_possible_truncation)]
-
-use anc_dsp::cast::ceil_to_usize;
-use anc_dsp::resample::fractional_delay;
 use anc_dsp::{Cplx, DspRng};
 
-/// One directed wireless link: `y[n] = h·e^{iγ}·x[n − delay]`.
+/// One directed wireless link: `y[n] = h·e^{iγ}·x[n]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Amplitude attenuation `h` (> 0; 1 = lossless).
     pub gain: f64,
     /// Phase shift `γ` in radians.
     pub phase: f64,
-    /// Propagation delay in samples; may be fractional.
-    pub delay: f64,
 }
 
 impl Default for Link {
@@ -31,36 +25,37 @@ impl Default for Link {
         Link {
             gain: 1.0,
             phase: 0.0,
-            delay: 0.0,
         }
     }
 }
 
 impl Link {
-    /// Creates a link with explicit parameters.
+    /// Creates a link of gain `gain` and phase `phase`. The third
+    /// argument is a propagation delay in samples, which a link does
+    /// not model: it must be zero (sender timing is a transmission's
+    /// integer `start`).
     ///
     /// # Panics
-    /// Panics if `gain <= 0` or `delay < 0`.
+    /// Panics if `gain <= 0` or `delay != 0`.
     pub fn new(gain: f64, phase: f64, delay: f64) -> Self {
         assert!(gain > 0.0, "link gain must be positive");
-        assert!(delay >= 0.0, "link delay must be non-negative");
-        Link { gain, phase, delay }
+        assert!(delay == 0.0, "a link carries no propagation delay");
+        Link { gain, phase }
     }
 
-    /// An identity link (no attenuation, rotation, or delay).
+    /// An identity link (no attenuation or rotation).
     pub fn ideal() -> Self {
         Link::default()
     }
 
     /// Draws a random link: gain uniform in `[gain_lo, gain_hi]`, phase
-    /// uniform on the circle, zero delay. Experiment runs use this for
-    /// per-run channel realizations (§11.4 repeats each experiment 40
-    /// times over varying channels).
+    /// uniform on the circle. Experiment runs use this for per-run
+    /// channel realizations (§11.4 repeats each experiment 40 times
+    /// over varying channels).
     pub fn random(rng: &mut DspRng, gain_lo: f64, gain_hi: f64) -> Self {
         Link {
             gain: rng.uniform_range(gain_lo, gain_hi),
             phase: rng.phase(),
-            delay: 0.0,
         }
     }
 
@@ -70,28 +65,10 @@ impl Link {
         Cplx::from_polar(self.gain, self.phase)
     }
 
-    /// Received power multiplier `h²`.
-    #[inline]
-    pub fn power_gain(&self) -> f64 {
-        self.gain * self.gain
-    }
-
-    /// Applies the full link (gain, phase, delay) to a waveform.
-    ///
-    /// The output has the same length as the input when the delay is
-    /// zero, and `input.len() + ceil(delay)` otherwise, so no energy is
-    /// truncated.
+    /// Applies the link (gain and phase) to a waveform.
     pub fn apply(&self, x: &[Cplx]) -> Vec<Cplx> {
         let coeff = self.coefficient();
-        let rotated: Vec<Cplx> = x.iter().map(|&s| s * coeff).collect();
-        if self.delay == 0.0 {
-            return rotated;
-        }
-        // Extend so the delayed tail is not cut off.
-        let extra = ceil_to_usize(self.delay);
-        let mut padded = rotated;
-        padded.resize(padded.len() + extra, Cplx::ZERO);
-        fractional_delay(&padded, self.delay)
+        x.iter().map(|&s| s * coeff).collect()
     }
 }
 
@@ -112,22 +89,6 @@ mod tests {
         let out = link.apply(&[Cplx::ONE]);
         assert!((out[0].norm() - 0.5).abs() < 1e-12);
         assert!((out[0].arg() - 1.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn power_gain_is_h_squared() {
-        assert!((Link::new(0.3, 0.0, 0.0).power_gain() - 0.09).abs() < 1e-12);
-    }
-
-    #[test]
-    fn integer_delay_shifts_and_extends() {
-        let sig = vec![Cplx::ONE, Cplx::I];
-        let out = Link::new(1.0, 0.0, 2.0).apply(&sig);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0], Cplx::ZERO);
-        assert_eq!(out[1], Cplx::ZERO);
-        assert!((out[2] - Cplx::ONE).norm() < 1e-12);
-        assert!((out[3] - Cplx::I).norm() < 1e-12);
     }
 
     #[test]
@@ -161,5 +122,11 @@ mod tests {
     #[should_panic]
     fn negative_delay_rejected() {
         let _ = Link::new(1.0, 0.0, -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no propagation delay")]
+    fn positive_delay_rejected() {
+        let _ = Link::new(1.0, 0.0, 2.0);
     }
 }

@@ -3,16 +3,20 @@
 //! §2: *"collision of two packets means that the channel adds their
 //! physical signals after applying attenuations and time shifts"*. A
 //! [`Medium`] computes exactly that sum for one receiver: each
-//! [`Transmission`] is passed through its [`Link`] (gain, phase,
-//! fractional delay), placed at its start time, summed sample-wise with
-//! every other transmission, and topped with the receiver's AWGN.
-
-#![deny(clippy::cast_possible_truncation)]
+//! [`Transmission`] is rotated and scaled by its [`Link`], placed at
+//! its start time, summed sample-wise with every other transmission,
+//! and topped with the receiver's AWGN.
+//!
+//! Every output sample is a pure function of its index (Eq. 2 is a
+//! per-sample sum, and the noise stream seeks by sample,
+//! [`Awgn::skip`]), so [`Medium::receive_range_into`] can produce any
+//! contiguous range of a window on its own, bit for bit equal to that
+//! stretch of the whole window.
 
 use crate::awgn::Awgn;
 use crate::link::Link;
-use anc_dsp::cast::ceil_to_usize;
 use anc_dsp::{Cplx, DspRng};
+use std::ops::Range;
 
 /// One transmission as seen by a receiver: the transmitted waveform,
 /// the moment (in receiver sample time) its first sample arrives, and
@@ -22,8 +26,7 @@ pub struct Transmission {
     /// The transmitted baseband waveform.
     pub samples: Vec<Cplx>,
     /// Receiver-clock sample index at which the waveform begins
-    /// (MAC-level staggering, §7.2). The link's own `delay` adds on top
-    /// of this and may be fractional.
+    /// (MAC-level staggering, §7.2).
     pub start: usize,
     /// The propagation path from the sender to this receiver.
     pub link: Link,
@@ -39,10 +42,10 @@ impl Transmission {
         }
     }
 
-    /// Last receiver-clock sample index this transmission can touch
+    /// Last receiver-clock sample index this transmission touches
     /// (exclusive).
     pub fn end(&self) -> usize {
-        self.start + self.samples.len() + ceil_to_usize(self.link.delay)
+        self.start + self.samples.len()
     }
 
     /// A borrowed view of this transmission.
@@ -69,7 +72,9 @@ pub struct TransmissionRef<'a> {
     pub link: Link,
 }
 
-/// A receiver-side channel mixer with its own noise source.
+/// A receiver-side channel mixer with its own noise source. The noise
+/// stream's position is the window's sample 0: each call mixes one
+/// window, or one range of it.
 #[derive(Debug, Clone)]
 pub struct Medium {
     noise: Awgn,
@@ -109,65 +114,79 @@ impl Medium {
 
     /// [`Self::receive`] into caller-owned scratch: `out` is cleared,
     /// resized to `duration`, and filled with the superposition plus
-    /// noise. The engine's RX loop reuses one buffer per receiver so
-    /// per-slot receptions stop allocating once the buffer has grown to
-    /// window size (the allocation-free convention of the decode hot
-    /// path). Output is bit-identical to [`Self::receive`]:
-    /// transmissions are summed in slice order.
+    /// noise. Reusing one buffer per receiver makes per-slot receptions
+    /// stop allocating once it has grown to window size.
     pub fn receive_into(
         &mut self,
         transmissions: &[Transmission],
         duration: usize,
         out: &mut Vec<Cplx>,
     ) {
-        let refs: Vec<TransmissionRef<'_>> = transmissions.iter().map(|t| t.as_ref()).collect();
-        self.receive_refs_into(&refs, duration, out);
+        self.receive_range_into(
+            transmissions.iter().map(Transmission::as_ref),
+            0..duration,
+            out,
+        );
     }
 
     /// [`Self::receive_into`] over borrowed transmissions — the
-    /// zero-copy entry point for callers (the engine) that fan one
-    /// waveform out to many receivers. Bit-identical to the owned
-    /// variants: same summation order, same float expressions. A
-    /// zero-delay link (every link the engines build) is rotated and
-    /// accumulated straight into `out`; only a delayed link still
-    /// materialises its [`Link::apply`] copy.
+    /// zero-copy entry point for callers that fan one waveform out to
+    /// many receivers: the whole window `0..duration` of
+    /// [`Self::receive_range_into`].
     pub fn receive_refs_into(
         &mut self,
         transmissions: &[TransmissionRef<'_>],
         duration: usize,
         out: &mut Vec<Cplx>,
     ) {
+        self.receive_range_into(transmissions.iter().copied(), 0..duration, out);
+    }
+
+    /// The mixer: samples `range` of the receiver's window. `out` is
+    /// cleared and resized to `range.len()`; its sample `k` is window
+    /// sample `range.start + k`, bit for bit what a whole-window mix
+    /// puts there. Per sample, the transmissions are summed in the
+    /// order given (each `s * h·e^{iγ}`, accumulated in place), then the
+    /// noise is added; the noise stream first skips the samples before
+    /// `range.start` ([`Awgn::skip`]) and is left after `range.end`.
+    pub fn receive_range_into<'a>(
+        &mut self,
+        transmissions: impl IntoIterator<Item = TransmissionRef<'a>>,
+        range: Range<usize>,
+        out: &mut Vec<Cplx>,
+    ) {
+        let first = range.start;
         out.clear();
-        out.resize(duration, Cplx::ZERO);
+        out.resize(range.len(), Cplx::ZERO);
         for tx in transmissions {
-            let Some(dst) = out.get_mut(tx.start..) else {
-                continue; // starts after the window closes
-            };
-            if tx.link.delay == 0.0 {
-                // `Link::apply` without its copy: the same `s * coeff`
-                // product, accumulated in place.
-                let coeff = tx.link.coefficient();
-                for (o, &s) in dst.iter_mut().zip(tx.samples) {
-                    *o += s * coeff;
-                }
-            } else {
-                for (o, s) in dst.iter_mut().zip(tx.link.apply(tx.samples)) {
-                    *o += s;
-                }
+            let lo = tx.start.max(first);
+            let hi = (tx.start + tx.samples.len()).min(range.end);
+            if lo >= hi {
+                continue; // outside the range
+            }
+            let coeff = tx.link.coefficient();
+            let src = &tx.samples[lo - tx.start..hi - tx.start];
+            for (o, &s) in out[lo - first..hi - first].iter_mut().zip(src) {
+                *o += s * coeff;
             }
         }
+        self.noise.skip(first);
         self.noise.add_to(out);
     }
 
-    /// Injects wideband jammer energy into an already-mixed receive
-    /// window: complex Gaussian noise of `power` drawn from a
-    /// caller-owned stream is added sample-wise on top of the
-    /// superposition. The fault layer keys the stream by
-    /// `(receiver, period)` so jammer bursts are coordinate-pure and
-    /// never perturb the receiver's own forked noise sequence —
-    /// jammer-off windows are bit-identical to a jammer-free run.
-    pub fn inject_jammer(window: &mut [Cplx], power: f64, rng: DspRng) {
-        Awgn::from_rng(power, rng).add_to(window);
+    /// Injects wideband jammer energy into a mixed stretch of a receive
+    /// window whose first sample is window sample `first`: complex
+    /// Gaussian noise of `power` drawn from a caller-owned stream is
+    /// added sample-wise on top of the superposition, the stream
+    /// seeking to `first` as the medium's own noise does. The fault
+    /// layer keys the stream by `(receiver, period)` so jammer bursts
+    /// are coordinate-pure and never perturb the receiver's own forked
+    /// noise sequence — jammer-off windows are bit-identical to a
+    /// jammer-free run.
+    pub fn inject_jammer(window: &mut [Cplx], first: usize, power: f64, rng: DspRng) {
+        let mut jammer = Awgn::from_rng(power, rng);
+        jammer.skip(first);
+        jammer.add_to(window);
     }
 
     /// Duration that covers all transmissions plus `tail` trailing noise
@@ -243,9 +262,9 @@ mod tests {
     fn span_covers_all() {
         let txs = [
             Transmission::new(vec![Cplx::ONE; 10], 0, Link::ideal()),
-            Transmission::new(vec![Cplx::ONE; 10], 7, Link::new(1.0, 0.0, 2.0)),
+            Transmission::new(vec![Cplx::ONE; 10], 7, Link::new(0.5, 1.0, 0.0)),
         ];
-        assert_eq!(Medium::span(&txs, 3), 7 + 10 + 2 + 3);
+        assert_eq!(Medium::span(&txs, 3), 7 + 10 + 3);
         assert_eq!(Medium::span(&[], 5), 5);
     }
 
@@ -257,7 +276,7 @@ mod tests {
             4096,
         );
         let clean = Cplx::mean_energy(&rx);
-        Medium::inject_jammer(&mut rx, 0.5, DspRng::seed_from(42));
+        Medium::inject_jammer(&mut rx, 0, 0.5, DspRng::seed_from(42));
         let jammed = Cplx::mean_energy(&rx);
         assert!(
             (jammed - clean - 0.5).abs() < 0.05,
@@ -266,7 +285,7 @@ mod tests {
         );
         // Zero power is the identity.
         let before = rx.clone();
-        Medium::inject_jammer(&mut rx, 0.0, DspRng::seed_from(42));
+        Medium::inject_jammer(&mut rx, 0, 0.0, DspRng::seed_from(42));
         assert_eq!(rx, before);
     }
 

@@ -12,12 +12,12 @@ use anc_dsp::{Cplx, DspRng};
 use proptest::prelude::*;
 
 /// Builds a deterministic transmission from a compact description.
-fn tx(seed: u64, len: usize, start: usize, gain: f64, phase: f64, delay: f64) -> Transmission {
+fn tx(seed: u64, len: usize, start: usize, gain: f64, phase: f64) -> Transmission {
     let mut rng = DspRng::seed_from(seed);
     let samples: Vec<Cplx> = (0..len)
         .map(|_| Cplx::new(rng.uniform_range(-1.0, 1.0), rng.uniform_range(-1.0, 1.0)))
         .collect();
-    Transmission::new(samples, start, Link::new(gain, phase, delay))
+    Transmission::new(samples, start, Link::new(gain, phase, 0.0))
 }
 
 /// Reference superposition: every wave copied through [`Link::apply`],
@@ -38,22 +38,23 @@ fn apply_and_sum(txs: &[Transmission], duration: usize, noise: &mut Awgn) -> Vec
     out
 }
 
+/// Samples every range-mixing case covers: past the longest window.
+const SPAN: usize = 240;
+
 fn bits(z: Cplx) -> (u64, u64) {
     (z.re.to_bits(), z.im.to_bits())
 }
 
 proptest! {
     /// In-place `receive_refs_into` is bit-identical to applying every
-    /// link and summing the copies, for zero, integer and fractional
-    /// delays, waves that start at or after the window's end, waves
-    /// that overrun it, and a dirty output buffer.
+    /// link and summing the copies, for waves that start at or after
+    /// the window's end, waves that overrun it, and a dirty output
+    /// buffer.
     #[test]
     fn receive_refs_into_matches_apply_and_sum(
         seeds in proptest::collection::vec(0u64..10_000, 0..4),
         lens in proptest::collection::vec(0usize..96, 4..5),
         starts in proptest::collection::vec(0usize..128, 4..5),
-        delay_kinds in proptest::collection::vec(0u8..3, 4..5),
-        frac in 0.0f64..4.0,
         duration in 0usize..160,
         noisy in any::<bool>(),
         noise_seed in 0u64..1_000,
@@ -62,13 +63,8 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(k, &seed)| {
-                let delay = match delay_kinds[k] {
-                    0 => 0.0,
-                    1 => frac.ceil(),
-                    _ => frac,
-                };
                 let phase = -3.0 + 1.7 * k as f64;
-                tx(seed, lens[k], starts[k], 0.3 + 0.4 * k as f64, phase, delay)
+                tx(seed, lens[k], starts[k], 0.3 + 0.4 * k as f64, phase)
             })
             .collect();
         let power = if noisy { 1e-3 } else { 0.0 };
@@ -83,6 +79,72 @@ proptest! {
         }
     }
 
+    /// Mixing a window in contiguous ranges reproduces the whole-window
+    /// mix bit for bit: random boundaries, empty ranges, ranges that
+    /// start at or past the end of every transmission, full-window
+    /// stuck-carrier tones, a jammer seeking alongside the noise, and
+    /// zero noise power. Each range gets a fresh medium on the window's
+    /// noise stream, as the engine's chunk jobs do.
+    #[test]
+    fn range_mixing_matches_whole_window(
+        seeds in proptest::collection::vec(0u64..10_000, 0..4),
+        lens in proptest::collection::vec(0usize..96, 4..5),
+        starts in proptest::collection::vec(0usize..128, 4..5),
+        tones in 0usize..3,
+        duration in 0usize..160,
+        cuts in proptest::collection::vec(0usize..SPAN + 8, 0..6),
+        noisy in any::<bool>(),
+        jammed in any::<bool>(),
+        noise_seed in 0u64..1_000,
+    ) {
+        let mut txs: Vec<Transmission> = seeds
+            .iter()
+            .enumerate()
+            .map(|(k, &seed)| tx(seed, lens[k], starts[k], 0.3 + 0.4 * k as f64, 1.1 - k as f64))
+            .collect();
+        for k in 0..tones {
+            let tone = vec![Cplx::from_polar(0.2 + k as f64, 0.5 * k as f64); duration];
+            txs.push(Transmission::new(tone, 0, Link::new(0.8, -0.3 * k as f64, 0.0)));
+        }
+        let refs: Vec<TransmissionRef<'_>> = txs.iter().map(|t| t.as_ref()).collect();
+        let power = if noisy { 1e-3 } else { 0.0 };
+        let mix = |range: std::ops::Range<usize>| {
+            let first = range.start;
+            let mut out = vec![Cplx::new(f64::NAN, 3.0); 5];
+            Medium::from_rng(power, DspRng::seed_from(noise_seed))
+                .receive_range_into(refs.iter().copied(), range, &mut out);
+            if jammed {
+                Medium::inject_jammer(&mut out, first, 0.5, DspRng::seed_from(noise_seed ^ 0xA5));
+            }
+            out
+        };
+        // The whole window, and the same mix run past its end.
+        let whole = mix(0..SPAN);
+        let mut window = Vec::new();
+        Medium::from_rng(power, DspRng::seed_from(noise_seed))
+            .receive_refs_into(&refs, duration, &mut window);
+        if jammed {
+            Medium::inject_jammer(&mut window, 0, 0.5, DspRng::seed_from(noise_seed ^ 0xA5));
+        }
+        prop_assert_eq!(&window[..], &whole[..duration]);
+        // Chunk boundaries at the sorted cuts; repeated cuts give empty
+        // chunks and cuts past `SPAN` empty ranges beyond the window.
+        let mut bounds = cuts.clone();
+        bounds.push(0);
+        bounds.push(SPAN);
+        bounds.sort_unstable();
+        let mut joined = Vec::new();
+        for pair in bounds.windows(2) {
+            let chunk = mix(pair[0]..pair[1]);
+            prop_assert_eq!(chunk.len(), pair[1] - pair[0]);
+            joined.extend(chunk);
+        }
+        prop_assert_eq!(joined.len(), bounds[bounds.len() - 1]);
+        for t in 0..SPAN {
+            prop_assert_eq!(bits(joined[t]), bits(whole[t]), "sample {} differs", t);
+        }
+    }
+
     /// receive(A ∪ B) == receive(A) + receive(B) with noise off.
     #[test]
     fn superposition_is_linear(
@@ -91,10 +153,9 @@ proptest! {
         start_a in 0usize..64, start_b in 0usize..64,
         gain_a in 0.05f64..2.0, gain_b in 0.05f64..2.0,
         phase_a in -3.1f64..3.1, phase_b in -3.1f64..3.1,
-        delay_b in 0.0f64..4.0,
     ) {
-        let a = tx(seed_a, len_a, start_a, gain_a, phase_a, 0.0);
-        let b = tx(seed_b, len_b, start_b, gain_b, phase_b, delay_b);
+        let a = tx(seed_a, len_a, start_a, gain_a, phase_a);
+        let b = tx(seed_b, len_b, start_b, gain_b, phase_b);
         let duration = a.end().max(b.end()) + 8;
         let both = Medium::new(0.0, 0).receive(&[a.clone(), b.clone()], duration);
         let only_a = Medium::new(0.0, 0).receive(&[a], duration);
@@ -120,7 +181,7 @@ proptest! {
         noise_seed in 0u64..1_000,
         stale_len in 0usize..256,
     ) {
-        let t = tx(seed, len, start, gain, 0.7, 0.0);
+        let t = tx(seed, len, start, gain, 0.7);
         let duration = t.end() + 16;
         let fresh = Medium::from_rng(1e-3, DspRng::seed_from(noise_seed))
             .receive(std::slice::from_ref(&t), duration);
@@ -142,8 +203,8 @@ proptest! {
         start_b in 0usize..64,
         noise_seed in 0u64..1_000,
     ) {
-        let a = tx(seed_a, len_a, 0, 0.9, 0.4, 0.0);
-        let b = tx(seed_b, len_b, start_b, 0.7, -1.1, 0.0);
+        let a = tx(seed_a, len_a, 0, 0.9, 0.4);
+        let b = tx(seed_b, len_b, start_b, 0.7, -1.1);
         let duration = a.end().max(b.end()) + 8;
         let owned = Medium::from_rng(1e-3, DspRng::seed_from(noise_seed))
             .receive(&[a.clone(), b.clone()], duration);
@@ -225,7 +286,6 @@ proptest! {
         prop_assert_eq!(passive, base);
         let faded = ImpairmentSpec::rayleigh_fading().impair_link(base, seed, 1, 2, packet);
         prop_assert!(faded.gain > 0.0);
-        prop_assert_eq!(faded.delay.to_bits(), base.delay.to_bits());
     }
 
     /// Incremental [`SpatialGrid::relocate`] is indistinguishable from
@@ -282,7 +342,7 @@ proptest! {
         start in 0usize..64,
         duration in 1usize..64,
     ) {
-        let t = tx(1, len, start, 1.0, 0.0, 0.0);
+        let t = tx(1, len, start, 1.0, 0.0);
         let rx = Medium::new(0.0, 0).receive(&[t], duration);
         prop_assert_eq!(rx.len(), duration);
         for (i, s) in rx.iter().enumerate() {

@@ -32,7 +32,7 @@
 //! applies verbatim. Output bits are reversed back into natural order.
 
 use crate::amplitude::{estimate_amplitudes, estimate_single_amplitude};
-use crate::detect::{ClassifiedSignal, DetectorConfig, SignalDetector};
+use crate::detect::{ClassifiedSignal, DetectorConfig, DetectorRings, SignalDetector};
 use crate::matcher::{match_bits_batch, MatchBatchScratch};
 use anc_dsp::batch::energies_into;
 use anc_dsp::corr::best_match_bounded;
@@ -126,24 +126,23 @@ pub struct DecodeOutcome {
 
 /// Reusable working memory for the Alg.-1 decode hot path.
 ///
-/// One decode touches several intermediate streams — demodulated head
-/// bits, the per-sample energies, the known sender's `Δθ_s`, the
-/// matcher's struct-of-arrays intermediates, and (backward decodes) the
+/// One decode touches several intermediate streams — the §7.1
+/// detector's energy and variance rings, demodulated head bits, the
+/// per-sample energies, the known sender's `Δθ_s`, the matcher's
+/// struct-of-arrays intermediates, and (backward decodes) the
 /// conjugate-reversed reception. Owning them here lets a receiver
 /// amortize those allocations across a run. After the first packet, a
-/// successful `_with` forward or backward decode still makes four
-/// allocations: the recovered bit vector it returns, the §7.1 energy
-/// window of [`SignalDetector::locate`], and one variance window each
-/// in [`SignalDetector::detect`] and
-/// [`SignalDetector::interference_span`].
-/// [`AncDecoder::decode_in_region`] skips the detection and makes two;
-/// a decode that fails early makes fewer.
+/// successful `_with` forward or backward decode makes one allocation:
+/// the recovered bit vector it returns. A decode that fails early
+/// makes none.
 ///
 /// Create one per receiver (or per worker thread) and pass it to the
 /// `_with` decode variants; the scratch-free methods allocate a fresh
 /// one per call and exist for one-shot/diagnostic use.
 #[derive(Debug, Clone, Default)]
 pub struct DecoderScratch {
+    /// The §7.1 detector's rings (detection and the interference span).
+    rings: DetectorRings,
     /// Demodulated clean-head bits (§7.2 pilot search).
     head_bits: Vec<bool>,
     /// Per-sample energies `|y|²` from the SoA lane kernel — feeds the
@@ -188,6 +187,15 @@ impl AncDecoder {
         self.detector.detect(rx)
     }
 
+    /// [`Self::classify`] in the scratch's detector rings.
+    pub fn classify_with(
+        &self,
+        rx: &[Cplx],
+        scratch: &mut DecoderScratch,
+    ) -> Option<ClassifiedSignal> {
+        self.detector.detect_with(rx, &mut scratch.rings)
+    }
+
     /// Bounds `(start, end)` of the reception's signal region, without
     /// the interference classification ([`SignalDetector::locate`]).
     pub fn locate(&self, rx: &[Cplx]) -> Option<(usize, usize)> {
@@ -218,7 +226,10 @@ impl AncDecoder {
         known_bits: &[bool],
         scratch: &mut DecoderScratch,
     ) -> Result<DecodeOutcome, DecodeError> {
-        let region = self.detector.detect(rx).ok_or(DecodeError::NoSignal)?;
+        let region = self
+            .detector
+            .detect_with(rx, &mut scratch.rings)
+            .ok_or(DecodeError::NoSignal)?;
         self.decode_in_region(rx, &region, known_bits, scratch)
     }
 
@@ -314,7 +325,12 @@ impl AncDecoder {
         let search_from = (f0 + self.cfg.detector.window).min(known_last);
         let (onset, overlap_end) = self
             .detector
-            .interference_span(&scratch.energies, search_from, known_last)
+            .interference_span_with(
+                &scratch.energies,
+                search_from,
+                known_last,
+                &mut scratch.rings,
+            )
             .ok_or(DecodeError::NotInterfered)?;
 
         // Known-signal amplitude from the clean prefix when available.

@@ -77,6 +77,44 @@ impl ClassifiedSignal {
     }
 }
 
+/// Reusable rings of the §7.1 scans: the energy window of
+/// [`SignalDetector::locate`] and the variance window of the
+/// interference tests. Each `_with` scan takes its ring cleared —
+/// indistinguishable from a fresh one, so results never depend on
+/// what ran before — and rebuilds it only when the detector's window
+/// length differs from the last one it held.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DetectorRings {
+    energy: Option<EnergyWindow>,
+    variance: Option<VarianceWindow>,
+}
+
+impl DetectorRings {
+    /// The energy ring, cleared, holding `cap` samples.
+    fn energy(&mut self, cap: usize) -> &mut EnergyWindow {
+        let ew = match self.energy.take() {
+            Some(mut ew) if ew.capacity() == cap => {
+                ew.clear();
+                ew
+            }
+            _ => EnergyWindow::new(cap),
+        };
+        self.energy.insert(ew)
+    }
+
+    /// The variance ring, cleared, holding `cap` energies.
+    fn variance(&mut self, cap: usize) -> &mut VarianceWindow {
+        let vw = match self.variance.take() {
+            Some(mut vw) if vw.capacity() == cap => {
+                vw.clear();
+                vw
+            }
+            _ => VarianceWindow::new(cap),
+        };
+        self.variance.insert(vw)
+    }
+}
+
 /// The §7.1 detector.
 #[derive(Debug, Clone)]
 pub struct SignalDetector {
@@ -159,11 +197,21 @@ impl SignalDetector {
     /// `None` when no window crosses the energy gate; otherwise equal to
     /// `detect(samples).map(|r| (r.start, r.end))`.
     pub fn locate(&self, samples: &[Cplx]) -> Option<(usize, usize)> {
+        self.locate_with(samples, &mut DetectorRings::default())
+    }
+
+    /// [`Self::locate`] in caller-owned rings, which a receiver keeps
+    /// across calls so the scan does not allocate its window.
+    pub(crate) fn locate_with(
+        &self,
+        samples: &[Cplx],
+        rings: &mut DetectorRings,
+    ) -> Option<(usize, usize)> {
         let w = self.cfg.window;
         if samples.len() < w {
             return None;
         }
-        let mut ew = EnergyWindow::new(w);
+        let ew = rings.energy(w);
         // Find start: first window whose mean crosses the gate. The
         // region starts at the window's left edge.
         let mut start = None;
@@ -198,7 +246,17 @@ impl SignalDetector {
     /// classified. Returns `None` when no window crosses the energy
     /// gate.
     pub fn detect(&self, samples: &[Cplx]) -> Option<ClassifiedSignal> {
-        let (start, end) = self.locate(samples)?;
+        self.detect_with(samples, &mut DetectorRings::default())
+    }
+
+    /// [`Self::detect`] in caller-owned rings (see
+    /// [`Self::locate_with`]).
+    pub(crate) fn detect_with(
+        &self,
+        samples: &[Cplx],
+        rings: &mut DetectorRings,
+    ) -> Option<ClassifiedSignal> {
+        let (start, end) = self.locate_with(samples, rings)?;
         let w = self.cfg.window;
         // Classify on the region *interior*: the rise and fall edges of
         // any packet produce a large energy variance (noise level →
@@ -216,9 +274,9 @@ impl SignalDetector {
         // The variance peak starts at zero, so a negative threshold
         // fires even with no full window.
         let interfered = 0.0 > self.cfg.variance_threshold || {
-            let mut vw = self.variance_window();
+            let vw = rings.variance(self.variance_len());
             let energy = |k: usize| interior[k].norm_sq();
-            self.scan(&mut vw, energy, 0, 0, interior.len(), Scan::First)
+            self.scan(vw, energy, 0, 0, interior.len(), Scan::First)
                 .is_some()
         };
         Some(ClassifiedSignal {
@@ -241,7 +299,7 @@ impl SignalDetector {
     /// buffer (cleared, then filled to `region.len()`), so repeated
     /// calls amortize the allocation.
     pub fn interference_mask_into(&self, region: &[Cplx], mask: &mut Vec<bool>) {
-        let mut vw = self.variance_window();
+        let mut vw = VarianceWindow::new(self.variance_len());
         let w = self.variance_len();
         mask.clear();
         mask.resize(region.len(), false);
@@ -290,24 +348,36 @@ impl SignalDetector {
         from: usize,
         to: usize,
     ) -> Option<(usize, usize)> {
+        self.interference_span_with(energies, from, to, &mut DetectorRings::default())
+    }
+
+    /// [`Self::interference_span`] in caller-owned rings (see
+    /// [`Self::locate_with`]).
+    pub(crate) fn interference_span_with(
+        &self,
+        energies: &[f64],
+        from: usize,
+        to: usize,
+        rings: &mut DetectorRings,
+    ) -> Option<(usize, usize)> {
         let to = to.min(energies.len());
         if from >= to {
             return None;
         }
         let w = self.variance_len();
         let limit = (to + w - 1).min(energies.len());
-        let mut vw = self.variance_window();
+        let vw = rings.variance(w);
         let period = vw.refresh_period();
         let energy = |k: usize| energies[k];
-        let next = self.seek(&mut vw, energies, from);
-        let first = self.scan(&mut vw, energy, next, from, limit, Scan::First)?;
+        let next = self.seek(vw, energies, from);
+        let first = self.scan(vw, energy, next, from, limit, Scan::First)?;
         let last = (first / period..=(limit - 1) / period)
             .rev()
             .find_map(|block| {
                 let base = block * period;
-                let next = self.seek(&mut vw, energies, base);
+                let next = self.seek(vw, energies, base);
                 let stop = limit.min(base + period);
-                self.scan(&mut vw, energy, next, base.max(first), stop, Scan::Last)
+                self.scan(vw, energy, next, base.max(first), stop, Scan::Last)
             })
             .unwrap_or(first);
         Some((from.max(first + 1 - w), last.min(to - 1) + 1))
@@ -316,10 +386,6 @@ impl SignalDetector {
     /// Length of the variance window (at least 8 samples).
     fn variance_len(&self) -> usize {
         self.cfg.window.max(8)
-    }
-
-    fn variance_window(&self) -> VarianceWindow {
-        VarianceWindow::new(self.variance_len())
     }
 
     /// Puts `vw` in the streamed state at the last refresh boundary at
@@ -523,6 +589,53 @@ mod tests {
         assert!(det.interfered, "interference missed: {det:?}");
         let (_, peak_nv) = interior_stats(&detector(), &rx);
         assert!(peak_nv > 0.05);
+    }
+
+    #[test]
+    fn reused_rings_answer_as_fresh_ones() {
+        // One set of rings carried through every call — two window
+        // lengths, clean and interfered receptions, calls that stop
+        // early — answers exactly as fresh rings per call do.
+        let mut rng = DspRng::seed_from(5);
+        let modem = MskModem::default();
+        let (a, b) = (
+            modem.modulate(&rng.bits(900)),
+            modem.modulate(&rng.bits(900)),
+        );
+        let mut mixed = noise_vec(&mut rng, 150);
+        mixed.extend((0..1000).map(|i| {
+            let mut s = rng.complex_gaussian(NOISE) + a.get(i).copied().unwrap_or(Cplx::ZERO);
+            if i >= 100 {
+                s += b[i - 100].rotate(0.7);
+            }
+            s
+        }));
+        mixed.extend(noise_vec(&mut rng, 150));
+        assert!(detector().detect(&mixed).is_some_and(|r| r.interfered));
+        let (clean, _, _) = clean_reception(2);
+        let narrow = SignalDetector::new(DetectorConfig {
+            window: 8,
+            ..*detector().config()
+        });
+        let mut rings = DetectorRings::default();
+        for det in [detector(), narrow, detector()] {
+            for rx in [&mixed, &clean, &mixed[..20]] {
+                assert_eq!(
+                    det.detect_with(rx, &mut rings),
+                    det.detect(rx),
+                    "window {}",
+                    det.config().window
+                );
+                assert_eq!(det.locate_with(rx, &mut rings), det.locate(rx));
+                let energies: Vec<f64> = rx.iter().map(|s| s.norm_sq()).collect();
+                for from in [0, 40, 700] {
+                    assert_eq!(
+                        det.interference_span_with(&energies, from, rx.len(), &mut rings),
+                        det.interference_span(&energies, from, rx.len())
+                    );
+                }
+            }
+        }
     }
 
     #[test]

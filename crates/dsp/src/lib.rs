@@ -23,8 +23,6 @@
 //!   evaluation harness (§11).
 //! * [`rng`] — seedable Gaussian/uniform sampling (Box–Muller; keeps the
 //!   workspace off `rand_distr`).
-//! * [`resample`] — fractional-delay linear interpolation used to model
-//!   sub-sample timing offsets between interfering senders (§7.2).
 //! * [`batch`] — struct-of-arrays sample batches and `[f64; 4]` lane
 //!   helpers behind the autovectorized RX kernels (DESIGN.md §8).
 //! * [`cast`] — intent-named, saturating float→integer conversions for
@@ -43,7 +41,6 @@ pub mod corr;
 pub mod cplx;
 pub mod db;
 pub mod lfsr;
-pub mod resample;
 pub mod rng;
 pub mod stats;
 pub mod window;

@@ -59,6 +59,26 @@ impl DspRng {
         result
     }
 
+    /// Skips the next `n` raw draws: afterwards the generator is where
+    /// `n` calls of [`Self::next_u64`] would have left it. Each skipped
+    /// draw costs one state update, far less than the Box–Muller
+    /// transform a drawn Gaussian pays; a stream that knows how many
+    /// draws each output spends can seek to any output this way.
+    ///
+    /// # Panics
+    /// Panics if a spare Gaussian variate is pending: skipping raw
+    /// draws under it would split a Box–Muller pair, so the skipped
+    /// count would no longer map to whole variates.
+    pub fn discard(&mut self, n: u64) {
+        assert!(
+            self.spare.is_none(),
+            "discard would split a pending Box-Muller pair"
+        );
+        for _ in 0..n {
+            self.next_u64();
+        }
+    }
+
     /// Derives an independent child generator; used to give each node or
     /// link its own stream so adding a node never perturbs the draws of
     /// another (important for paired "two consecutive runs" comparisons,
@@ -155,11 +175,6 @@ impl DspRng {
         r * c
     }
 
-    /// Normal variate with given mean and standard deviation.
-    pub fn gaussian_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.gaussian()
-    }
-
     /// Circularly-symmetric complex Gaussian with total power
     /// `E[|z|²] = power` — the AWGN model of §8 ("a wireless channel with
     /// additive white Gaussian noise"). Each quadrature gets half the
@@ -243,12 +258,27 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_with_params() {
+    fn discard_skips_raw_draws() {
+        let mut drawn = DspRng::seed_from(5);
+        let mut skipped = drawn.clone();
+        for _ in 0..37 {
+            drawn.next_u64();
+        }
+        skipped.discard(37);
+        assert_eq!(skipped.next_u64(), drawn.next_u64());
+        // A whole Box–Muller pair leaves no spare behind, so the stream
+        // can be skipped again.
+        drawn.gaussian();
+        drawn.gaussian();
+        drawn.discard(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Box-Muller")]
+    fn discard_refuses_to_split_a_gaussian_pair() {
         let mut rng = DspRng::seed_from(5);
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.gaussian_with(3.0, 0.5)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.01);
+        rng.gaussian();
+        rng.discard(1);
     }
 
     #[test]

@@ -91,6 +91,12 @@ impl EnergyWindow {
         }
     }
 
+    /// Samples the window holds once full.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.cap
+    }
+
     /// Current number of samples held (≤ capacity).
     #[inline]
     pub fn len(&self) -> usize {
@@ -127,7 +133,8 @@ impl EnergyWindow {
         }
     }
 
-    /// Clears the window.
+    /// Clears the window: afterwards it is indistinguishable from
+    /// `EnergyWindow::new(self.capacity())`, and keeps its storage.
     pub fn clear(&mut self) {
         self.ring.clear();
         self.pos = 0;
@@ -251,6 +258,12 @@ impl VarianceWindow {
             self.sum = self.ring.iter().sum();
             self.until_refresh = REFRESH_INTERVAL_CAPS * self.cap;
         }
+    }
+
+    /// Energies the window holds once full.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.cap
     }
 
     /// Number of energies currently held.
@@ -404,7 +417,8 @@ impl VarianceWindow {
         nv > threshold
     }
 
-    /// Clears the window.
+    /// Clears the window: afterwards it is indistinguishable from
+    /// `VarianceWindow::new(self.capacity())`, and keeps its storage.
     pub fn clear(&mut self) {
         self.ring.clear();
         self.pos = 0;

@@ -2,7 +2,6 @@
 
 use anc_dsp::angle::{circular_diff, unwrap};
 use anc_dsp::corr::{best_match, hamming_distance};
-use anc_dsp::resample::fractional_delay;
 use anc_dsp::window::energy_bounds;
 use anc_dsp::{
     percentile, wrap_pi, Cdf, Cplx, DspRng, EnergyWindow, Lfsr, RunningStats, VarianceWindow,
@@ -186,27 +185,6 @@ proptest! {
         prop_assert_eq!(err, 0);
         prop_assert!(off <= prefix.len());
         prop_assert_eq!(hamming_distance(&hay[off..off + pattern.len()], &pattern), 0);
-    }
-
-    /// fractional_delay(0) is the identity.
-    #[test]
-    fn resample_identities(n in 1usize..100, seed in any::<u64>()) {
-        let mut rng = DspRng::seed_from(seed);
-        let sig: Vec<Cplx> = (0..n).map(|_| rng.complex_gaussian(1.0)).collect();
-        prop_assert_eq!(fractional_delay(&sig, 0.0), sig);
-    }
-
-    /// Integer fractional_delay shifts exactly.
-    #[test]
-    fn integer_delay_is_exact_shift(n in 4usize..64, d in 1usize..4) {
-        let sig: Vec<Cplx> = (0..n).map(|i| Cplx::new(i as f64, -(i as f64))).collect();
-        let out = fractional_delay(&sig, d as f64);
-        for i in d..n {
-            prop_assert!((out[i] - sig[i - d]).norm() < 1e-9);
-        }
-        for s in out.iter().take(d) {
-            prop_assert_eq!(*s, Cplx::ZERO);
-        }
     }
 
     /// A window rebuilt at a refresh boundary from its last `cap`

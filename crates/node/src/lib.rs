@@ -8,7 +8,9 @@
 //!
 //! * [`phy::TxChain`] / [`phy::RxChain`] — the Fig. 8 pipelines.
 //! * [`block::synthesize`] — one transmission's pure synthesis job,
-//!   run in the simulator's TX stage on the sender's borrowed node.
+//!   run in the simulator's TX stages in two halves: the source wave
+//!   ([`block::source_wave`]), then the front end and CFO
+//!   ([`block::TxRotation`]) in chunks of the wave.
 //! * [`mac::TriggerMac`] — the §7.6 random-delay draw: triggered
 //!   neighbours transmit after the §7.2 random delay (slots + user-space
 //!   jitter), which is what limits packet overlap to ≈ 80 % in the
@@ -25,7 +27,7 @@ pub mod mac;
 pub mod node;
 pub mod phy;
 
-pub use block::{synthesize, SynthJob, SynthSource};
+pub use block::{source_wave, synthesize, SynthJob, SynthSource, TxRotation};
 pub use mac::{MacConfig, TriggerMac};
 pub use node::{FrontEnd, Node, NodeConfig, NodeRole};
 pub use phy::{RxChain, RxEvent, TxChain};

@@ -78,17 +78,20 @@ impl Default for FrontEnd {
 }
 
 impl FrontEnd {
-    /// Applies this front end to an outgoing baseband waveform:
-    /// amplitude scaling plus the carrier rotation `phase0 + Δω·k`
-    /// (§5.3's per-transmission phase `γ` and the oscillator drift the
-    /// §6 amplitude tracker absorbs). Pure in `(self, wave, phase)` —
-    /// the simulator's TX stage calls it off the engine thread.
-    pub fn apply(&self, wave: &mut [Cplx], carrier_phase: f64) {
+    /// Applies this front end to samples `first..first + chunk.len()`
+    /// of an outgoing baseband waveform: amplitude scaling plus the
+    /// carrier rotation `phase0 + Δω·k` at each sample's index `k` in
+    /// the whole wave (§5.3's per-transmission phase `γ` and the
+    /// oscillator drift the §6 amplitude tracker absorbs). Pure in
+    /// `(self, chunk, first, phase)`, so the simulator's TX stage can
+    /// run any chunk of a wave on any worker; the whole wave is
+    /// `first = 0`.
+    pub fn apply(&self, chunk: &mut [Cplx], first: usize, carrier_phase: f64) {
         let FrontEnd {
             osc_offset,
             amplitude,
         } = *self;
-        for (k, s) in wave.iter_mut().enumerate() {
+        for (k, s) in (first..).zip(chunk.iter_mut()) {
             *s = s
                 .scale(amplitude)
                 .rotate(carrier_phase + osc_offset * k as f64);
@@ -143,7 +146,7 @@ impl Node {
     /// amplitude tracker of §6 absorbs). `carrier_phase` is drawn by
     /// the simulation engine so all transmitters share one stream.
     pub fn apply_front_end(&self, wave: &mut [Cplx], carrier_phase: f64) {
-        self.front_end.apply(wave, carrier_phase);
+        self.front_end.apply(wave, 0, carrier_phase);
     }
 
     /// The node's frame configuration.

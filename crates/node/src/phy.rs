@@ -245,7 +245,7 @@ impl RxChain {
         buffer: &SentPacketBuffer,
         policy: &RouterPolicy,
     ) -> RxEvent {
-        let Some(region) = self.decoder.classify(rx) else {
+        let Some(region) = self.decoder.classify_with(rx, &mut self.scratch) else {
             return RxEvent::Dropped(DropReason::NoSignal);
         };
         let samples = &rx[region.start..region.end];

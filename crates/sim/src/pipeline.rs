@@ -3,19 +3,29 @@
 //! DESIGN.md §14: a slot is a barrier, and within it every node's
 //! Fig. 8 work is independent of every other node's. So the engine
 //! runs a slot as ordered fork-join stages on the run's
-//! [`Pool`]: one TX stage synthesizes every fired transmission
-//! ([`anc_node::synthesize`] on the sender's chain and front end),
-//! then RX stages superpose each receiver's window through [`Medium`]
-//! and run its decode, each job owning its receiver's [`Node`] for the
-//! stage. The engine's slot loop stays the sequential *controller*: it
-//! resolves
-//! everything stateful (RNG draws, queue state, metric mutations) in
-//! intent order before a stage and folds the stage's results back in
-//! intent order after it. Because every job is a pure function of its
-//! inputs and its own node, and results come back in job order, the
-//! deterministic and work-stealing executors produce bit-identical
-//! [`RunMetrics`] (pinned by the golden suites and a
+//! [`Pool`]: TX stages synthesize every fired transmission (the
+//! source wave, then the sender's front end and CFO), then RX stages
+//! superpose each receiver's window through [`Medium`] and run its
+//! decode, each decode job owning its receiver's [`Node`] for the
+//! stage. The engine's slot loop stays the sequential *controller*:
+//! it resolves everything stateful (RNG draws, queue state, metric
+//! mutations) in intent order before a stage and folds the stage's
+//! results back in intent order after it. Because every job is a pure
+//! function of its inputs and its own node, and results come back in
+//! job order, the deterministic and work-stealing executors produce
+//! bit-identical [`RunMetrics`] (pinned by the golden suites and a
 //! scheduler-equivalence proptest).
+//!
+//! The two per-sample stages split further: a job of the front-end
+//! stage or of the mixing stage is a contiguous chunk of one wave or
+//! window (`chunks`). Every output sample there is a pure function
+//! of its index — Eq. 2 is a per-sample sum, the front end rotates by
+//! the sample's index, and the noise and jammer streams seek by
+//! sample ([`anc_channel::Awgn::skip`]) — so the chunks join into the
+//! whole wave or window bit for bit. A one-worker pool makes one chunk
+//! per wave or window, which is the inline work with no copies; the
+//! sequential steps (modulation, amplification, §7.1 detection and
+//! the decode) stay whole.
 //!
 //! [`RunMetrics`]: crate::metrics::RunMetrics
 
@@ -26,8 +36,9 @@ use anc_core::DecoderScratch;
 use anc_dsp::{Cplx, DspRng};
 use anc_frame::NodeId;
 use anc_node::phy::{DropReason, RxEvent, TxChain};
-use anc_node::{synthesize, FrontEnd, Node, SynthJob};
+use anc_node::{source_wave, FrontEnd, Node, SynthJob, TxRotation};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which executor runs a run's stages.
@@ -120,35 +131,64 @@ pub(crate) struct RxJob {
     pub(crate) jammer: Option<(f64, DspRng)>,
 }
 
-/// Superposes one job's window into `window` (Eq. 2: the heard
-/// transmissions, then the tones, then noise, plus the jammer) and
-/// runs the receiver on it.
-fn receive(
-    node: &mut Node,
-    window: &mut Vec<Cplx>,
-    job: RxJob,
+/// Shortest chunk a wave or window is split into: below it a chunk's
+/// hand-off and noise seek cost more than its samples. The city's
+/// ~700-sample windows never split.
+const MIN_CHUNK: usize = 2048;
+
+/// Most chunks per worker a long wave or window splits into. More
+/// chunks than workers lets the caller and an early worker take the
+/// share of a worker that wakes late.
+const CHUNKS_PER_WORKER: usize = 4;
+
+/// The contiguous chunks a wave or window of `len` samples splits into
+/// when `workers` threads are free for it: one with one worker;
+/// otherwise `min(len / MIN_CHUNK, CHUNKS_PER_WORKER · workers)`, at
+/// least one, of equal length up to rounding. They cover `0..len` in
+/// order.
+fn chunks(len: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
+    let k = if workers <= 1 {
+        1
+    } else {
+        (len / MIN_CHUNK).clamp(1, CHUNKS_PER_WORKER * workers)
+    };
+    (0..k).map(move |j| j * len / k..(j + 1) * len / k)
+}
+
+/// Superposes samples `range` of one job's window into `out` (Eq. 2:
+/// the heard transmissions, then the tones, then noise, plus the
+/// jammer), bit for bit that stretch of the whole window.
+fn mix(
+    job: &RxJob,
     events: &[ScheduledTx],
     noise_power: f64,
-) -> RxEvent {
-    let refs: Vec<TransmissionRef<'_>> = job
-        .heard
-        .iter()
-        .map(|&(e, start, link)| TransmissionRef {
-            samples: &events[e].wave,
-            start,
-            link,
-        })
-        .chain(job.tones.iter().map(|(tone, link)| TransmissionRef {
-            samples: tone,
-            start: 0,
-            link: *link,
-        }))
-        .collect();
-    Medium::from_rng(noise_power, job.noise).receive_refs_into(&refs, job.duration, window);
-    if let Some((power, rng)) = job.jammer {
-        Medium::inject_jammer(window, power, rng);
+    range: Range<usize>,
+    out: &mut Vec<Cplx>,
+) {
+    let heard = job.heard.iter().map(|&(e, start, link)| TransmissionRef {
+        samples: &events[e].wave,
+        start,
+        link,
+    });
+    let tones = job.tones.iter().map(|(tone, link)| TransmissionRef {
+        samples: tone,
+        start: 0,
+        link: *link,
+    });
+    let first = range.start;
+    Medium::from_rng(noise_power, job.noise.clone()).receive_range_into(
+        heard.chain(tones),
+        range,
+        out,
+    );
+    if let Some((power, rng)) = &job.jammer {
+        Medium::inject_jammer(out, first, *power, rng.clone());
     }
-    if !job.overhear {
+}
+
+/// Runs the receiver on its mixed window.
+fn decode(node: &mut Node, window: &[Cplx], overhear: bool) -> RxEvent {
+    if !overhear {
         return node.poll(window);
     }
     // An overheard frame is a clean decode; the fold only asks
@@ -159,17 +199,76 @@ fn receive(
     }
 }
 
+/// Splits each `(length, buffer)` of `bufs` into [`chunks`] for a
+/// stage on a pool of `workers`: item `(b, range, chunk)` per chunk, in
+/// buffer order. Each buffer gets an equal share of the workers, so
+/// one that shares the pool with a job per worker stays whole: the
+/// stage is already as parallel as the pool, and split buffers would
+/// only cost copies and spare memory. The first chunk keeps the buffer
+/// itself, truncated to its length, so a whole buffer moves without a
+/// copy; the others go into buffers from `spare`, filled with their
+/// samples when `copy` (a wave to rotate in place) and left for the
+/// stage to fill otherwise (a window to mix).
+fn split(
+    bufs: Vec<(usize, Vec<Cplx>)>,
+    workers: usize,
+    spare: &mut Vec<Vec<Cplx>>,
+    copy: bool,
+) -> Vec<(usize, Range<usize>, Vec<Cplx>)> {
+    let mut items = Vec::with_capacity(bufs.len());
+    let share = workers / bufs.len().max(1);
+    for (b, (len, mut buf)) in bufs.into_iter().enumerate() {
+        let mut ranges = chunks(len, share);
+        let head = ranges.next().unwrap_or(0..len);
+        let at = items.len();
+        items.push((b, head.clone(), Vec::new()));
+        for range in ranges {
+            // Grown here, on the caller, and only to fit: the spare
+            // list is a run's only extra memory for chunking.
+            let mut chunk = spare.pop().unwrap_or_default();
+            chunk.clear();
+            chunk.reserve_exact(range.len());
+            if copy {
+                chunk.extend_from_slice(&buf[range.clone()]);
+            }
+            items.push((b, range, chunk));
+        }
+        buf.truncate(head.end);
+        items[at].2 = buf;
+    }
+    items
+}
+
+/// Joins a stage's chunks back into one buffer per source buffer:
+/// each buffer's first chunk, extended by the others in order, whose
+/// buffers return to `spare`.
+fn join(chunks: Vec<(usize, Vec<Cplx>)>, spare: &mut Vec<Vec<Cplx>>) -> Vec<Vec<Cplx>> {
+    let mut out: Vec<Vec<Cplx>> = Vec::new();
+    for (b, chunk) in chunks {
+        if b == out.len() {
+            out.push(chunk);
+        } else {
+            out[b].extend_from_slice(&chunk);
+            spare.push(chunk);
+        }
+    }
+    out
+}
+
 /// The engine's nodes (in `node_ids` order), each with one reused
 /// reception-window buffer, plus the TX chain and front end of each,
-/// which no stage changes. An RX stage moves each receiver's node and
-/// buffer into its one job and puts them back when the stage returns;
-/// between stages every node is home.
+/// which no stage changes. The RX stages move each receiver's node
+/// and buffer out of the park and put them back when the decode stage
+/// returns; between slots every node is home. Chunked stages draw
+/// their extra chunk buffers from one shared spare list, so a run
+/// allocates them once.
 #[derive(Debug, Default)]
 pub(crate) struct NodePark {
     nodes: Vec<Option<Node>>,
     windows: Vec<Vec<Cplx>>,
     tx: Arc<[(TxChain, FrontEnd)]>,
     index: HashMap<NodeId, usize>,
+    spare: Vec<Vec<Cplx>>,
 }
 
 impl NodePark {
@@ -187,6 +286,7 @@ impl NodePark {
                 .collect(),
             nodes: nodes.into_iter().map(|(_, n)| Some(n)).collect(),
             index,
+            spare: Vec::new(),
         }
     }
 
@@ -224,24 +324,39 @@ impl NodePark {
         Ok(std::mem::take(&mut self.windows[i]))
     }
 
-    /// The TX stage: synthesizes each `(sender index, job)` on its
-    /// sender's chain and front end; waveforms come back in job order.
+    /// The TX stages: builds each `(sender index, job)`'s source wave
+    /// on its sender's chain, then rotates the waves through their
+    /// senders' front ends in chunks; waveforms come back in job order.
     pub(crate) fn synthesize(
-        &self,
+        &mut self,
         pool: &Pool<'_, '_>,
         jobs: Vec<(usize, SynthJob)>,
     ) -> Result<Vec<Vec<Cplx>>, StageFailed> {
+        let (sources, rotations): (Vec<_>, Vec<TxRotation>) = jobs
+            .into_iter()
+            .map(|(i, job)| {
+                let (source, rotation) = job.split(self.tx[i].1);
+                ((i, source), rotation)
+            })
+            .unzip();
         let tx = Arc::clone(&self.tx);
-        pool.stage("engine.tx", jobs, move |(i, job)| {
-            let (chain, front_end) = &tx[i];
-            synthesize(chain, front_end, job)
-        })
+        let waves = pool.stage("engine.tx", sources, move |(i, source)| {
+            source_wave(&tx[i].0, source)
+        })?;
+        let waves = waves.into_iter().map(|wave| (wave.len(), wave)).collect();
+        let items = split(waves, pool.workers(), &mut self.spare, true);
+        let rotated = pool.stage("engine.tx", items, move |(w, range, mut chunk)| {
+            rotations[w].apply(&mut chunk, range.start);
+            (w, chunk)
+        })?;
+        Ok(join(rotated, &mut self.spare))
     }
 
-    /// An RX stage: superposes and decodes each job's window on its
-    /// receiver, whose node and window buffer the job owns for the
-    /// stage; receive events come back in job order. The receivers of
-    /// one stage must be distinct.
+    /// The RX stages: superposes each job's window in chunks, then
+    /// decodes each window on its receiver, whose node and window
+    /// buffer leave the park for both stages; receive events come back
+    /// in job order. The receivers of one stage must be distinct. If
+    /// either stage fails, its receivers are lost with it.
     pub(crate) fn receive(
         &mut self,
         pool: &Pool<'_, '_>,
@@ -249,18 +364,28 @@ impl NodePark {
         noise_power: f64,
         jobs: Vec<RxJob>,
     ) -> Result<Vec<RxEvent>, EngineError> {
-        let mut items = Vec::with_capacity(jobs.len());
-        for job in jobs {
+        let mut receivers = Vec::with_capacity(jobs.len());
+        let mut windows = Vec::with_capacity(jobs.len());
+        for job in &jobs {
             let i = self.index_of(job.receiver)?;
             let node = self.nodes[i]
                 .take()
                 .ok_or(EngineError::NodeMissing(job.receiver))?;
-            let window = std::mem::take(&mut self.windows[i]);
-            items.push((i, node, window, job));
+            receivers.push((i, node, job.overhear));
+            windows.push((job.duration, std::mem::take(&mut self.windows[i])));
         }
-        let events = Arc::clone(events);
-        let done = pool.stage("engine.rx", items, move |(i, mut node, mut window, job)| {
-            let evt = receive(&mut node, &mut window, job, &events, noise_power);
+        let items = split(windows, pool.workers(), &mut self.spare, false);
+        let (jobs, events) = (Arc::new(jobs), Arc::clone(events));
+        let mixed = pool.stage("engine.rx", items, move |(j, range, mut chunk)| {
+            mix(&jobs[j], &events, noise_power, range, &mut chunk);
+            (j, chunk)
+        })?;
+        let items: Vec<_> = receivers
+            .into_iter()
+            .zip(join(mixed, &mut self.spare))
+            .collect();
+        let done = pool.stage("engine.rx", items, |((i, mut node, overhear), window)| {
+            let evt = decode(&mut node, &window, overhear);
             (i, node, window, evt)
         })?;
         Ok(done

@@ -113,6 +113,8 @@ impl<'env> Queue<'env> {
 pub struct Pool<'q, 'env> {
     /// `None` for a one-worker pool: stages run inline.
     queue: Option<&'q Queue<'env>>,
+    /// Threads that run stage jobs, the caller's included.
+    workers: usize,
 }
 
 impl Drop for Pool<'_, '_> {
@@ -131,7 +133,10 @@ impl Drop for Pool<'_, '_> {
 /// workers when `body` returns.
 pub fn with_pool<'env, R>(workers: usize, body: impl FnOnce(&Pool<'_, 'env>) -> R) -> R {
     if workers <= 1 {
-        return body(&Pool { queue: None });
+        return body(&Pool {
+            queue: None,
+            workers: 1,
+        });
     }
     let queue = Queue {
         state: Mutex::new((VecDeque::new(), false)),
@@ -140,6 +145,7 @@ pub fn with_pool<'env, R>(workers: usize, body: impl FnOnce(&Pool<'_, 'env>) -> 
     std::thread::scope(|scope| {
         let pool = Pool {
             queue: Some(&queue),
+            workers,
         };
         let workers: Vec<_> = (1..workers)
             .map(|_| scope.spawn(|| queue.serve()))
@@ -159,6 +165,12 @@ pub fn with_pool<'env, R>(workers: usize, body: impl FnOnce(&Pool<'_, 'env>) -> 
 }
 
 impl<'env> Pool<'_, 'env> {
+    /// Threads that run this pool's stage jobs, the caller's included:
+    /// 1 for an inline pool. A stage may size its jobs by it.
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
     /// Runs one stage: `f` over `items`, results in item order. A
     /// panicking job becomes [`StageFailed`] carrying `name`.
     pub fn stage<T, R, F>(
@@ -339,6 +351,13 @@ mod tests {
         });
         assert_eq!(serial, (1..=23).collect::<Vec<_>>());
         assert!(parallel_map_indexed_with(0, 4, || (), |_, i| i).is_empty());
+    }
+
+    #[test]
+    fn pool_reports_its_workers() {
+        for (asked, got) in [(0, 1), (1, 1), (2, 2), (3, 3)] {
+            assert_eq!(with_pool(asked, |pool| pool.workers()), got);
+        }
     }
 
     #[test]
