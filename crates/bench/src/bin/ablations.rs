@@ -408,31 +408,48 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ramp(n: usize) -> Vec<Cplx> {
-        (0..n).map(|i| Cplx::new(i as f64, -(i as f64))).collect()
+        (0..n).map(|i| Cplx::new(i as f64, 0.0)).collect()
     }
 
     #[test]
     fn integer_delay_is_shift() {
-        for n in [4, 6, 17, 63] {
-            let sig = ramp(n);
-            for d in 1..4 {
-                let out = fractional_delay(&sig, d as f64);
-                assert!(out[..d].iter().all(|&s| s == Cplx::ZERO));
-                for i in d..n {
-                    assert!((out[i] - sig[i - d]).norm() < 1e-9, "n={n} d={d} i={i}");
-                }
-            }
-        }
+        let sig = ramp(6);
+        let d = fractional_delay(&sig, 2.0);
+        assert_eq!(d[0], Cplx::ZERO);
+        assert_eq!(d[1], Cplx::ZERO);
+        assert_eq!(d[2], Cplx::new(0.0, 0.0));
+        assert_eq!(d[5], Cplx::new(3.0, 0.0));
     }
 
     #[test]
     fn zero_delay_is_identity() {
-        let mut rng = DspRng::seed_from(3);
-        for n in [1, 5, 99] {
+        let sig = ramp(5);
+        assert_eq!(fractional_delay(&sig, 0.0), sig);
+    }
+
+    proptest! {
+        /// fractional_delay(0) is the identity.
+        #[test]
+        fn resample_identities(n in 1usize..100, seed in any::<u64>()) {
+            let mut rng = DspRng::seed_from(seed);
             let sig: Vec<Cplx> = (0..n).map(|_| rng.complex_gaussian(1.0)).collect();
-            assert_eq!(fractional_delay(&sig, 0.0), sig);
+            prop_assert_eq!(fractional_delay(&sig, 0.0), sig);
+        }
+
+        /// Integer fractional_delay shifts exactly.
+        #[test]
+        fn integer_delay_is_exact_shift(n in 4usize..64, d in 1usize..4) {
+            let sig: Vec<Cplx> = (0..n).map(|i| Cplx::new(i as f64, -(i as f64))).collect();
+            let out = fractional_delay(&sig, d as f64);
+            for i in d..n {
+                prop_assert!((out[i] - sig[i - d]).norm() < 1e-9);
+            }
+            for s in out.iter().take(d) {
+                prop_assert_eq!(*s, Cplx::ZERO);
+            }
         }
     }
 
