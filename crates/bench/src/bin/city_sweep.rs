@@ -57,14 +57,6 @@ struct Point {
     slots_per_sec: f64,
 }
 
-fn sched_for(threads: usize) -> SchedulerSpec {
-    if threads > 1 {
-        SchedulerSpec::work_stealing(threads)
-    } else {
-        SchedulerSpec::deterministic()
-    }
-}
-
 fn run_one(cfg: &CityConfig, scheme: Scheme, sched: SchedulerSpec) -> CityOutcome {
     CityConfig::builder(scheme)
         .config(cfg.clone())
@@ -142,7 +134,7 @@ fn main() {
     let quick = args.runs <= 8;
     let slots = if quick { 48 } else { 96 };
     let payload_bits = 128;
-    let sched = sched_for(args.threads);
+    let sched = SchedulerSpec::work_stealing(args.threads);
 
     let mut report = ExperimentReport::new("city_sweep");
     report

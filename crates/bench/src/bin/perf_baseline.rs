@@ -33,7 +33,7 @@ use anc_sim::city::{CityConfig, CityLayout, CityOutcome};
 use anc_sim::experiments::{alice_bob, ExperimentConfig};
 use anc_sim::runs::RunConfig;
 use anc_sim::topology::nodes;
-use anc_sim::{Engine, FaultSpec, RunCtx, ScenarioSpec, SchedulerSpec};
+use anc_sim::{FaultSpec, RunCtx, ScenarioSpec, SchedulerSpec};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -528,16 +528,23 @@ fn main() {
         payload_bits: 4096,
         ..RunConfig::default()
     };
-    let program = ScenarioSpec::alice_bob()
-        .compile(Scheme::Anc)
-        .expect("alice_bob compiles");
-    let det_sched = SchedulerSpec::deterministic();
-    let ws_sched = SchedulerSpec::work_stealing(pipe_workers);
+    let pipe_run = |sched| {
+        ScenarioSpec::alice_bob()
+            .builder(Scheme::Anc)
+            .config(pipe_rc.clone())
+            .scheduler(sched)
+            .build()
+            .expect("alice_bob compiles")
+    };
+    let det_run = pipe_run(SchedulerSpec::deterministic());
+    let ws_run = pipe_run(SchedulerSpec::work_stealing(pipe_workers));
     let mut det_ctx = RunCtx::default();
     let mut ws_ctx = RunCtx::default();
-    let m_det = Engine::try_run_ctx(&program, &pipe_rc, &det_sched, &mut det_ctx)
+    let m_det = det_run
+        .execute_with(&mut det_ctx)
         .expect("deterministic pipeline run");
-    let m_ws = Engine::try_run_ctx(&program, &pipe_rc, &ws_sched, &mut ws_ctx)
+    let m_ws = ws_run
+        .execute_with(&mut ws_ctx)
         .expect("work-stealing pipeline run");
     let pipeline_identical = m_det.account.goodput_bits.to_bits()
         == m_ws.account.goodput_bits.to_bits()
@@ -547,7 +554,8 @@ fn main() {
     let (pipe_serial_ns, pipe_parallel_ns) = measure_pair(
         || {
             black_box(
-                Engine::try_run_ctx(&program, &pipe_rc, &det_sched, &mut det_ctx)
+                det_run
+                    .execute_with(&mut det_ctx)
                     .expect("deterministic pipeline run")
                     .account
                     .delivered,
@@ -555,7 +563,8 @@ fn main() {
         },
         || {
             black_box(
-                Engine::try_run_ctx(&program, &pipe_rc, &ws_sched, &mut ws_ctx)
+                ws_run
+                    .execute_with(&mut ws_ctx)
                     .expect("work-stealing pipeline run")
                     .account
                     .delivered,

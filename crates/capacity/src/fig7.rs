@@ -80,19 +80,6 @@ pub fn find_crossover_db(model: &CapacityModel, lo_db: f64, hi_db: f64) -> Optio
     Some((lo + hi) / 2.0)
 }
 
-/// Renders the series as fixed-width text rows, the format the
-/// `fig7_capacity` experiment binary prints.
-pub fn render_series(points: &[Fig7Point]) -> String {
-    let mut out = String::from("# snr_db\trouting_upper\tanc_lower\tgain\n");
-    for p in points {
-        out.push_str(&format!(
-            "{:.1}\t{:.4}\t{:.4}\t{:.4}\n",
-            p.snr_db, p.routing_upper, p.anc_lower, p.gain
-        ));
-    }
-    out
-}
-
 /// The theoretical high-SNR gain the sweep must approach (Theorem 8.1).
 pub const ASYMPTOTIC_GAIN: f64 = 2.0;
 
@@ -152,15 +139,6 @@ mod tests {
         // Both endpoints above the crossover: no sign change.
         let m = CapacityModel::default();
         assert!(find_crossover_db(&m, 20.0, 50.0).is_none());
-    }
-
-    #[test]
-    fn render_contains_header_and_rows() {
-        let m = CapacityModel::default();
-        let s = fig7_series(&m, 0.0, 10.0, 3);
-        let text = render_series(&s);
-        assert!(text.starts_with("# snr_db"));
-        assert_eq!(text.lines().count(), 4);
     }
 
     #[test]

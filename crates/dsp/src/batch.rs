@@ -117,18 +117,6 @@ impl CplxBatch {
     pub fn parts_mut(&mut self) -> (&mut [f64], &mut [f64]) {
         (&mut self.re, &mut self.im)
     }
-
-    /// Replaces the contents with the samples of an interleaved slice
-    /// (the AoS → SoA transpose at a batch kernel's entry).
-    pub fn copy_from_samples(&mut self, samples: &[Cplx]) {
-        self.clear();
-        self.re.reserve(samples.len());
-        self.im.reserve(samples.len());
-        for &s in samples {
-            self.re.push(s.re);
-            self.im.push(s.im);
-        }
-    }
 }
 
 /// Per-sample energies `|y[n]|²` of a sample slice, into a caller-owned
@@ -165,7 +153,9 @@ mod tests {
     fn batch_round_trips_samples() {
         let samples: Vec<Cplx> = (0..7).map(|i| Cplx::new(i as f64, -(i as f64))).collect();
         let mut b = CplxBatch::with_capacity(4);
-        b.copy_from_samples(&samples);
+        for &s in &samples {
+            b.push(s);
+        }
         assert_eq!(b.len(), 7);
         assert!(!b.is_empty());
         for (i, &s) in samples.iter().enumerate() {

@@ -137,12 +137,6 @@ impl Cplx {
         self * Cplx::cis(theta)
     }
 
-    /// Returns `(norm, arg)` — handy for assertions in tests.
-    #[inline]
-    pub fn to_polar(self) -> (f64, f64) {
-        (self.norm(), self.arg())
-    }
-
     /// `true` when either component is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {
@@ -333,9 +327,8 @@ mod tests {
     #[test]
     fn construction_and_polar_roundtrip() {
         let z = Cplx::from_polar(3.0, 0.7);
-        let (r, th) = z.to_polar();
-        assert!(close(r, 3.0));
-        assert!(close(th, 0.7));
+        assert!(close(z.norm(), 3.0));
+        assert!(close(z.arg(), 0.7));
     }
 
     #[test]

@@ -4,42 +4,28 @@
 //! Each driver repeats paired runs (same topology realization, all
 //! schemes) over fresh channel draws — the paper's "40 times" — and
 //! pools the per-run gains and per-packet BERs into the CDFs the
-//! figures plot. Runs are independent with per-repetition forked seeds,
-//! so they fan out on [`crate::pool`]'s scoped workers; results are
-//! bit-identical to a serial (`threads = 1`) execution.
+//! figures plot. Runs are independent with per-repetition forked seeds.
+//! Every driver compiles each scheme once, flattens its points × runs
+//! × schemes into one list, and hands it to the crate's one trial
+//! runner ([`mod@crate::monte_carlo`]), which checks each run's
+//! [`RunConfig`], fans the list out on [`crate::pool`]'s workers and
+//! returns the metrics in list order; results are bit-identical to a
+//! serial (`threads = 1`) execution.
 //!
 //! Beyond the paper: [`scenario_experiment`] pools any crossing-pair
 //! [`ScenarioSpec`] the same way ([`asymmetric_x`], [`random_mesh`]),
 //! and [`parking_lot_sweep`] runs the length-N chain over a range of
 //! relay counts (throughput vs hop count).
 
-use crate::engine::{Engine, Program};
+use crate::engine::Program;
 use crate::faults::FaultSpec;
 use crate::metrics::{gain, RunMetrics};
-use crate::pipeline::{RunCtx, SchedulerSpec};
-use crate::pool::parallel_map_indexed;
-use crate::runs::{run_alice_bob, run_chain, run_x, RunConfig};
+use crate::monte_carlo::run_trials;
+use crate::runs::RunConfig;
 use crate::scenario::{MeshConfig, ScenarioError, ScenarioSpec};
 use crate::topology::{nodes, TopologyKind};
 use anc_netcode::{ArqConfig, Scheme, TrafficModel};
 use serde::{Deserialize, Serialize};
-
-/// Runs a pre-compiled program under the default deterministic
-/// scheduler: the sweep drivers compile each scheme once and execute
-/// it many times with varying run configs.
-///
-/// # Panics
-/// Panics on an [`crate::EngineError`] — the sweeps treat one as a
-/// violated structural invariant.
-fn exec(program: &Program, rc: &RunConfig) -> RunMetrics {
-    Engine::try_run_ctx(
-        program,
-        rc,
-        &SchedulerSpec::default(),
-        &mut RunCtx::default(),
-    )
-    .unwrap_or_else(|e| panic!("engine invariant violated: {e}"))
-}
 
 /// Parameters of a multi-run experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -125,18 +111,52 @@ pub(crate) fn run_seed(base: u64, idx: usize) -> u64 {
     base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx as u64 + 1))
 }
 
-fn parallel_runs<F>(cfg: &ExperimentConfig, run_one: F) -> Vec<Vec<RunMetrics>>
-where
-    F: Fn(RunConfig) -> Vec<RunMetrics> + Sync,
-{
-    parallel_map_indexed(cfg.runs, cfg.threads, |idx| {
-        let mut rc = cfg.base.clone();
-        rc.seed = run_seed(cfg.base.seed, idx);
-        run_one(rc)
-    })
+/// Runs a sweep through the trial runner. Point `p` runs each of its
+/// programs on `runs` realizations of its base config, realization `r`
+/// seeded `run_seed(base.seed + p·stride, r)`. The list is flattened
+/// point by point, run by run, program by program; the metrics come
+/// back grouped by point in that order.
+fn sweep(
+    points: &[(Vec<Program>, RunConfig)],
+    stride: u64,
+    runs: usize,
+    threads: usize,
+) -> Result<Vec<Vec<RunMetrics>>, ScenarioError> {
+    let mut list = Vec::new();
+    for (p, (programs, base)) in points.iter().enumerate() {
+        let seed = base.seed.wrapping_add(p as u64 * stride);
+        for r in 0..runs {
+            let mut rc = base.clone();
+            rc.seed = run_seed(seed, r);
+            list.extend(programs.iter().map(|program| (program, rc.clone())));
+        }
+    }
+    let mut metrics = run_trials(&list, threads)?.into_iter();
+    Ok(points
+        .iter()
+        .map(|(programs, _)| metrics.by_ref().take(runs * programs.len()).collect())
+        .collect())
 }
 
-fn assemble(topology: &str, with_cope: bool, runs: Vec<Vec<RunMetrics>>) -> TopologyResult {
+/// Runs `spec` under ANC, traditional routing and (with `with_cope`)
+/// COPE on the same `cfg.runs` realizations, each scheme compiled once,
+/// and pools the paired runs under the label `topology`.
+fn experiment(
+    spec: &ScenarioSpec,
+    topology: &str,
+    cfg: &ExperimentConfig,
+    with_cope: bool,
+) -> Result<TopologyResult, ScenarioError> {
+    let schemes: &[Scheme] = if with_cope {
+        &[Scheme::Anc, Scheme::Traditional, Scheme::Cope]
+    } else {
+        &[Scheme::Anc, Scheme::Traditional]
+    };
+    let programs = schemes
+        .iter()
+        .map(|&scheme| spec.compile(scheme))
+        .collect::<Result<_, _>>()?;
+    let runs = sweep(&[(programs, cfg.base.clone())], 0, cfg.runs, cfg.threads)?;
     let mut result = TopologyResult {
         topology: topology.to_string(),
         gains_vs_traditional: Vec::new(),
@@ -144,12 +164,12 @@ fn assemble(topology: &str, with_cope: bool, runs: Vec<Vec<RunMetrics>>) -> Topo
         anc_packet_bers: Vec::new(),
         mean_overlap: 0.0,
         anc_delivery_rate: 0.0,
-        runs: runs.len(),
+        runs: cfg.runs,
     };
     let mut overlaps = Vec::new();
     let mut delivered = 0usize;
     let mut attempted = 0usize;
-    for pair in &runs {
+    for pair in runs[0].chunks_exact(schemes.len()) {
         let anc = &pair[0];
         let trad = &pair[1];
         result.gains_vs_traditional.push(gain(anc, trad));
@@ -167,42 +187,36 @@ fn assemble(topology: &str, with_cope: bool, runs: Vec<Vec<RunMetrics>>) -> Topo
     } else {
         delivered as f64 / attempted as f64
     };
-    result
+    Ok(result)
+}
+
+/// One of the paper's topology experiments, labelled by its kind.
+///
+/// # Panics
+/// Panics on a `cfg.base` that [`RunConfig::check`] rejects.
+fn paper_experiment(
+    kind: TopologyKind,
+    spec: ScenarioSpec,
+    cfg: &ExperimentConfig,
+    with_cope: bool,
+) -> TopologyResult {
+    experiment(&spec, &format!("{kind:?}"), cfg, with_cope)
+        .unwrap_or_else(|e| panic!("{kind:?} experiment: {e}"))
 }
 
 /// Figs. 9a/9b — the Alice-Bob experiment (§11.4).
 pub fn alice_bob(cfg: &ExperimentConfig) -> TopologyResult {
-    let runs = parallel_runs(cfg, |rc| {
-        vec![
-            run_alice_bob(Scheme::Anc, &rc),
-            run_alice_bob(Scheme::Traditional, &rc),
-            run_alice_bob(Scheme::Cope, &rc),
-        ]
-    });
-    assemble(&format!("{:?}", TopologyKind::AliceBob), true, runs)
+    paper_experiment(TopologyKind::AliceBob, ScenarioSpec::alice_bob(), cfg, true)
 }
 
 /// Figs. 10a/10b — the "X" topology experiment (§11.5).
 pub fn x_topology(cfg: &ExperimentConfig) -> TopologyResult {
-    let runs = parallel_runs(cfg, |rc| {
-        vec![
-            run_x(Scheme::Anc, &rc),
-            run_x(Scheme::Traditional, &rc),
-            run_x(Scheme::Cope, &rc),
-        ]
-    });
-    assemble(&format!("{:?}", TopologyKind::X), true, runs)
+    paper_experiment(TopologyKind::X, ScenarioSpec::x(), cfg, true)
 }
 
 /// Figs. 12a/12b — the unidirectional chain experiment (§11.6).
 pub fn chain(cfg: &ExperimentConfig) -> TopologyResult {
-    let runs = parallel_runs(cfg, |rc| {
-        vec![
-            run_chain(Scheme::Anc, &rc),
-            run_chain(Scheme::Traditional, &rc),
-        ]
-    });
-    assemble(&format!("{:?}", TopologyKind::Chain), false, runs)
+    paper_experiment(TopologyKind::Chain, ScenarioSpec::chain(), cfg, false)
 }
 
 /// Pools any crossing-pair scenario over repeated channel
@@ -214,23 +228,7 @@ pub fn scenario_experiment(
     cfg: &ExperimentConfig,
     with_cope: bool,
 ) -> Result<TopologyResult, ScenarioError> {
-    // Compile each scheme once; the workers share the programs (a
-    // Program is immutable — all per-run state lives in the Engine).
-    let anc = spec.compile(Scheme::Anc)?;
-    let trad = spec.compile(Scheme::Traditional)?;
-    let cope = if with_cope {
-        Some(spec.compile(Scheme::Cope)?)
-    } else {
-        None
-    };
-    let runs = parallel_runs(cfg, |rc| {
-        let mut pair = vec![exec(&anc, &rc), exec(&trad, &rc)];
-        if let Some(c) = &cope {
-            pair.push(exec(c, &rc));
-        }
-        pair
-    });
-    Ok(assemble(&spec.name, with_cope, runs))
+    experiment(spec, &spec.name, cfg, with_cope)
 }
 
 /// The asymmetric-X experiment: unequal overhearing gains, pooled like
@@ -298,25 +296,31 @@ pub struct ParkingLotPoint {
 /// ANC pipeline stays at ~2 slots/packet, so the gain grows with
 /// length. Points fan out on the worker pool; parallel == serial bit
 /// for bit.
+///
+/// # Panics
+/// Panics on a `cfg.base` that [`RunConfig::check`] rejects.
 pub fn parking_lot_sweep(cfg: &ParkingLotSweepConfig) -> Vec<ParkingLotPoint> {
-    parallel_map_indexed(cfg.relay_counts.len(), cfg.threads, |idx| {
-        let relays = cfg.relay_counts[idx];
-        let spec = ScenarioSpec::parking_lot(relays);
-        let anc_prog = spec.compile(Scheme::Anc).expect("parking lot compiles");
-        let trad_prog = spec
-            .compile(Scheme::Traditional)
-            .expect("parking lot compiles");
+    let points: Vec<_> = cfg
+        .relay_counts
+        .iter()
+        .map(|&relays| {
+            let spec = ScenarioSpec::parking_lot(relays);
+            let programs = [Scheme::Anc, Scheme::Traditional]
+                .map(|scheme| spec.compile(scheme).expect("parking lot compiles"));
+            (programs.into(), cfg.base.clone())
+        })
+        .collect();
+    let points = sweep(&points, 6367, cfg.runs_per_point, cfg.threads)
+        .unwrap_or_else(|e| panic!("parking-lot sweep: {e}"));
+    let pooled = cfg.relay_counts.iter().zip(points).map(|(&relays, runs)| {
         let mut gains = Vec::new();
         let mut anc_tp = Vec::new();
         let mut trad_tp = Vec::new();
         let mut delivered = 0usize;
         let mut attempted = 0usize;
-        for r in 0..cfg.runs_per_point {
-            let mut rc = cfg.base.clone();
-            rc.seed = run_seed(cfg.base.seed.wrapping_add(idx as u64 * 6367), r);
-            let a = exec(&anc_prog, &rc);
-            let t = exec(&trad_prog, &rc);
-            gains.push(gain(&a, &t));
+        for pair in runs.chunks_exact(2) {
+            let (a, t) = (&pair[0], &pair[1]);
+            gains.push(gain(a, t));
             anc_tp.push(a.account.throughput());
             trad_tp.push(t.account.throughput());
             delivered += a.account.delivered;
@@ -334,7 +338,8 @@ pub fn parking_lot_sweep(cfg: &ParkingLotSweepConfig) -> Vec<ParkingLotPoint> {
                 delivered as f64 / attempted as f64
             },
         }
-    })
+    });
+    pooled.collect()
 }
 
 /// Configuration of the closed-loop throughput-vs-offered-load sweep
@@ -396,26 +401,21 @@ pub fn throughput_vs_load(
     scheme: Scheme,
     cfg: &LoadSweepConfig,
 ) -> Result<Vec<LoadPoint>, ScenarioError> {
-    // Compile once up front so an unschedulable spec fails before the
-    // fan-out (the per-point compiles below only vary the ARQ config).
-    spec.clone()
-        .builder(scheme)
-        .arq(cfg.arq)
-        .build()
-        .map(drop)?;
-    Ok(parallel_map_indexed(cfg.loads.len(), cfg.threads, |idx| {
-        let load = cfg.loads[idx];
-        let arq = cfg.arq.with_traffic(TrafficModel::Poisson { rate: load });
-        let mut armed = spec.clone();
-        armed.arq = Some(arq);
-        let program = armed.compile(scheme).expect("validated above");
+    let points = cfg
+        .loads
+        .iter()
+        .map(|&rate| {
+            let mut armed = spec.clone();
+            armed.arq = Some(cfg.arq.with_traffic(TrafficModel::Poisson { rate }));
+            Ok((vec![armed.compile(scheme)?], cfg.base.clone()))
+        })
+        .collect::<Result<Vec<_>, ScenarioError>>()?;
+    let points = sweep(&points, 104_729, cfg.runs_per_point, cfg.threads)?;
+    let pooled = cfg.loads.iter().zip(points).map(|(&load, runs)| {
         let mut throughputs = Vec::with_capacity(cfg.runs_per_point);
         let (mut offered, mut delivered, mut dropped, mut retx, mut completed) = (0, 0, 0, 0, 0);
         let mut latencies = Vec::new();
-        for r in 0..cfg.runs_per_point {
-            let mut rc = cfg.base.clone();
-            rc.seed = run_seed(cfg.base.seed.wrapping_add(idx as u64 * 104_729), r);
-            let m = exec(&program, &rc);
+        for m in &runs {
             throughputs.push(m.account.throughput());
             for fm in &m.flows {
                 offered += fm.offered;
@@ -442,7 +442,8 @@ pub fn throughput_vs_load(
             },
             dropped,
         }
-    }))
+    });
+    Ok(pooled.collect())
 }
 
 /// Configuration of the fault-intensity chaos sweep.
@@ -521,24 +522,29 @@ pub fn chaos_sweep(
     spec: &ScenarioSpec,
     cfg: &ChaosSweepConfig,
 ) -> Result<Vec<ChaosPoint>, ScenarioError> {
-    // Compile both schemes once up front so an unschedulable spec or
-    // a fault template that fails `FaultSpec::check` fails before the
-    // fan-out (scaling keeps a valid template valid).
-    let mut armed = spec.clone();
-    armed.arq = Some(cfg.arq);
-    armed.faults = Some(cfg.faults.clone());
-    armed.clone().compile(Scheme::Anc)?;
-    armed.compile(Scheme::Traditional)?;
-    Ok(parallel_map_indexed(
-        cfg.intensities.len(),
-        cfg.threads,
-        |idx| {
-            let intensity = cfg.intensities[idx];
+    // A template that fails `FaultSpec::check` fails here, whatever
+    // the intensities (scaling keeps a valid template valid).
+    cfg.faults.check().map_err(ScenarioError::Invalid)?;
+    let points = cfg
+        .intensities
+        .iter()
+        .map(|&intensity| {
             let mut faulted = spec.clone();
             faulted.arq = Some(cfg.arq);
             faulted.faults = Some(cfg.faults.clone().scaled(intensity));
-            let anc_prog = faulted.clone().compile(Scheme::Anc).expect("validated");
-            let trad_prog = faulted.compile(Scheme::Traditional).expect("validated");
+            let anc = faulted.compile(Scheme::Anc)?;
+            Ok((
+                vec![anc, faulted.compile(Scheme::Traditional)?],
+                cfg.base.clone(),
+            ))
+        })
+        .collect::<Result<Vec<_>, ScenarioError>>()?;
+    let points = sweep(&points, 15_485_863, cfg.runs_per_point, cfg.threads)?;
+    let pooled = cfg
+        .intensities
+        .iter()
+        .zip(points)
+        .map(|(&intensity, runs)| {
             let mut anc_tp = Vec::with_capacity(cfg.runs_per_point);
             let mut trad_tp = Vec::with_capacity(cfg.runs_per_point);
             let (mut offered, mut delivered, mut churn, mut outages) = (0, 0, 0, 0);
@@ -546,11 +552,8 @@ pub fn chaos_sweep(
             let mut failover = Vec::new();
             let mut recover = Vec::new();
             let mut out_goodput = Vec::new();
-            for r in 0..cfg.runs_per_point {
-                let mut rc = cfg.base.clone();
-                rc.seed = run_seed(cfg.base.seed.wrapping_add(idx as u64 * 15_485_863), r);
-                let a = exec(&anc_prog, &rc);
-                let t = exec(&trad_prog, &rc);
+            for pair in runs.chunks_exact(2) {
+                let (a, t) = (&pair[0], &pair[1]);
                 anc_tp.push(a.account.throughput());
                 trad_tp.push(t.account.throughput());
                 for fm in &a.flows {
@@ -593,8 +596,8 @@ pub fn chaos_sweep(
                 mean_outage_goodput_bits: mean(&out_goodput),
                 lost_to_churn: churn,
             }
-        },
-    ))
+        });
+    Ok(pooled.collect())
 }
 
 /// Mean closed-loop throughput of a scenario × scheme under saturated
@@ -611,11 +614,8 @@ pub fn saturated_throughput(
     let mut armed = spec.clone();
     armed.arq = Some(arq.with_traffic(TrafficModel::Saturated));
     let program = armed.compile(scheme)?;
-    let tps = parallel_map_indexed(runs, threads, |idx| {
-        let mut rc = base.clone();
-        rc.seed = run_seed(base.seed, idx);
-        exec(&program, &rc).account.throughput()
-    });
+    let runs = sweep(&[(vec![program], base.clone())], 0, runs, threads)?;
+    let tps: Vec<f64> = runs[0].iter().map(|m| m.account.throughput()).collect();
     Ok(mean(&tps))
 }
 
@@ -661,21 +661,26 @@ pub struct SirPoint {
 /// Link gains are pinned symmetric and Bob's transmit amplitude is
 /// scaled to realize each SIR (`SIR = P_Bob/P_Alice` at Alice, Eq. 9).
 pub fn sir_sweep(cfg: &SirSweepConfig) -> Vec<SirPoint> {
-    parallel_map_indexed(cfg.sir_db.len(), cfg.threads, |idx| {
-        let sir = cfg.sir_db[idx];
-        let mut bers = Vec::new();
-        let mut attempts = 0usize;
-        for r in 0..cfg.runs_per_point {
-            let mut rc = cfg.base.clone();
-            rc.seed = run_seed(cfg.base.seed.wrapping_add(idx as u64 * 7919), r);
+    let program = ScenarioSpec::alice_bob()
+        .compile(Scheme::Anc)
+        .expect("canonical Alice-Bob compiles");
+    let points: Vec<_> = cfg
+        .sir_db
+        .iter()
+        .map(|&sir| {
             // Pin symmetric unit-ish links; scale Bob's transmit
             // amplitude so the received power ratio is the SIR.
+            let mut rc = cfg.base.clone();
             rc.channel.gain = (0.85, 0.85);
             rc.tx_amplitude_overrides = vec![(nodes::BOB, anc_dsp::db::db_to_amplitude(sir))];
-            let m = run_alice_bob(Scheme::Anc, &rc);
-            bers.extend(m.bers_at(nodes::ALICE));
-            attempts += rc.packets_per_flow;
-        }
+            (vec![program.clone()], rc)
+        })
+        .collect();
+    let points = sweep(&points, 7919, cfg.runs_per_point, cfg.threads)
+        .unwrap_or_else(|e| panic!("SIR sweep: {e}"));
+    let pooled = cfg.sir_db.iter().zip(points).map(|(&sir, runs)| {
+        let bers: Vec<f64> = runs.iter().flat_map(|m| m.bers_at(nodes::ALICE)).collect();
+        let attempts = runs.len() * cfg.base.packets_per_flow;
         SirPoint {
             sir_db: sir,
             mean_ber: mean(&bers),
@@ -686,7 +691,8 @@ pub fn sir_sweep(cfg: &SirSweepConfig) -> Vec<SirPoint> {
                 bers.len() as f64 / attempts as f64
             },
         }
-    })
+    });
+    pooled.collect()
 }
 
 #[cfg(test)]

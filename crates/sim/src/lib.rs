@@ -31,13 +31,21 @@
 //!   goodput/latency/retransmission ledgers).
 //! * [`runs`] — one experiment run = 1000 packets per flow per scheme
 //!   (paper default), seeded; 40 runs per figure. The paper runs are
-//!   thin scenario definitions on the engine.
+//!   thin scenario definitions on the engine. [`RunConfig::check`]
+//!   rejects, with a typed error, every config that would panic at
+//!   execute; every run passes through it.
 //! * [`experiments`] — per-figure drivers (`alice_bob`, `x_topology`,
-//!   `chain`, `sir_sweep`) plus the new-scenario drivers
-//!   (`parking_lot_sweep`, `asymmetric_x`, `random_mesh`).
-//! * [`mod@monte_carlo`] — the Monte Carlo layer: many independent
-//!   realizations of one scenario × scheme (time-varying channels via
-//!   [`anc_channel::impairment`]) pooled into BER/throughput confidence
+//!   `chain`, `sir_sweep`) plus the new-scenario and closed-loop
+//!   drivers (`parking_lot_sweep`, `asymmetric_x`, `random_mesh`,
+//!   `throughput_vs_load`, `chaos_sweep`, `saturated_throughput`). Each
+//!   compiles its schemes once and flattens its points × runs × schemes
+//!   into one list for the trial runner.
+//! * [`mod@monte_carlo`] — the Monte Carlo layer and the crate's one
+//!   trial runner: it checks each run's config, executes the list on
+//!   the pool with one warmed [`RunCtx`] per worker, and returns the
+//!   metrics in list order. Many independent realizations of one
+//!   scenario × scheme (time-varying channels via
+//!   [`anc_channel::impairment`]) pool into BER/throughput confidence
 //!   intervals; parallel trials are bit-identical to serial.
 //! * [`faults`] — deterministic fault injection: serializable
 //!   [`faults::FaultSpec`] timelines (node churn, link blackouts and
@@ -54,7 +62,7 @@
 //!   sweeps all run on; results come back in job order, bit-identical
 //!   to serial execution.
 //! * [`pipeline`] — the engine's TX/RX stages over its nodes and the
-//!   [`SchedulerSpec`] that picks their executor.
+//!   [`SchedulerSpec`], the worker count that runs them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,8 +92,8 @@ pub use experiments::{
 pub use faults::{FaultSpec, ScriptedOutage};
 pub use metrics::{FlowMetrics, OutageRecord, RunMetrics, StatDigest, ThroughputAccount};
 pub use monte_carlo::{monte_carlo, Ci, MonteCarloConfig, MonteCarloResult};
-pub use pipeline::{RunCtx, SchedMode, SchedulerSpec};
+pub use pipeline::{RunCtx, SchedulerSpec};
 pub use report::{ExperimentReport, FigureSeries};
-pub use runs::{run_spec, Run, RunBuilder, RunConfig, Scenario};
+pub use runs::{run_spec, Run, RunBuilder, RunConfig};
 pub use scenario::{MeshConfig, ScenarioError, ScenarioSpec};
 pub use topology::{LinkSpec, Topology, TopologyGraph, TopologyKind};

@@ -10,6 +10,11 @@
 //! [`crate::pool`] workers, and pools the per-trial metrics into
 //! [`Ci`] 95 % confidence intervals.
 //!
+//! Its trial loop is the crate's one repetition loop: every sweep in
+//! [`crate::experiments`] hands it a flattened list of (program,
+//! config) runs, and a config that fails [`RunConfig::check`] comes
+//! back as a typed [`ScenarioError::Invalid`], not a panic mid-sweep.
+//!
 //! Determinism: trial seeds derive from `(base seed, trial index)`
 //! exactly as the figure drivers' repetitions do, and results are
 //! aggregated in trial order regardless of completion order, so a
@@ -18,7 +23,7 @@
 //! trial are keyed on coordinates, never on evaluation order (see
 //! [`anc_channel::impairment`]).
 
-use crate::engine::{Engine, EngineError};
+use crate::engine::{Engine, EngineError, Program};
 use crate::experiments::run_seed;
 use crate::metrics::RunMetrics;
 use crate::pipeline::{RunCtx, SchedulerSpec};
@@ -180,23 +185,40 @@ pub fn monte_carlo_trials(
     cfg: &MonteCarloConfig,
 ) -> Result<Vec<RunMetrics>, ScenarioError> {
     let program = spec.compile(scheme)?;
-    // One shared scratch context per worker: every trial a worker
-    // draws runs through the same warmed [`RunCtx`] (DESIGN.md §8,
-    // §14) instead of constructing fresh decoder buffers per trial.
-    // Scratch contents never influence decode output, so parallel and
-    // serial stay bit-identical (pinned by tests/monte_carlo.rs). An
-    // engine failure in any trial surfaces as a value instead of
-    // aborting the sweep.
-    let sched = SchedulerSpec::deterministic();
-    let trials: Result<Vec<RunMetrics>, EngineError> =
-        parallel_map_indexed_with(cfg.trials, cfg.threads, RunCtx::default, |ctx, idx| {
+    let runs: Vec<_> = (0..cfg.trials)
+        .map(|idx| {
             let mut rc = cfg.base.clone();
             rc.seed = run_seed(cfg.base.seed, idx);
-            Engine::try_run_ctx(&program, &rc, &sched, ctx)
+            (&program, rc)
         })
-        .into_iter()
         .collect();
-    Ok(trials?)
+    run_trials(&runs, cfg.threads)
+}
+
+/// The one repetition loop behind every sweep in the crate: checks
+/// each run's config ([`RunConfig::check`]), then executes the
+/// `(program, config)` list on at most `threads` workers (`0` = all
+/// cores) under the deterministic executor, and returns the metrics in
+/// list order, or the error of the lowest-index run that failed.
+///
+/// Each worker reuses one warmed [`RunCtx`] (DESIGN.md §8, §14).
+/// Scratch contents never influence decode output, so parallel and
+/// serial stay bit-identical (pinned by tests/monte_carlo.rs).
+pub(crate) fn run_trials(
+    runs: &[(&Program, RunConfig)],
+    threads: usize,
+) -> Result<Vec<RunMetrics>, ScenarioError> {
+    for (_, rc) in runs {
+        rc.check()?;
+    }
+    let sched = SchedulerSpec::deterministic();
+    parallel_map_indexed_with(runs.len(), threads, RunCtx::default, |ctx, idx| {
+        let (program, rc) = &runs[idx];
+        Engine::try_run_ctx(program, rc, &sched, ctx)
+    })
+    .into_iter()
+    .collect::<Result<_, EngineError>>()
+    .map_err(ScenarioError::from)
 }
 
 /// Runs `cfg.trials` independent realizations of `spec` under `scheme`

@@ -41,55 +41,41 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Which executor runs a run's stages.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Every job inline on the calling thread, in job order — the
-    /// bit-reproducible reference executor (and the right choice
-    /// inside an already-parallel Monte Carlo pool).
-    #[default]
-    Deterministic,
-    /// Each stage spreads its jobs over scoped worker threads, the
-    /// calling thread included, so one run uses several cores.
-    /// Produces bit-identical metrics (jobs are independent and their
-    /// results come back in job order).
-    WorkStealing {
-        /// Total threads, including the caller's; clamped to ≥ 1.
-        workers: usize,
-    },
+/// How a run executes its stages: how many workers
+/// [`Self::with_pool`] gives it. One worker is the inline,
+/// bit-reproducible reference executor (and the right choice inside an
+/// already-parallel sweep); more spread each stage's jobs over scoped
+/// threads, the caller's included, with bit-identical metrics (jobs are
+/// independent and their results come back in job order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SchedulerSpec {
+    /// Threads that run the stages, the caller's included; `0` and `1`
+    /// both mean inline.
+    pub workers: usize,
 }
 
-/// How a run executes its stages: how many workers
-/// [`Self::with_pool`] gives it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedulerSpec {
-    /// The executor.
-    pub mode: SchedMode,
+impl Default for SchedulerSpec {
+    fn default() -> Self {
+        SchedulerSpec::deterministic()
+    }
 }
 
 impl SchedulerSpec {
-    /// The inline, bit-reproducible reference executor.
+    /// The inline, bit-reproducible reference executor: one worker.
     pub fn deterministic() -> Self {
-        SchedulerSpec::default()
+        SchedulerSpec { workers: 1 }
     }
 
     /// A work-stealing executor with `workers` total threads.
     pub fn work_stealing(workers: usize) -> Self {
-        SchedulerSpec {
-            mode: SchedMode::WorkStealing { workers },
-        }
+        SchedulerSpec { workers }
     }
 
-    /// Runs `body` with a stage pool for the executor this spec
-    /// selects ([`pool::with_pool`]) — the one dispatch point shared by
-    /// the engine and the city, so mode matching lives in exactly one
-    /// place.
+    /// Runs `body` with a stage pool of this spec's workers
+    /// ([`pool::with_pool`]) — the one dispatch point shared by the
+    /// engine and the city.
     pub fn with_pool<'env, R>(&self, body: impl FnOnce(&Pool<'_, 'env>) -> R) -> R {
-        let workers = match self.mode {
-            SchedMode::Deterministic => 1,
-            SchedMode::WorkStealing { workers } => workers,
-        };
-        pool::with_pool(workers, body)
+        pool::with_pool(self.workers, body)
     }
 }
 

@@ -14,7 +14,7 @@ use crate::faults::FaultSpec;
 use crate::metrics::RunMetrics;
 use crate::pipeline::{RunCtx, SchedulerSpec};
 use crate::scenario::{ScenarioError, ScenarioSpec};
-use crate::topology::{ChannelDraw, TopologyKind};
+use crate::topology::ChannelDraw;
 use anc_channel::ImpairmentSpec;
 use anc_frame::NodeId;
 use anc_netcode::{ArqConfig, Scheme};
@@ -102,15 +102,67 @@ impl RunConfig {
             ..Default::default()
         }
     }
-}
 
-/// A topology + scheme pairing, for experiment drivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scenario {
-    /// Which topology.
-    pub topology: TopologyKind,
-    /// Which scheme.
-    pub scheme: Scheme,
+    /// Rejects a config that would panic or run without bound at
+    /// execute, with a typed [`ScenarioError::Invalid`] naming the
+    /// field. Every run the crate executes passes through here: the
+    /// [`RunBuilder`] and the sweeps' trial runner.
+    pub fn check(&self) -> Result<(), ScenarioError> {
+        let noise = self.noise_power;
+        if !noise.is_finite() || noise <= 0.0 {
+            return Err(ScenarioError::Invalid(format!(
+                "noise_power must be finite and positive, got {noise}"
+            )));
+        }
+        let packets = self.packets_per_flow;
+        if packets > MAX_PACKETS_PER_FLOW {
+            return Err(ScenarioError::Invalid(format!(
+                "packets_per_flow must be at most {MAX_PACKETS_PER_FLOW}, got {packets}"
+            )));
+        }
+        let payload = self.payload_bits;
+        if payload > usize::from(u16::MAX) {
+            return Err(ScenarioError::Invalid(format!(
+                "payload_bits {payload} exceeds the header's 16-bit length field"
+            )));
+        }
+        let ch = &self.channel;
+        for (name, (lo, hi)) in [
+            ("gain", ch.gain),
+            ("overhear_gain", ch.overhear_gain),
+            ("weak_gain", ch.weak_gain),
+        ] {
+            if !(lo.is_finite() && hi.is_finite() && lo > 0.0 && hi > 0.0) {
+                return Err(ScenarioError::Invalid(format!(
+                    "channel.{name} bounds must be finite and positive, got ({lo}, {hi})"
+                )));
+            }
+        }
+        let mac = &self.mac;
+        if mac.delay_slots == 0 || mac.slot_bits == 0 {
+            return Err(ScenarioError::Invalid(format!(
+                "mac.delay_slots and mac.slot_bits must be at least 1, got {} and {}",
+                mac.delay_slots, mac.slot_bits
+            )));
+        }
+        // The widest stagger the MAC can draw, in samples: the last slot
+        // plus the Box–Muller tail (|z| < 9).
+        let stagger = mac.delay_slots as f64 * mac.slot_bits as f64 + 9.0 * mac.jitter_bits;
+        if !(mac.jitter_bits >= 0.0 && stagger <= MAX_STAGGER_SAMPLES) {
+            return Err(ScenarioError::Invalid(format!(
+                "mac.jitter_bits must be non-negative and the widest MAC stagger at most \
+                 {MAX_STAGGER_SAMPLES} samples, got jitter {} and stagger {stagger}",
+                mac.jitter_bits
+            )));
+        }
+        let pad = self.pad_samples;
+        if pad as f64 > MAX_STAGGER_SAMPLES {
+            return Err(ScenarioError::Invalid(format!(
+                "pad_samples must be at most {MAX_STAGGER_SAMPLES}, got {pad}"
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Builder-style run entry. Configure, [`RunBuilder::build`] once
@@ -187,62 +239,10 @@ impl RunBuilder {
         self
     }
 
-    /// Validates the run config and compiles the scenario into an
-    /// executable [`Run`].
+    /// Validates the run config ([`RunConfig::check`]) and compiles
+    /// the scenario into an executable [`Run`].
     pub fn build(self) -> Result<Run, ScenarioError> {
-        let noise = self.cfg.noise_power;
-        if !noise.is_finite() || noise <= 0.0 {
-            return Err(ScenarioError::Invalid(format!(
-                "noise_power must be finite and positive, got {noise}"
-            )));
-        }
-        let packets = self.cfg.packets_per_flow;
-        if packets > MAX_PACKETS_PER_FLOW {
-            return Err(ScenarioError::Invalid(format!(
-                "packets_per_flow must be at most {MAX_PACKETS_PER_FLOW}, got {packets}"
-            )));
-        }
-        let payload = self.cfg.payload_bits;
-        if payload > usize::from(u16::MAX) {
-            return Err(ScenarioError::Invalid(format!(
-                "payload_bits {payload} exceeds the header's 16-bit length field"
-            )));
-        }
-        let ch = &self.cfg.channel;
-        for (name, (lo, hi)) in [
-            ("gain", ch.gain),
-            ("overhear_gain", ch.overhear_gain),
-            ("weak_gain", ch.weak_gain),
-        ] {
-            if !(lo.is_finite() && hi.is_finite() && lo > 0.0 && hi > 0.0) {
-                return Err(ScenarioError::Invalid(format!(
-                    "channel.{name} bounds must be finite and positive, got ({lo}, {hi})"
-                )));
-            }
-        }
-        let mac = &self.cfg.mac;
-        if mac.delay_slots == 0 || mac.slot_bits == 0 {
-            return Err(ScenarioError::Invalid(format!(
-                "mac.delay_slots and mac.slot_bits must be at least 1, got {} and {}",
-                mac.delay_slots, mac.slot_bits
-            )));
-        }
-        // The widest stagger the MAC can draw, in samples: the last slot
-        // plus the Box–Muller tail (|z| < 9).
-        let stagger = mac.delay_slots as f64 * mac.slot_bits as f64 + 9.0 * mac.jitter_bits;
-        if !(mac.jitter_bits >= 0.0 && stagger <= MAX_STAGGER_SAMPLES) {
-            return Err(ScenarioError::Invalid(format!(
-                "mac.jitter_bits must be non-negative and the widest MAC stagger at most \
-                 {MAX_STAGGER_SAMPLES} samples, got jitter {} and stagger {stagger}",
-                mac.jitter_bits
-            )));
-        }
-        let pad = self.cfg.pad_samples;
-        if pad as f64 > MAX_STAGGER_SAMPLES {
-            return Err(ScenarioError::Invalid(format!(
-                "pad_samples must be at most {MAX_STAGGER_SAMPLES}, got {pad}"
-            )));
-        }
+        self.cfg.check()?;
         let program = self.spec.compile(self.scheme)?;
         Ok(Run {
             program,
@@ -320,15 +320,6 @@ pub fn run_chain(scheme: Scheme, cfg: &RunConfig) -> RunMetrics {
 /// Runs one scheme on one "X" realization (Fig. 11, §11.5).
 pub fn run_x(scheme: Scheme, cfg: &RunConfig) -> RunMetrics {
     run_spec(&ScenarioSpec::x(), scheme, cfg).expect("canonical X compiles")
-}
-
-/// Dispatch helper: run `scenario` with the given config.
-pub fn run_scenario(scenario: Scenario, cfg: &RunConfig) -> RunMetrics {
-    match scenario.topology {
-        TopologyKind::AliceBob => run_alice_bob(scenario.scheme, cfg),
-        TopologyKind::Chain => run_chain(scenario.scheme, cfg),
-        TopologyKind::X => run_x(scenario.scheme, cfg),
-    }
 }
 
 #[cfg(test)]
@@ -450,19 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_dispatch() {
-        let cfg = RunConfig::quick(11);
-        let m = run_scenario(
-            Scenario {
-                topology: TopologyKind::AliceBob,
-                scheme: Scheme::Traditional,
-            },
-            &cfg,
-        );
-        assert!(m.account.delivered > 0);
-    }
-
-    #[test]
     fn run_spec_surfaces_compile_errors() {
         let r = run_spec(&ScenarioSpec::chain(), Scheme::Cope, &RunConfig::quick(12));
         assert!(r.is_err());
@@ -489,9 +467,16 @@ mod tests {
     #[test]
     fn builder_rejects_configs_that_would_panic_at_execute() {
         // Built, each of these would panic at execute: in
-        // `TriggerMac::new`, in `Link::new`, on a stagger overflow, or
-        // on a reception window too large to allocate; or would run
-        // past the 16-bit sequence space, for hours or without end.
+        // `TriggerMac::new`, in `Link::new`, in the §7.1 detector, in
+        // frame synthesis, on a stagger overflow, or on a reception
+        // window too large to allocate; or would run past the 16-bit
+        // sequence space, for hours or without end. The sweeps' trial
+        // runner rejects each of them the same way.
+        use crate::experiments::{
+            chaos_sweep, saturated_throughput, scenario_experiment, throughput_vs_load,
+            ChaosSweepConfig, ExperimentConfig, LoadSweepConfig,
+        };
+        use crate::monte_carlo::{monte_carlo, monte_carlo_trials, MonteCarloConfig};
         let build = |edit: &dyn Fn(&mut RunConfig)| {
             let mut cfg = RunConfig::quick(15);
             edit(&mut cfg);
@@ -501,14 +486,66 @@ mod tests {
                 .build()
         };
         let rejected = |edit: &dyn Fn(&mut RunConfig), field: &str| {
-            let Err(err) = build(edit) else {
-                panic!("{field}: must not build");
+            let mut cfg = RunConfig::quick(15);
+            edit(&mut cfg);
+            let spec = ScenarioSpec::alice_bob();
+            let one_trial = MonteCarloConfig {
+                trials: 1,
+                base: cfg.clone(),
+                threads: 1,
             };
-            assert!(
-                matches!(&err, ScenarioError::Invalid(s) if s.contains(field)),
-                "{field}: {err}"
-            );
+            let one_run = ExperimentConfig {
+                runs: 1,
+                base: cfg.clone(),
+                threads: 1,
+            };
+            let load = LoadSweepConfig {
+                base: cfg.clone(),
+                loads: vec![0.5],
+                runs_per_point: 1,
+                threads: 1,
+                ..Default::default()
+            };
+            let chaos = ChaosSweepConfig {
+                base: cfg.clone(),
+                intensities: vec![1.0],
+                runs_per_point: 1,
+                threads: 1,
+                ..Default::default()
+            };
+            let arq = ArqConfig::default();
+            for (path, err) in [
+                ("build", build(edit).err()),
+                (
+                    "monte_carlo_trials",
+                    monte_carlo_trials(&spec, Scheme::Anc, &one_trial).err(),
+                ),
+                (
+                    "monte_carlo",
+                    monte_carlo(&spec, Scheme::Anc, &one_trial).err(),
+                ),
+                (
+                    "scenario_experiment",
+                    scenario_experiment(&spec, &one_run, true).err(),
+                ),
+                (
+                    "throughput_vs_load",
+                    throughput_vs_load(&spec, Scheme::Anc, &load).err(),
+                ),
+                ("chaos_sweep", chaos_sweep(&spec, &chaos).err()),
+                (
+                    "saturated_throughput",
+                    saturated_throughput(&spec, Scheme::Anc, arq, &cfg, 1, 1).err(),
+                ),
+            ] {
+                assert!(
+                    matches!(&err, Some(ScenarioError::Invalid(s)) if s.contains(field)),
+                    "{field} through {path}: {err:?}"
+                );
+            }
         };
+        rejected(&|c| c.noise_power = -1.0, "noise_power");
+        rejected(&|c| c.payload_bits = 70_000, "payload_bits");
         rejected(&|c| c.mac.delay_slots = 0, "mac.delay_slots");
         rejected(&|c| c.mac.slot_bits = 0, "mac.slot_bits");
         for jitter in [-1.0, f64::NAN, f64::INFINITY, 1e300] {

@@ -418,21 +418,6 @@ impl Topology {
         self.links.insert((a, b), Link::new(gain, rng.phase(), 0.0));
     }
 
-    /// Draws an Alice-Bob topology (Fig. 1).
-    pub fn alice_bob(rng: &mut DspRng, draw: &ChannelDraw) -> Topology {
-        TopologyGraph::alice_bob().realize(rng, draw)
-    }
-
-    /// Draws a chain topology (Fig. 2).
-    pub fn chain(rng: &mut DspRng, draw: &ChannelDraw) -> Topology {
-        TopologyGraph::chain().realize(rng, draw)
-    }
-
-    /// Draws an "X" topology (Fig. 11).
-    pub fn x(rng: &mut DspRng, draw: &ChannelDraw) -> Topology {
-        TopologyGraph::x().realize(rng, draw)
-    }
-
     /// The link from `from` to `to`, if the nodes are in range.
     pub fn link(&self, from: NodeId, to: NodeId) -> Option<&Link> {
         self.links.get(&(from, to))
@@ -462,7 +447,7 @@ mod tests {
 
     #[test]
     fn alice_bob_shape() {
-        let t = Topology::alice_bob(&mut rng(), &ChannelDraw::default());
+        let t = TopologyGraph::alice_bob().realize(&mut rng(), &ChannelDraw::default());
         assert!(t.connected(ALICE, ROUTER));
         assert!(t.connected(ROUTER, ALICE));
         assert!(t.connected(BOB, ROUTER));
@@ -472,7 +457,7 @@ mod tests {
 
     #[test]
     fn chain_shape() {
-        let t = Topology::chain(&mut rng(), &ChannelDraw::default());
+        let t = TopologyGraph::chain().realize(&mut rng(), &ChannelDraw::default());
         assert!(t.connected(N1, N2));
         assert!(t.connected(N2, N3));
         assert!(t.connected(N3, N4));
@@ -484,7 +469,7 @@ mod tests {
 
     #[test]
     fn x_shape() {
-        let t = Topology::x(&mut rng(), &ChannelDraw::default());
+        let t = TopologyGraph::x().realize(&mut rng(), &ChannelDraw::default());
         for n in [X1, X2, X3, X4] {
             assert!(t.connected(n, ROUTER));
             assert!(t.connected(ROUTER, n));
@@ -500,7 +485,7 @@ mod tests {
     #[test]
     fn gains_within_ranges() {
         let draw = ChannelDraw::default();
-        let t = Topology::x(&mut rng(), &draw);
+        let t = TopologyGraph::x().realize(&mut rng(), &draw);
         let main = t.link(X1, ROUTER).unwrap();
         assert!(main.gain >= draw.gain.0 && main.gain <= draw.gain.1);
         let over = t.link(X1, X2).unwrap();
@@ -515,7 +500,7 @@ mod tests {
 
     #[test]
     fn symmetric_links_share_gain() {
-        let t = Topology::alice_bob(&mut rng(), &ChannelDraw::default());
+        let t = TopologyGraph::alice_bob().realize(&mut rng(), &ChannelDraw::default());
         let ar = t.link(ALICE, ROUTER).unwrap();
         let ra = t.link(ROUTER, ALICE).unwrap();
         assert_eq!(ar.gain, ra.gain);
@@ -524,8 +509,8 @@ mod tests {
     #[test]
     fn different_seeds_different_channels() {
         let d = ChannelDraw::default();
-        let t1 = Topology::alice_bob(&mut DspRng::seed_from(1), &d);
-        let t2 = Topology::alice_bob(&mut DspRng::seed_from(2), &d);
+        let t1 = TopologyGraph::alice_bob().realize(&mut DspRng::seed_from(1), &d);
+        let t2 = TopologyGraph::alice_bob().realize(&mut DspRng::seed_from(2), &d);
         assert_ne!(
             t1.link(ALICE, ROUTER).unwrap().gain,
             t2.link(ALICE, ROUTER).unwrap().gain
@@ -534,7 +519,7 @@ mod tests {
 
     #[test]
     fn links_iterator_counts() {
-        let t = Topology::chain(&mut rng(), &ChannelDraw::default());
+        let t = TopologyGraph::chain().realize(&mut rng(), &ChannelDraw::default());
         assert_eq!(t.links().count(), 6); // 3 symmetric pairs
     }
 
@@ -618,7 +603,8 @@ mod tests {
         // sum in one order on every run.
         let d = ChannelDraw::default();
         let pairs = |seed| -> Vec<(NodeId, NodeId)> {
-            Topology::x(&mut DspRng::seed_from(seed), &d)
+            TopologyGraph::x()
+                .realize(&mut DspRng::seed_from(seed), &d)
                 .links()
                 .map(|l| (l.from, l.to))
                 .collect()

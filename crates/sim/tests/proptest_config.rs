@@ -17,6 +17,7 @@
 
 use anc_netcode::{ArqConfig, HealthConfig, Scheme};
 use anc_sim::faults::{FaultSpec, ScriptedOutage};
+use anc_sim::monte_carlo::{monte_carlo_trials, MonteCarloConfig};
 use anc_sim::runs::RunConfig;
 use anc_sim::scenario::{MeshConfig, ScenarioSpec};
 use anc_sim::topology::nodes::{ALICE, BOB, ROUTER};
@@ -89,9 +90,11 @@ fn pick_range(w: u64) -> (f64, f64) {
 
 proptest! {
     /// Build-then-execute on a 1–2-packet Alice–Bob run never panics:
-    /// every outcome is `Ok` or a typed error, on both executors. One
-    /// case in eight draws the packet count from [`SIZE_EDGES`]; counts
-    /// past the builder's bound are built but never executed.
+    /// every outcome is `Ok` or a typed error, on both executors and
+    /// through the sweeps' trial runner (a one-trial
+    /// `monte_carlo_trials`). One case in eight draws the packet count
+    /// from [`SIZE_EDGES`]; counts past the builder's bound are built
+    /// but never executed.
     #[test]
     fn config_never_panics(
         seed in 0u64..1_000,
@@ -160,6 +163,12 @@ proptest! {
                     _ => {}
                 }
             }
+            let one_trial = MonteCarloConfig {
+                trials: 1,
+                base: cfg.clone(),
+                threads: 1,
+            };
+            let _ = monte_carlo_trials(&ScenarioSpec::alice_bob(), scheme, &one_trial);
         }));
         prop_assert!(outcome.is_ok(), "panicked on {cfg:?}");
     }

@@ -92,5 +92,5 @@ pub mod prelude {
     };
     pub use anc_sim::scenario::{MeshConfig, ScenarioSpec};
     pub use anc_sim::topology::{nodes, Topology, TopologyGraph, TopologyKind};
-    pub use anc_sim::{RunCtx, SchedMode, SchedulerSpec};
+    pub use anc_sim::{RunCtx, SchedulerSpec};
 }
